@@ -1,15 +1,19 @@
 """Minimal gate-model simulator for the two variational ansatz circuits.
 
 Gates are RotY(theta) = exp(-i theta Y / 2) and CNOT. Qubit 0 is the most
-significant bit of a basis index. Sampling, readout bit-flips, and the
-optional two-qubit depolarizing channel all draw from the one seeded stream
-owned by the experiment's NoiseModel, so runs are bit-reproducible.
+significant bit of a basis index. Each measured Pauli word costs one
+multinomial draw over the readout-convolved distribution (the Born marginal
+pushed through the tensored per-qubit confusion matrices), which has the same
+law as sampling shots one at a time and flipping each read bit independently.
+All draws come from the one seeded stream owned by the experiment's
+NoiseModel, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,23 +226,29 @@ def _support_probs(probs_full: np.ndarray, support: tuple[int, ...], n: int) -> 
     return p / p.sum()
 
 
+@lru_cache(maxsize=64)
+def _confusion(p10: tuple[float, ...], p01: tuple[float, ...]) -> np.ndarray:
+    """Readout channel on the support: C[read, true], qubits in ascending order."""
+    C = np.ones((1, 1))
+    for a, b in zip(p10, p01):
+        C = np.kron(C, np.array([[1.0 - a, b], [a, 1.0 - b]]))
+    C.setflags(write=False)
+    return C
+
+
 def _sample_counts(probs: np.ndarray, support: tuple[int, ...], shots: int,
                    noise: NoiseModel) -> Counts:
     k = len(support)
     if k == 0:
         # all-identity word: nothing is measured
         return Counts(counts={"": shots}, shots=shots, support=support)
-    outcomes = noise.rng.choice(len(probs), size=shots, p=probs)
-    weights = 1 << np.arange(k - 1, -1, -1)
-    bits = (outcomes[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    p10 = np.array([noise.p10[q] for q in support])
-    p01 = np.array([noise.p01[q] for q in support])
-    if p10.any() or p01.any():
-        rates = np.where(bits == 0, p10[None, :], p01[None, :])
-        bits = bits ^ (noise.rng.random(bits.shape) < rates)
-    outcomes = bits @ weights
-    values, tallies = np.unique(outcomes, return_counts=True)
-    counts = {format(int(v), f"0{k}b"): int(c) for v, c in zip(values, tallies)}
+    p10 = tuple(noise.p10[q] for q in support)
+    p01 = tuple(noise.p01[q] for q in support)
+    if any(p10) or any(p01):
+        probs = np.clip(_confusion(p10, p01) @ probs, 0.0, None)
+        probs = probs / probs.sum()
+    tallies = noise.rng.multinomial(shots, probs)
+    counts = {format(v, f"0{k}b"): int(c) for v, c in enumerate(tallies) if c}
     return Counts(counts=counts, shots=shots, support=support)
 
 
@@ -273,9 +283,9 @@ def measure_pauli_density(rho: np.ndarray, word: str, shots: int, noise: NoiseMo
     n = int(round(math.log2(rho.shape[0])))
     if len(word) != n:
         raise ValueError(f"word length {len(word)} != {n} qubits")
-    support, rotations = _measurement_setup(word)
-    for q, U in rotations:
-        rho = _full_1q(U, q, n) @ rho @ _full_1q(U, q, n).conj().T
+    support, _ = _measurement_setup(word)
+    U = _basis_change(word)
+    rho = U @ rho @ U.conj().T
     probs = _support_probs(np.diag(rho).real, support, n)
     return _sample_counts(probs, support, shots, noise)
 
@@ -288,13 +298,25 @@ def counts_expectation(counts: Counts) -> float:
     return total / counts.shots
 
 
+@lru_cache(maxsize=64)
+def _basis_change(word: str) -> np.ndarray:
+    """Full-register unitary sending every measured axis of the word to Z."""
+    U = np.ones((1, 1), dtype=complex)
+    for label in word:
+        U = np.kron(U, MEAS_ROTATION.get(label, np.eye(2, dtype=complex)))
+    U.setflags(write=False)
+    return U
+
+
 def _full_1q(U: np.ndarray, q: int, n: int) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for i in range(n):
-        out = np.kron(out, U if i == q else np.eye(2, dtype=complex))
-    return out
+    """I_(2^q) x U x I_(2^(n-q-1)), built by one broadcast product, not n np.kron calls."""
+    a, b = 2**q, 2 ** (n - q - 1)
+    full = (np.eye(a)[:, None, None, :, None, None] * U[None, :, None, None, :, None]
+            * np.eye(b)[None, None, :, None, None, :])
+    return full.reshape(2**n, 2**n)
 
 
+@lru_cache(maxsize=64)
 def _full_cx(c: int, t: int, n: int) -> np.ndarray:
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     p1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -303,7 +325,9 @@ def _full_cx(c: int, t: int, n: int) -> np.ndarray:
     for i in range(n):
         term0 = np.kron(term0, p0 if i == c else np.eye(2, dtype=complex))
         term1 = np.kron(term1, p1 if i == c else (PAULI["X"] if i == t else np.eye(2, dtype=complex)))
-    return term0 + term1
+    U = term0 + term1
+    U.setflags(write=False)
+    return U
 
 
 def _partial_trace(rho: np.ndarray, n: int, drop: tuple[int, ...]) -> np.ndarray:

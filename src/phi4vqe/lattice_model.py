@@ -54,6 +54,10 @@ class ModelParams:
             raise ValueError(f"L must be a positive integer, got {self.L}")
         if not self.m_sq > 0:
             raise ValueError(f"reference mass m_sq must be > 0, got {self.m_sq}")
+        for name in ("m0_sq", "delta_m", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if abs(self.delta_m - (self.m0_sq - self.m_sq)) > 1e-9:
             raise ValueError(
                 f"inconsistent masses: delta_m={self.delta_m} but "

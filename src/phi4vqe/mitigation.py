@@ -107,15 +107,16 @@ def ro_correct(counts: CountsLike, support: tuple[int, ...], cal: ReadoutCalibra
         items, total = counts, float(sum(counts.values()))
     if not items or total <= 0:
         raise ValueError("empty counts")
+    k = len(support)
+    for bits in items:
+        if len(bits) != k:
+            raise ValueError(f"outcome {bits!r} does not match support size {k}")
     denom = np.array([1.0 - cal.p_plus(q) for q in support])
     shift = np.array([cal.p_minus(q) for q in support])
-    est = 0.0
-    for bits, weight in items.items():
-        if len(bits) != len(support):
-            raise ValueError(f"outcome {bits!r} does not match support size {len(support)}")
-        signs = np.array([-1.0 if b == "1" else 1.0 for b in bits])
-        est += weight * np.prod((signs - shift) / denom)
-    return est / total
+    ones = np.frombuffer("".join(items).encode("ascii"), dtype=np.uint8).reshape(len(items), k)
+    signs = np.where(ones == ord("1"), -1.0, 1.0)
+    weights = np.fromiter(items.values(), dtype=float, count=len(items))
+    return float(weights @ np.prod((signs - shift) / denom, axis=1)) / total
 
 
 _TOMO_WORDS = tuple("".join(p) for p in product("IXYZ", repeat=2))

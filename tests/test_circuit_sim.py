@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -217,6 +218,46 @@ def test_measure_pauli_statistics_match_exact():
         assert abs(counts_expectation(counts) - exact) < 4.0 * se
 
 
+@pytest.mark.parametrize("measure", ["pure", "density"])
+@pytest.mark.parametrize("word", ["ZZ", "ZI", "IZ", "XZ"])
+def test_measure_pauli_per_qubit_confusion(word, measure):
+    # distinct asymmetric rates per qubit: each outcome frequency follows
+    # C @ p, with C built from the rates of the word's own support qubits
+    p10, p01 = (0.02, 0.09), (0.13, 0.05)
+    shots = 200_000
+    state = apply_circuit(ansatz_entangled(0.9, -0.4, 1.7), zero_state(2))
+    rotation = {"X": np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), "Z": np.eye(2), "I": np.eye(2)}
+    rotated = np.kron(rotation[word[0]], rotation[word[1]]) @ state
+    full = (np.abs(rotated) ** 2).reshape(2, 2)
+    support = tuple(q for q, label in enumerate(word) if label != "I")
+    born = {}
+    for bits in itertools.product("01", repeat=len(support)):
+        index = [slice(None), slice(None)]
+        for q, b in zip(support, bits):
+            index[q] = int(b)
+        born["".join(bits)] = float(np.sum(full[tuple(index)]))
+    expected = {}
+    for read in born:
+        total = 0.0
+        for true, p in born.items():
+            for q, x, y in zip(support, read, true):
+                if y == "0":
+                    p *= p10[q] if x == "1" else 1.0 - p10[q]
+                else:
+                    p *= p01[q] if x == "0" else 1.0 - p01[q]
+            total += p
+        expected[read] = total
+    noise = NoiseModel(p10=p10, p01=p01, seed=29)
+    if measure == "pure":
+        counts = measure_pauli(state, word, shots, noise)
+    else:
+        counts = measure_pauli_density(np.outer(state, state.conj()), word, shots, noise)
+    assert counts.support == support
+    for read, q in expected.items():
+        sigma = math.sqrt(q * (1.0 - q) / shots)
+        assert abs(counts.counts.get(read, 0) / shots - q) < 4.0 * sigma
+
+
 def test_measure_pauli_rejects_word_length_mismatch():
     with pytest.raises(ValueError):
         measure_pauli(zero_state(2), "Z", 10, NoiseModel.noiseless(2))
@@ -241,6 +282,25 @@ def test_noise_model_draws_are_reproducible():
     a = measure_pauli(state, "ZZ", 4096, NoiseModel.uniform(2, readout=0.05, seed=3))
     b = measure_pauli(state, "ZZ", 4096, NoiseModel.uniform(2, readout=0.05, seed=3))
     assert a.counts == b.counts
+
+
+def test_sampler_makes_one_multinomial_draw_per_measured_word():
+    class RecordingRng:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, []
+
+        def __getattr__(self, name):
+            self.calls.append(name)
+            return getattr(self.rng, name)
+
+    noise = NoiseModel(p10=(0.02, 0.09), p01=(0.13, 0.05), seed=3)
+    noise.rng = RecordingRng(noise.rng)
+    state = apply_circuit(ansatz_entangled(0.5, 0.2, 0.9), zero_state(2))
+    rho = np.outer(state, state.conj())
+    for word in ("ZZ", "IZ", "II", "XY"):
+        measure_pauli(state, word, 1000, noise)
+        measure_pauli_density(rho, word, 1000, noise)
+    assert noise.rng.calls == ["multinomial"] * 6
 
 
 # ---------------------------------------------------------------- density matrices

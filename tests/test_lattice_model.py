@@ -202,6 +202,19 @@ def test_model_params_rejects_bad_reference_mass():
         ModelParams.from_bare(L=2, m_sq=-1.0, m0_sq=1.0, lam=1.0, n_max=4)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", math.nan),
+    ("lam", math.inf),
+    ("m0_sq", math.nan),
+    ("delta_m", math.nan),
+])
+def test_model_params_rejects_non_finite(field, value):
+    fields = dict(L=2, m_sq=1.0, m0_sq=-1.5, delta_m=-2.5, lam=6.0, n_max=4)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ModelParams(**fields)
+
+
 def test_model_params_rejects_bad_sizes():
     with pytest.raises(ValueError):
         ModelParams.from_bare(L=0, m_sq=1.0, m0_sq=1.0, lam=1.0, n_max=4)

@@ -92,6 +92,12 @@ def test_ro_correct_subset_support():
     assert ro_correct({"0": 0.8, "1": 0.2}, (1,), cal) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ro_correct_rejects_outcome_length_mismatch():
+    cal = ReadoutCalibration(rates=((0.0, 0.0), (0.0, 0.2)))
+    with pytest.raises(ValueError, match="does not match support size 1"):
+        ro_correct({"0": 0.5, "01": 0.5}, (1,), cal)
+
+
 def test_readout_calibration_validation():
     with pytest.raises(ValueError):
         ReadoutCalibration(rates=((0.6, 0.5),))
