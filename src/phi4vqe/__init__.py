@@ -42,7 +42,6 @@ from .lattice_model import (
     MomentumGrid,
     counterterm_continuum,
     counterterm_first_order,
-    delta_from_masses,
     dispersion,
     momentum_grid,
 )
@@ -53,7 +52,6 @@ from .mitigation import (
     energy_from_state,
     mcweeny_purify,
     ro_correct,
-    tomography_2q,
     tomography_2q_detail,
 )
 from .qubit_encoding import (
@@ -71,6 +69,7 @@ from .vqe import (
     GapEstimate,
     MitigationComparison,
     VqeResult,
+    benchmark_sectors,
     energy_objective,
     mass_gap_vqe,
     mitigation_comparison,

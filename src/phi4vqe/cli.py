@@ -16,8 +16,8 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +35,13 @@ from .lattice_model import (
     counterterm_continuum,
     counterterm_first_order,
 )
-from .qubit_encoding import parity_blocks, sector_by_parity
-from .vqe import BackendSpec, mass_gap_vqe, mitigation_comparison, sector_minima
+from .vqe import (BackendSpec, benchmark_sectors, mass_gap_vqe, mitigation_comparison,
+                  sector_minima)
 
 SCHEMA = "phi4vqe/1"
 ENERGY_UNIT = "lattice units"
 
-__all__ = ["main", "entry"]
+__all__ = ["main", "entry", "check_config"]
 
 
 # ---------------------------------------------------------------- plumbing
@@ -80,62 +80,205 @@ def _json_safe(value):
     return value
 
 
-def _write_record(path: Path, record: dict) -> None:
+def _write_json(path: Path, value) -> None:
     with open(path, "w") as handle:
-        json.dump(_json_safe(record), handle, sort_keys=True, indent=2)
+        json.dump(_json_safe(value), handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 
-def _map_indexed(fn, items, threads: int) -> list:
-    """Apply fn(index, item) over items, optionally on a worker pool.
+# ---------------------------------------------------------------- config schema
+#
+# Each command's config is described by one table: key -> check for a required
+# key, key -> Field(check, default) for one that may be left out. A check is a
+# rule (value -> error message, or None when the value passes), a nested table
+# for an object, or a ListOf for a nonempty list. The walker fills in every
+# default, so the commands read each field by subscript.
 
-    Results keep item order, and every worker derives randomness only from
-    its index, so the thread count never changes the output.
-    """
-    if threads <= 1:
-        return [fn(i, item) for i, item in enumerate(items)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(len(items)), items))
+OPTIONAL = object()  # Field default: the key may be left out and then stays absent
 
 
-# ---------------------------------------------------------------- validation
+class Field(NamedTuple):
+    check: object
+    default: object
+
+
+class ListOf(NamedTuple):
+    item: object
+    length: int | None = None  # the exact length, when it is fixed
+    scalar_ok: bool = False  # a bare item stands for the one-item list
+
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_lambda_grid(grid, path: str, errors: list[str]) -> None:
-    if not isinstance(grid, list) or not grid:
-        errors.append(f"{path}: must be a nonempty list")
-        return
-    for i, lam in enumerate(grid):
-        if not _is_num(lam) or lam < 0:
-            errors.append(f"{path}[{i}]: coupling must be a number >= 0")
+def _rule(predicate, message: str):
+    return lambda value: None if predicate(value) else message
 
 
-def _check_model(model, path: str, errors: list[str], require_n_max: bool = False) -> None:
-    if not isinstance(model, dict):
-        errors.append(f"{path}: must be an object")
-        return
-    L = model.get("L")
-    if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-        errors.append(f"{path}.L: must be an integer >= 1")
-    m_sq = model.get("m_sq")
-    if not _is_num(m_sq) or m_sq <= 0:
-        errors.append(f"{path}.m_sq: must be a number > 0")
-    has_bare = "m0_sq" in model
-    has_delta = "delta_m" in model
-    if has_bare == has_delta:
-        errors.append(f"{path}: provide exactly one of m0_sq, delta_m")
-    if has_bare and not _is_num(model["m0_sq"]):
-        errors.append(f"{path}.m0_sq: must be a number")
-    if has_delta and not _is_num(model["delta_m"]):
-        errors.append(f"{path}.delta_m: must be a number")
-    n_max = model.get("n_max")
-    if require_n_max and n_max is None:
-        errors.append(f"{path}.n_max: required")
-    if n_max is not None and (not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2):
-        errors.append(f"{path}.n_max: must be an integer >= 2")
+def _int_from(low: int):
+    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low,
+                 f"must be an integer >= {low}")
+
+
+def _in_range(low: float, high: float):
+    return _rule(lambda v: _is_num(v) and low <= v < high, f"must be a number in [{low}, {high})")
+
+
+def _one_of(*names: str):
+    return _rule(lambda v: v in names, "must be one of " + ", ".join(names))
+
+
+NUMBER = _rule(_is_num, "must be a number")
+POSITIVE = _rule(lambda v: _is_num(v) and v > 0, "must be a number > 0")
+COUPLINGS = ListOf(_rule(lambda v: _is_num(v) and v >= 0, "coupling must be a number >= 0"))
+BOOL = _rule(lambda v: isinstance(v, bool), "must be true or false")
+SITES = _int_from(1)
+N_MAX = _int_from(2)
+MODEL = {
+    "L": SITES,
+    "m_sq": POSITIVE,
+    "m0_sq": Field(NUMBER, OPTIONAL),
+    "delta_m": Field(NUMBER, OPTIONAL),
+    "n_max": Field(N_MAX, OPTIONAL),
+}
+RATES = Field(ListOf(_in_range(0, 1), length=2), OPTIONAL)
+BACKEND = {
+    "kind": _one_of("exact", "sampled", "noisy_mitigated"),
+    "shots": Field(_int_from(1), 8192),
+    "calibration_shots": Field(_int_from(1), 100_000),
+    "p_dep": Field(_in_range(0, 1), 0.02),
+    "readout": Field(_in_range(0, 0.5), 0.03),
+    "readout_p10": RATES,
+    "readout_p01": RATES,
+    "readout_correction": Field(BOOL, True),
+    "purification": Field(BOOL, True),
+}
+COMMON = {
+    "seed": Field(_int_from(0), 0),
+    "out_dir": Field(_rule(lambda v: isinstance(v, str), "must be a string"), "out"),
+}
+CONFIG_SCHEMAS = {
+    "spectrum": dict(
+        COMMON,
+        model=MODEL,
+        lambda_grid=COUPLINGS,
+        n_max_values=ListOf(N_MAX),
+        eigenvalue_count=Field(_int_from(1), 8),
+    ),
+    "counterterm": dict(
+        COMMON,
+        firstorder=Field({
+            "m_sq_values": ListOf(POSITIVE),
+            "L_values": ListOf(_rule(lambda v: v == "inf" or SITES(v) is None,
+                                     'must be an integer >= 1 or "inf"')),
+            "lambda_grid": COUPLINGS,
+        }, OPTIONAL),
+        roots=Field({
+            "L": SITES,
+            "m_sq": POSITIVE,
+            "n_max": N_MAX,
+            "target_m_sq": POSITIVE,
+            "lambda_values": COUPLINGS,
+            "sweep_points": Field(_int_from(2), 21),
+            "sweep_halfwidth": Field(POSITIVE, 2.5),
+        }, OPTIONAL),
+    ),
+    "critical": dict(
+        COMMON,
+        model={"L": SITES, "m_sq": POSITIVE, "n_max": N_MAX},
+        curves=Field({"target_gap_sq_values": ListOf(POSITIVE), "lambda_grid": COUPLINGS},
+                     OPTIONAL),
+        fits=Field(ListOf({"m0_sq": NUMBER, "lambda_grid": COUPLINGS}), OPTIONAL),
+        fit_window=Field(_int_from(4), 6),
+    ),
+    "vqe": dict(
+        COMMON,
+        model=dict(MODEL, n_max=N_MAX),
+        lambda_grid=COUPLINGS,
+        ansatz=Field(ListOf(_one_of("product", "entangled"), scalar_ok=True), "entangled"),
+        backend=Field(BACKEND, {"kind": "exact"}),
+    ),
+}
+
+
+def _walk(check, value, path: str, errors: list[str]):
+    """Check ``value`` against ``check``, appending ``path: message`` errors.
+
+    Returns a copy of the value with every default filled in and every bare
+    item of a ``scalar_ok`` list wrapped in a list.
+    """
+    if isinstance(check, dict):
+        if not isinstance(value, dict):
+            errors.append(f"{path or 'config'}: must be an object")
+            return value
+        at = (lambda key: f"{path}.{key}") if path else (lambda key: key)
+        errors += [f"{at(key)}: unknown key (known: {', '.join(check)})"
+                   for key in value if key not in check]
+        filled = {}
+        for key, spec in check.items():
+            inner = spec.check if isinstance(spec, Field) else spec
+            if key in value:
+                filled[key] = _walk(inner, value[key], at(key), errors)
+            elif not isinstance(spec, Field):
+                errors.append(f"{at(key)}: required")
+            elif spec.default is not OPTIONAL:
+                filled[key] = _walk(inner, spec.default, at(key), errors)
+        return filled
+    if isinstance(check, ListOf):
+        if check.scalar_ok and not isinstance(value, list):
+            value = [value]
+        if not isinstance(value, list) or not value or len(value) != (check.length or len(value)):
+            expected = f"list of {check.length} entries" if check.length else "nonempty list"
+            errors.append(f"{path}: must be a {expected}")
+            return value
+        return [_walk(check.item, item, f"{path}[{i}]", errors) for i, item in enumerate(value)]
+    message = check(value)
+    if message:
+        errors.append(f"{path}: {message}")
+    return value
+
+
+def check_config(command: str, given: dict) -> tuple[dict, list[str]]:
+    """Check a command's config: (the config with every default filled in, errors).
+
+    Each error reads ``path: message``. The rules that tie fields together run
+    once every field has passed its own check. The backend rules read the
+    backend as given, so a key left to its default counts as absent there.
+    """
+    errors: list[str] = []
+    cfg = _walk(CONFIG_SCHEMAS[command], given, "", errors)
+    if errors:
+        return cfg, errors
+    sections = {"counterterm": ("firstorder", "roots"), "critical": ("curves", "fits")}
+    if command in sections and not any(key in cfg for key in sections[command]):
+        errors.append(f"config: needs at least one of {', '.join(sections[command])}")
+    if command in ("spectrum", "vqe") and ("m0_sq" in cfg["model"]) == ("delta_m" in cfg["model"]):
+        errors.append("model: provide exactly one of m0_sq, delta_m")
+    if "firstorder" in cfg and max(cfg["firstorder"]["m_sq_values"]) > 64:
+        errors += [f"firstorder.L_values[{i}]: continuum formula needs m_sq <= 64"
+                   for i, L in enumerate(cfg["firstorder"]["L_values"]) if L == "inf"]
+    if "fits" in cfg:
+        errors += [f"fits[{i}].lambda_grid: needs at least 4 points to fit"
+                   for i, fit in enumerate(cfg["fits"]) if len(fit["lambda_grid"]) < 4]
+    if command == "vqe":
+        n_max, L = cfg["model"]["n_max"], cfg["model"]["L"]
+        if n_max % 2 or (n_max // 2)**L != 4:
+            errors.append("model.n_max: each parity sector must span (n_max/2)^L = 4 states "
+                          f"for the two-qubit ansatz (got n_max={n_max}, L={L}); use L=2, n_max=4")
+    backend = given["backend"] if command == "vqe" and "backend" in given else {}
+    if backend and backend["kind"] != "noisy_mitigated":
+        errors += [f"backend.{key}: not allowed for the {backend['kind']} backend"
+                   for key in ("p_dep", "readout", "readout_p10", "readout_p01") if key in backend]
+    elif "readout" in backend and ("readout_p10" in backend or "readout_p01" in backend):
+        errors.append("backend: provide either readout or readout_p10/readout_p01, not both")
+    elif ("readout_p10" in backend) != ("readout_p01" in backend):
+        errors.append("backend: readout_p10 and readout_p01 must be given together")
+    elif "readout_p10" in backend:
+        rates = zip(backend["readout_p10"], backend["readout_p01"])
+        errors += [f"backend: qubit {q} has readout_p10 + readout_p01 = {p10 + p01} >= 1"
+                   for q, (p10, p01) in enumerate(rates) if p10 + p01 >= 1]
+    return cfg, errors
 
 
 def _model_params(model: dict, lam: float, n_max: int) -> ModelParams:
@@ -146,229 +289,35 @@ def _model_params(model: dict, lam: float, n_max: int) -> ModelParams:
                                         delta_m=model["delta_m"], lam=lam, n_max=n_max)
 
 
-def _validate_spectrum(cfg: dict) -> list[str]:
-    errors: list[str] = []
-    _check_model(cfg.get("model"), "model", errors)
-    _check_lambda_grid(cfg.get("lambda_grid"), "lambda_grid", errors)
-    values = cfg.get("n_max_values")
-    if not isinstance(values, list) or not values:
-        errors.append("n_max_values: must be a nonempty list")
-    else:
-        for i, n in enumerate(values):
-            if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-                errors.append(f"n_max_values[{i}]: must be an integer >= 2")
-    count = cfg.get("eigenvalue_count", 8)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        errors.append("eigenvalue_count: must be an integer >= 1")
-    return errors
-
-
-def _validate_counterterm(cfg: dict) -> list[str]:
-    errors: list[str] = []
-    first = cfg.get("firstorder")
-    roots = cfg.get("roots")
-    if first is None and roots is None:
-        errors.append("config: needs at least one of firstorder, roots")
-    if first is not None:
-        if not isinstance(first, dict):
-            errors.append("firstorder: must be an object")
-        else:
-            msqs = first.get("m_sq_values")
-            if not isinstance(msqs, list) or not msqs:
-                errors.append("firstorder.m_sq_values: must be a nonempty list")
-            else:
-                for i, m in enumerate(msqs):
-                    if not _is_num(m) or m <= 0:
-                        errors.append(f"firstorder.m_sq_values[{i}]: must be a number > 0")
-            Ls = first.get("L_values")
-            if not isinstance(Ls, list) or not Ls:
-                errors.append("firstorder.L_values: must be a nonempty list")
-            else:
-                for i, L in enumerate(Ls):
-                    if L == "inf":
-                        if isinstance(msqs, list) and any(_is_num(m) and m > 64 for m in msqs):
-                            errors.append(f"firstorder.L_values[{i}]: continuum formula needs m_sq <= 64")
-                    elif not isinstance(L, int) or isinstance(L, bool) or L < 1:
-                        errors.append(f"firstorder.L_values[{i}]: must be an integer >= 1 or \"inf\"")
-            _check_lambda_grid(first.get("lambda_grid"), "firstorder.lambda_grid", errors)
-    if roots is not None:
-        if not isinstance(roots, dict):
-            errors.append("roots: must be an object")
-        else:
-            L = roots.get("L")
-            if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-                errors.append("roots.L: must be an integer >= 1")
-            if not _is_num(roots.get("m_sq")) or roots.get("m_sq", 0) <= 0:
-                errors.append("roots.m_sq: must be a number > 0")
-            n_max = roots.get("n_max")
-            if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
-                errors.append("roots.n_max: must be an integer >= 2")
-            if not _is_num(roots.get("target_m_sq")) or roots.get("target_m_sq", 0) <= 0:
-                errors.append("roots.target_m_sq: must be a number > 0")
-            _check_lambda_grid(roots.get("lambda_values"), "roots.lambda_values", errors)
-            pts = roots.get("sweep_points", 21)
-            if not isinstance(pts, int) or isinstance(pts, bool) or pts < 2:
-                errors.append("roots.sweep_points: must be an integer >= 2")
-            hw = roots.get("sweep_halfwidth", 2.5)
-            if not _is_num(hw) or hw <= 0:
-                errors.append("roots.sweep_halfwidth: must be a number > 0")
-    return errors
-
-
-def _validate_critical(cfg: dict) -> list[str]:
-    errors: list[str] = []
-    model = cfg.get("model")
-    if not isinstance(model, dict):
-        errors.append("model: must be an object")
-    else:
-        L = model.get("L")
-        if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-            errors.append("model.L: must be an integer >= 1")
-        if not _is_num(model.get("m_sq")) or model.get("m_sq", 0) <= 0:
-            errors.append("model.m_sq: must be a number > 0")
-        n_max = model.get("n_max")
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
-            errors.append("model.n_max: must be an integer >= 2")
-    curves = cfg.get("curves")
-    fits = cfg.get("fits")
-    if curves is None and fits is None:
-        errors.append("config: needs at least one of curves, fits")
-    if curves is not None:
-        if not isinstance(curves, dict):
-            errors.append("curves: must be an object")
-        else:
-            targets = curves.get("target_gap_sq_values")
-            if not isinstance(targets, list) or not targets:
-                errors.append("curves.target_gap_sq_values: must be a nonempty list")
-            else:
-                for i, t in enumerate(targets):
-                    if not _is_num(t) or t <= 0:
-                        errors.append(f"curves.target_gap_sq_values[{i}]: must be a number > 0")
-            _check_lambda_grid(curves.get("lambda_grid"), "curves.lambda_grid", errors)
-    if fits is not None:
-        if not isinstance(fits, list) or not fits:
-            errors.append("fits: must be a nonempty list")
-        else:
-            for i, fit in enumerate(fits):
-                if not isinstance(fit, dict):
-                    errors.append(f"fits[{i}]: must be an object")
-                    continue
-                if not _is_num(fit.get("m0_sq")):
-                    errors.append(f"fits[{i}].m0_sq: must be a number")
-                grid = fit.get("lambda_grid")
-                _check_lambda_grid(grid, f"fits[{i}].lambda_grid", errors)
-                if isinstance(grid, list) and len(grid) < 4:
-                    errors.append(f"fits[{i}].lambda_grid: needs at least 4 points to fit")
-    window = cfg.get("fit_window", 6)
-    if not isinstance(window, int) or isinstance(window, bool) or window < 4:
-        errors.append("fit_window: must be an integer >= 4")
-    return errors
-
-
-def _validate_vqe(cfg: dict) -> list[str]:
-    errors: list[str] = []
-    model = cfg.get("model")
-    _check_model(model, "model", errors, require_n_max=True)
-    if isinstance(model, dict):
-        n_max = model.get("n_max")
-        L = model.get("L")
-        if isinstance(n_max, int) and not isinstance(n_max, bool) and n_max >= 2:
-            if n_max % 2 != 0:
-                errors.append("model.n_max: parity blocking needs an even value")
-            else:
-                half = n_max // 2
-                if half & (half - 1) != 0:
-                    errors.append("model.n_max: qubit encoding needs n_max/2 to be a power of two")
-                elif isinstance(L, int) and not isinstance(L, bool) and L >= 1 and half**L != 4:
-                    errors.append("model: each parity sector must span exactly 4 states "
-                                  f"(got {half}^{L} = {half**L}); use L=2, n_max=4")
-    _check_lambda_grid(cfg.get("lambda_grid"), "lambda_grid", errors)
-    ansatz = cfg.get("ansatz", "entangled")
-    names = ansatz if isinstance(ansatz, list) else [ansatz]
-    if not names:
-        errors.append("ansatz: must name at least one ansatz")
-    for i, name in enumerate(names):
-        if name not in ("product", "entangled"):
-            errors.append(f"ansatz[{i}]: must be 'product' or 'entangled'")
-    backend = cfg.get("backend", {"kind": "exact"})
-    if not isinstance(backend, dict):
-        errors.append("backend: must be an object")
-        return errors
-    kind = backend.get("kind")
-    if kind not in ("exact", "sampled", "noisy_mitigated"):
-        errors.append("backend.kind: must be one of exact, sampled, noisy_mitigated")
-        return errors
-    shots = backend.get("shots", 8192)
-    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
-        errors.append("backend.shots: must be an integer >= 1")
-    cal_shots = backend.get("calibration_shots", 100_000)
-    if not isinstance(cal_shots, int) or isinstance(cal_shots, bool) or cal_shots < 1:
-        errors.append("backend.calibration_shots: must be an integer >= 1")
-    if kind == "exact":
-        for key in ("p_dep", "readout", "readout_p10", "readout_p01"):
-            if key in backend:
-                errors.append(f"backend.{key}: not allowed for the exact backend")
-    if kind == "noisy_mitigated":
-        p_dep = backend.get("p_dep", 0.02)
-        if not _is_num(p_dep) or not 0 <= p_dep < 1:
-            errors.append("backend.p_dep: must be a number in [0, 1)")
-        if "readout" in backend and ("readout_p10" in backend or "readout_p01" in backend):
-            errors.append("backend: provide either readout or readout_p10/readout_p01, not both")
-        readout = backend.get("readout", 0.03)
-        if not _is_num(readout) or not 0 <= readout < 0.5:
-            errors.append("backend.readout: must be a number in [0, 0.5)")
-        for key in ("readout_p10", "readout_p01"):
-            rates = backend.get(key)
-            if rates is None:
-                continue
-            if not isinstance(rates, list) or len(rates) != 2:
-                errors.append(f"backend.{key}: must list one rate per qubit (2 entries)")
-            elif not all(_is_num(r) and 0 <= r < 1 for r in rates):
-                errors.append(f"backend.{key}[*]: rates must lie in [0, 1)")
-        if ("readout_p10" in backend) != ("readout_p01" in backend):
-            errors.append("backend: readout_p10 and readout_p01 must be given together")
-    return errors
-
-
-def _backend_from_config(backend_cfg: dict) -> BackendSpec:
-    kind = backend_cfg.get("kind", "exact")
-    if kind == "exact":
+def _backend_from_config(backend: dict) -> BackendSpec:
+    if backend["kind"] == "exact":
         return BackendSpec.exact()
-    shots = backend_cfg.get("shots", 8192)
-    cal_shots = backend_cfg.get("calibration_shots", 100_000)
-    if kind == "sampled":
-        return BackendSpec.sampled(shots=shots)
-    if "readout_p10" in backend_cfg:
-        noise = NoiseModel(p10=tuple(backend_cfg["readout_p10"]),
-                           p01=tuple(backend_cfg["readout_p01"]),
-                           p_dep=backend_cfg.get("p_dep", 0.02))
+    if backend["kind"] == "sampled":
+        return BackendSpec.sampled(shots=backend["shots"])
+    if "readout_p10" in backend:
+        noise = NoiseModel(p10=tuple(backend["readout_p10"]), p01=tuple(backend["readout_p01"]),
+                           p_dep=backend["p_dep"])
     else:
-        noise = NoiseModel.uniform(2, readout=backend_cfg.get("readout", 0.03),
-                                   p_dep=backend_cfg.get("p_dep", 0.02))
-    return BackendSpec.noisy(noise, shots=shots,
-                             readout_correction=backend_cfg.get("readout_correction", True),
-                             purification=backend_cfg.get("purification", True),
-                             calibration_shots=cal_shots)
+        noise = NoiseModel.uniform(2, readout=backend["readout"], p_dep=backend["p_dep"])
+    return BackendSpec.noisy(noise, shots=backend["shots"],
+                             readout_correction=backend["readout_correction"],
+                             purification=backend["purification"],
+                             calibration_shots=backend["calibration_shots"])
 
 
 # ---------------------------------------------------------------- spectrum
 
-def cmd_spectrum(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
+def cmd_spectrum(cfg: dict, out_dir: Path, record: dict) -> None:
     model = cfg["model"]
     lambda_grid = [float(v) for v in cfg["lambda_grid"]]
-    n_max_values = list(cfg["n_max_values"])
-    count = cfg.get("eigenvalue_count", 8)
+    n_max_values = cfg["n_max_values"]
 
-    points = [(n_max, lam) for n_max in n_max_values for lam in lambda_grid]
-
-    def work(_index: int, point):
-        n_max, lam = point
-        spectrum = exact_spectrum(build_H(_model_params(model, lam, n_max)))
-        levels = [float(e) for e in spectrum.eigenvalues[:count]]
-        return float(spectrum.gap), spectrum.degenerate, levels
-
-    results = _map_indexed(work, points, threads)
-    by_point = dict(zip(points, results))
+    by_point = {}
+    for n_max in n_max_values:
+        for lam in lambda_grid:
+            spectrum = exact_spectrum(build_H(_model_params(model, lam, n_max)))
+            levels = [float(e) for e in spectrum.eigenvalues[:cfg["eigenvalue_count"]]]
+            by_point[(n_max, lam)] = float(spectrum.gap), spectrum.degenerate, levels
 
     gap_header = ["lambda"] + [f"gap_nmax{n} ({ENERGY_UNIT})" for n in n_max_values]
     gap_rows = [[lam] + [by_point[(n, lam)][0] for n in n_max_values] for lam in lambda_grid]
@@ -382,27 +331,19 @@ def cmd_spectrum(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
     _write_csv(out_dir / "eigenvalues.csv",
                ["lambda", "n_max", "level", f"energy ({ENERGY_UNIT})"], eig_rows)
 
-    record = {
-        "schema": SCHEMA,
-        "command": "spectrum",
-        "config": cfg,
-        "seed": seed,
-        "outputs": ["gaps.csv", "eigenvalues.csv"],
-        "gaps": {str(n): [[lam, by_point[(n, lam)][0]] for lam in lambda_grid]
-                 for n in n_max_values},
-        "degenerate_points": [[n, lam] for (n, lam) in points if by_point[(n, lam)][1]],
-    }
-    _write_record(out_dir / "record.json", record)
+    record["outputs"] += ["gaps.csv", "eigenvalues.csv"]
+    record["gaps"] = {str(n): [[lam, by_point[(n, lam)][0]] for lam in lambda_grid]
+                      for n in n_max_values}
+    record["degenerate_points"] = [[n, lam] for n in n_max_values for lam in lambda_grid
+                                   if by_point[(n, lam)][1]]
+    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- counterterm
 
-def cmd_counterterm(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
-    outputs = []
-    record: dict = {"schema": SCHEMA, "command": "counterterm", "config": cfg, "seed": seed}
-
-    first = cfg.get("firstorder")
-    if first is not None:
+def cmd_counterterm(cfg: dict, out_dir: Path, record: dict) -> None:
+    if "firstorder" in cfg:
+        first = cfg["firstorder"]
         lambda_grid = [float(v) for v in first["lambda_grid"]]
         columns = [(m_sq, L) for m_sq in first["m_sq_values"] for L in first["L_values"]]
 
@@ -419,19 +360,18 @@ def cmd_counterterm(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
         rows = [[lam] + [delta_curve(m_sq, L, lam) for m_sq, L in columns]
                 for lam in lambda_grid]
         _write_csv(out_dir / "firstorder.csv", header, rows)
-        outputs.append("firstorder.csv")
+        record["outputs"].append("firstorder.csv")
 
-    roots_cfg = cfg.get("roots")
-    if roots_cfg is not None:
+    if "roots" in cfg:
+        roots_cfg = cfg["roots"]
         lambda_values = [float(v) for v in roots_cfg["lambda_values"]]
         target = float(roots_cfg["target_m_sq"])
-        sweep_points = roots_cfg.get("sweep_points", 21)
-        halfwidth = float(roots_cfg.get("sweep_halfwidth", 2.5))
+        halfwidth = float(roots_cfg["sweep_halfwidth"])
         base = ModelParams.from_counterterm(L=roots_cfg["L"], m_sq=roots_cfg["m_sq"],
                                             delta_m=0.0, lam=0.0,
                                             n_max=roots_cfg["n_max"])
 
-        def solve_point(_index: int, lam: float):
+        def solve_point(lam: float):
             params = base.with_lam(lam)
             try:
                 root = solve_counterterm(params, target)
@@ -439,17 +379,18 @@ def cmd_counterterm(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
                 return math.nan, math.nan, [], str(exc)
             gap_at_root = mass_gap(params.with_delta(root))
             sweep = []
-            for delta in np.linspace(root - halfwidth, root + halfwidth, sweep_points):
+            for delta in np.linspace(root - halfwidth, root + halfwidth,
+                                     roots_cfg["sweep_points"]):
                 sweep.append((float(delta), mass_gap(params.with_delta(float(delta)))))
             return root, gap_at_root, sweep, None
 
-        solved = _map_indexed(solve_point, lambda_values, threads)
+        solved = [solve_point(lam) for lam in lambda_values]
 
         root_rows = [[lam, root, gap] for lam, (root, gap, _, _) in zip(lambda_values, solved)]
         _write_csv(out_dir / "roots.csv",
                    ["lambda", f"delta_m_root ({ENERGY_UNIT})", f"gap_at_root ({ENERGY_UNIT})"],
                    root_rows)
-        outputs.append("roots.csv")
+        record["outputs"].append("roots.csv")
 
         sweep_rows = []
         for lam, (_, _, sweep, _) in zip(lambda_values, solved):
@@ -458,51 +399,41 @@ def cmd_counterterm(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
         _write_csv(out_dir / "sweep.csv",
                    ["lambda", f"delta_m ({ENERGY_UNIT})", f"gap ({ENERGY_UNIT})"],
                    sweep_rows)
-        outputs.append("sweep.csv")
+        record["outputs"].append("sweep.csv")
 
         record["roots"] = [
             {"lambda": lam, "delta_m_root": root, "gap_at_root": gap, "failure": failure}
             for lam, (root, gap, _, failure) in zip(lambda_values, solved)
         ]
 
-    record["outputs"] = outputs
-    _write_record(out_dir / "record.json", record)
+    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- critical
 
-def cmd_critical(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
+def cmd_critical(cfg: dict, out_dir: Path, record: dict) -> None:
     model = cfg["model"]
     base = ModelParams.from_counterterm(L=model["L"], m_sq=model["m_sq"], delta_m=0.0,
                                         lam=0.0, n_max=model["n_max"])
-    outputs = []
-    record: dict = {"schema": SCHEMA, "command": "critical", "config": cfg, "seed": seed}
 
-    curves_cfg = cfg.get("curves")
-    if curves_cfg is not None:
-        lambda_grid = [float(v) for v in curves_cfg["lambda_grid"]]
-        targets = [float(t) for t in curves_cfg["target_gap_sq_values"]]
-
-        def curve(_index: int, target: float):
-            return critical_curve(lambda_grid, target, base)
-
-        curve_results = _map_indexed(curve, targets, threads)
+    if "curves" in cfg:
+        lambda_grid = [float(v) for v in cfg["curves"]["lambda_grid"]]
+        targets = [float(t) for t in cfg["curves"]["target_gap_sq_values"]]
+        curve_results = [critical_curve(lambda_grid, target, base) for target in targets]
         header = ["lambda"] + [f"m0_sq[target_gap_sq={t}] ({ENERGY_UNIT})" for t in targets]
         rows = []
         for i, lam in enumerate(lambda_grid):
             rows.append([lam] + [points[i][1] for points in curve_results])
         _write_csv(out_dir / "curve.csv", header, rows)
-        outputs.append("curve.csv")
+        record["outputs"].append("curve.csv")
         record["curves"] = {
             repr(float(t)): [[lam, m0] for lam, m0 in points]
             for t, points in zip(targets, curve_results)
         }
 
-    fits_cfg = cfg.get("fits")
-    if fits_cfg is not None:
-        window = cfg.get("fit_window", 6)
-
-        def run_fit(_index: int, entry: dict):
+    if "fits" in cfg:
+        fits_payload = []
+        for entry in cfg["fits"]:
             grid = [float(v) for v in entry["lambda_grid"]]
             gaps = []
             for lam in grid:
@@ -510,12 +441,7 @@ def cmd_critical(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
                                                m0_sq=entry["m0_sq"], lam=lam,
                                                n_max=model["n_max"])
                 gaps.append(mass_gap(params))
-            fit = critical_exponent_fit(list(zip(grid, gaps)), window=window)
-            return grid, gaps, fit
-
-        fit_results = _map_indexed(run_fit, fits_cfg, threads)
-        fits_payload = []
-        for entry, (grid, gaps, fit) in zip(fits_cfg, fit_results):
+            fit = critical_exponent_fit(list(zip(grid, gaps)), window=cfg["fit_window"])
             fits_payload.append({
                 "m0_sq": entry["m0_sq"],
                 "lambda_grid": grid,
@@ -527,32 +453,23 @@ def cmd_critical(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
                 "window": list(fit.window),
                 "slopes": list(fit.slopes),
             })
-        with open(out_dir / "fits.json", "w") as handle:
-            json.dump(_json_safe(fits_payload), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        outputs.append("fits.json")
+        _write_json(out_dir / "fits.json", fits_payload)
+        record["outputs"].append("fits.json")
         record["fits"] = fits_payload
 
-    record["outputs"] = outputs
-    _write_record(out_dir / "record.json", record)
+    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- vqe
 
-def cmd_vqe(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
+def cmd_vqe(cfg: dict, out_dir: Path, record: dict) -> None:
     model = cfg["model"]
-    lambda_grid = [float(v) for v in cfg["lambda_grid"]]
-    ansatz = cfg.get("ansatz", "entangled")
-    ansatz_names = ansatz if isinstance(ansatz, list) else [ansatz]
-    backend_cfg = cfg.get("backend", {"kind": "exact"})
-    backend = _backend_from_config(backend_cfg)
+    seed = record["seed"]
+    backend = _backend_from_config(cfg["backend"])
     noisy = backend.kind == "noisy_mitigated"
     stochastic = backend.kind != "exact"
 
-    points = [(lam, name) for lam in lambda_grid for name in ansatz_names]
-
-    def run_point(index: int, point):
-        lam, name = point
+    def run_point(index: int, lam: float, name: str):
         params = _model_params(model, lam, model["n_max"])
         point_seed = [seed, index]
         estimate = mass_gap_vqe(params, backend, ansatz=name, seed=point_seed)
@@ -594,11 +511,11 @@ def cmd_vqe(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
                 "excited": [r.iterations for r in estimate.excited.purification_reports],
             }
             comparison = {}
-            for tag, result, child in (("ground", estimate.ground, 2),
-                                       ("excited", estimate.excited, 3)):
-                comp = mitigation_comparison(
-                    _sector_for(params, tag), result.parameters, backend,
-                    seed=[seed, index, child])
+            for tag, result, child, sector in zip(("ground", "excited"),
+                                                  (estimate.ground, estimate.excited),
+                                                  (2, 3), benchmark_sectors(params)):
+                comp = mitigation_comparison(sector, result.parameters, backend,
+                                             seed=[seed, index, child])
                 comparison[tag] = {
                     "e_exact_at_optimum": comp.e_exact,
                     "e_mitigated": comp.e_mitigated,
@@ -611,7 +528,8 @@ def cmd_vqe(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
                                 - comparison["ground"]["e_raw"])
         return entry
 
-    entries = _map_indexed(run_point, points, threads)
+    points = [(float(lam), name) for lam in cfg["lambda_grid"] for name in cfg["ansatz"]]
+    entries = [run_point(index, lam, name) for index, (lam, name) in enumerate(points)]
 
     header = [
         "lambda", "ansatz",
@@ -635,36 +553,23 @@ def cmd_vqe(cfg: dict, out_dir: Path, seed: int, threads: int) -> None:
     _write_csv(out_dir / "benchmark.csv", header, rows)
 
     verdict_key = "within_one_sigma" if stochastic else "within_tolerance"
-    record = {
-        "schema": SCHEMA,
-        "command": "vqe",
-        "config": cfg,
-        "seed": seed,
-        "outputs": ["benchmark.csv"],
-        "points": entries,
-        "verdict": {
-            "criterion": verdict_key,
-            "points_passing": sum(1 for e in entries if e[verdict_key]),
-            "points_total": len(entries),
-        },
+    record["outputs"] += ["benchmark.csv"]
+    record["points"] = entries
+    record["verdict"] = {
+        "criterion": verdict_key,
+        "points_passing": sum(1 for e in entries if e[verdict_key]),
+        "points_total": len(entries),
     }
-    _write_record(out_dir / "record.json", record)
-
-
-def _sector_for(params: ModelParams, tag: str):
-    blocks = parity_blocks(build_H(params), params)
-    if tag == "ground":
-        return sector_by_parity(blocks, ("+",) * params.L)
-    return sector_by_parity(blocks, ("-",) + ("+",) * (params.L - 1))
+    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- entry point
 
 COMMANDS = {
-    "spectrum": (cmd_spectrum, _validate_spectrum),
-    "counterterm": (cmd_counterterm, _validate_counterterm),
-    "critical": (cmd_critical, _validate_critical),
-    "vqe": (cmd_vqe, _validate_vqe),
+    "spectrum": cmd_spectrum,
+    "counterterm": cmd_counterterm,
+    "critical": cmd_critical,
+    "vqe": cmd_vqe,
 }
 
 
@@ -678,42 +583,37 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory (default: config out_dir or ./out)")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default: config seed or 0)")
-        p.add_argument("--threads", type=int, default=None, help="worker pool size (default: 1)")
+        p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
+        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config seed)")
     args = parser.parse_args(argv)
 
     try:
         with open(args.config) as handle:
-            cfg = json.load(handle)
+            raw = json.load(handle)
     except OSError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"config: invalid JSON: {exc}", file=sys.stderr)
         return 1
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         print("config: top level must be a JSON object", file=sys.stderr)
         return 1
 
-    run, validate = COMMANDS[args.command]
-    errors = validate(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append("seed: must be an integer >= 0")
-    threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        errors.append("threads: must be an integer >= 1")
+    flags = {"out_dir": args.out, "seed": args.seed}
+    cfg, errors = check_config(args.command,
+                               dict(raw, **{k: v for k, v in flags.items() if v is not None}))
     if errors:
         for message in errors:
             print(message, file=sys.stderr)
         return 1
 
-    out_dir = Path(args.out if args.out is not None else cfg.get("out_dir", "out"))
+    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-
+    record = {"schema": SCHEMA, "command": args.command, "config": raw, "seed": cfg["seed"],
+              "outputs": []}
     try:
-        run(cfg, out_dir, seed, threads)
+        COMMANDS[args.command](cfg, out_dir, record)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ __all__ = [
     "dispersion",
     "counterterm_first_order",
     "counterterm_continuum",
-    "delta_from_masses",
 ]
 
 
@@ -133,10 +132,3 @@ def counterterm_continuum(m_sq: float, lam: float) -> float:
     if not 0 < m_sq <= 64:
         raise ValueError(f"continuum formula requires 0 < m_sq <= 64, got {m_sq}")
     return -(lam / (8.0 * math.pi)) * math.log(64.0 / m_sq)
-
-
-def delta_from_masses(m0_sq: float, m_sq: float) -> float:
-    """Counter term from the bare and reference masses: delta_m = m0^2 - m^2."""
-    if not m_sq > 0:
-        raise ValueError(f"reference mass m_sq must be > 0, got {m_sq}")
-    return m0_sq - m_sq

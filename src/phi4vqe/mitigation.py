@@ -30,7 +30,6 @@ __all__ = [
     "PurificationReport",
     "TomographyResult",
     "ro_correct",
-    "tomography_2q",
     "tomography_2q_detail",
     "mcweeny_purify",
     "energy_from_state",
@@ -99,7 +98,8 @@ def ro_correct(counts: CountsLike, support: tuple[int, ...], cal: ReadoutCalibra
     Each sampled bitstring x contributes, per support qubit i, the factor
     ((-1)^{x_i} - p_i^-)/(1 - p_i^+), which inverts the independent bit-flip
     channel exactly in the infinite-shot limit. A plain mapping of outcome
-    weights is accepted in place of Counts for analytic-channel checks.
+    weights is accepted in place of Counts for analytic-channel checks; its
+    outcomes must be bitstrings and its weights finite and non-negative.
     """
     if isinstance(counts, Counts):
         items, total = counts.counts, float(counts.shots)
@@ -116,6 +116,11 @@ def ro_correct(counts: CountsLike, support: tuple[int, ...], cal: ReadoutCalibra
     ones = np.frombuffer("".join(items).encode("ascii"), dtype=np.uint8).reshape(len(items), k)
     signs = np.where(ones == ord("1"), -1.0, 1.0)
     weights = np.fromiter(items.values(), dtype=float, count=len(items))
+    if not isinstance(counts, Counts):
+        if not np.isin(ones, (ord("0"), ord("1"))).all():
+            raise ValueError("outcomes must be bitstrings of 0 and 1")
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ValueError("outcome weights must be finite and >= 0")
     return float(weights @ np.prod((signs - shift) / denom, axis=1)) / total
 
 
@@ -144,12 +149,6 @@ def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
     rho = _reconstruct(values)
     rho_raw = _reconstruct(values_raw)
     return TomographyResult(rho=rho, rho_raw=rho_raw, values=values, values_raw=values_raw)
-
-
-def tomography_2q(circuit: Circuit, noise: NoiseModel, shots: int,
-                  cal: ReadoutCalibration) -> np.ndarray:
-    """Readout-corrected two-qubit state estimate, symmetrized."""
-    return tomography_2q_detail(circuit, noise, shots, cal).rho
 
 
 def _reconstruct(values: Mapping[str, float]) -> np.ndarray:

@@ -45,6 +45,7 @@ __all__ = [
     "VqeResult",
     "GapEstimate",
     "MitigationComparison",
+    "benchmark_sectors",
     "energy_objective",
     "optimize",
     "mass_gap_vqe",
@@ -356,20 +357,26 @@ def _optimize_stochastic(fun, starts, sector: SectorHamiltonian,
     return best_x, any_success
 
 
+def benchmark_sectors(params: ModelParams) -> tuple[SectorHamiltonian, SectorHamiltonian]:
+    """The two sectors the gap benchmark compares: (ground, excited).
+
+    The ground state lives in the all-even sector (+,+,...) and the first
+    excited state in the sector odd in mode 0 only, (-,+,...).
+    """
+    blocks = parity_blocks(build_H(params), params)
+    rest = ("+",) * (params.L - 1)
+    return sector_by_parity(blocks, ("+",) + rest), sector_by_parity(blocks, ("-",) + rest)
+
+
 def mass_gap_vqe(params: ModelParams, backend: BackendSpec,
                  ansatz: str = "entangled", seed=None) -> GapEstimate:
-    """Optimize the even/even and odd/even sectors and report the gap.
+    """Optimize the two benchmark sectors and report the gap.
 
-    The ground state lives in the even/even parity sector and the first
-    excited state in the odd/even sector, so the gap needs no excited-state
-    machinery beyond a second sector optimization. Uncertainties add in
-    quadrature.
+    The ground and first excited states live in different parity sectors
+    (see benchmark_sectors), so the gap needs no excited-state machinery
+    beyond a second sector optimization. Uncertainties add in quadrature.
     """
-    H = build_H(params)
-    blocks = parity_blocks(H, params)
-    ground_sector = sector_by_parity(blocks, ("+",) * params.L)
-    excited_parities = ("-",) + ("+",) * (params.L - 1)
-    excited_sector = sector_by_parity(blocks, excited_parities)
+    ground_sector, excited_sector = benchmark_sectors(params)
     seed0 = None if seed is None else [seed, 0]
     seed1 = None if seed is None else [seed, 1]
     ground = optimize(ground_sector, ansatz, backend, seed=seed0)
@@ -405,10 +412,7 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
 
 def sector_minima(params: ModelParams) -> tuple[float, float, float]:
     """Oracle (E0, E1, gap) from exact diagonalization of the two benchmark sectors."""
-    H = build_H(params)
-    blocks = parity_blocks(H, params)
-    ground = sector_by_parity(blocks, ("+",) * params.L)
-    excited = sector_by_parity(blocks, ("-",) + ("+",) * (params.L - 1))
+    ground, excited = benchmark_sectors(params)
     e0 = exact_spectrum(ground.block).eigenvalues[0]
     e1 = exact_spectrum(excited.block).eigenvalues[0]
     return float(e0), float(e1), float(e1 - e0)

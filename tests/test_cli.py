@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from phi4vqe.cli import main
+from phi4vqe.cli import CONFIG_SCHEMAS, check_config, main
 
 
 def run(tmp_path, command, cfg, extra=None, name="config.json"):
@@ -312,3 +314,144 @@ def test_vqe_sampled_backend_runs_and_records_shots(tmp_path):
     assert point["shots"] == 1024
     assert record["verdict"]["criterion"] == "within_one_sigma"
     assert point["gap_err"] > 0.0
+
+
+# ---------------------------------------------------------------- validation, field by field
+
+def counterterm_cfg():
+    return {
+        "firstorder": {"m_sq_values": [1.0], "L_values": [2, "inf"], "lambda_grid": [0.0]},
+        "roots": {"L": 2, "m_sq": 1.0, "n_max": 4, "target_m_sq": 1.0, "lambda_values": [6.0]},
+    }
+
+
+def critical_cfg():
+    return {
+        "model": {"L": 2, "m_sq": 1.0, "n_max": 4},
+        "curves": {"target_gap_sq_values": [1.5], "lambda_grid": [0.0]},
+        "fits": [{"m0_sq": -1.5, "lambda_grid": [3.5, 4.0, 4.5, 5.0]}],
+    }
+
+
+NOISY = {"kind": "noisy_mitigated", "shots": 64}
+
+CONFIGS = {"spectrum": spectrum_cfg, "counterterm": counterterm_cfg,
+           "critical": critical_cfg, "vqe": vqe_cfg}
+
+# (command, dotted path to set or delete, bad value, path every error line must start with)
+BAD_FIELDS = [
+    ("spectrum", "model", [], "model"),
+    ("spectrum", "model.L", 0, "model.L"),
+    ("spectrum", "model.m_sq", 0.0, "model.m_sq"),
+    ("spectrum", "model.delta_m", "x", "model.delta_m"),
+    ("spectrum", "model.n_max", 1, "model.n_max"),
+    ("spectrum", "lambda_grid", [], "lambda_grid"),
+    ("spectrum", "n_max_values", [], "n_max_values"),
+    ("spectrum", "n_max_values", [4, 1], "n_max_values[1]"),
+    ("spectrum", "eigenvalue_count", 0, "eigenvalue_count"),
+    ("spectrum", "seed", -1, "seed"),
+    ("spectrum", "seed", 1.5, "seed"),
+    ("counterterm", "firstorder", 3, "firstorder"),
+    ("counterterm", "firstorder.m_sq_values", [0.0], "firstorder.m_sq_values[0]"),
+    ("counterterm", "firstorder.L_values", [2, 0], "firstorder.L_values[1]"),
+    ("counterterm", "firstorder.lambda_grid", [-1.0], "firstorder.lambda_grid[0]"),
+    ("counterterm", "roots", [], "roots"),
+    ("counterterm", "roots.L", True, "roots.L"),
+    ("counterterm", "roots.m_sq", -1.0, "roots.m_sq"),
+    ("counterterm", "roots.n_max", 1, "roots.n_max"),
+    ("counterterm", "roots.target_m_sq", 0.0, "roots.target_m_sq"),
+    ("counterterm", "roots.lambda_values", [], "roots.lambda_values"),
+    ("counterterm", "roots.sweep_points", 1, "roots.sweep_points"),
+    ("counterterm", "roots.sweep_halfwidth", 0.0, "roots.sweep_halfwidth"),
+    ("critical", "model.L", 0, "model.L"),
+    ("critical", "model.m_sq", "1", "model.m_sq"),
+    ("critical", "model.n_max", None, "model.n_max"),
+    ("critical", "curves", [], "curves"),
+    ("critical", "curves.target_gap_sq_values", [0.0], "curves.target_gap_sq_values[0]"),
+    ("critical", "curves.target_gap_sq_values", [], "curves.target_gap_sq_values"),
+    ("critical", "curves.lambda_grid", [-0.5], "curves.lambda_grid[0]"),
+    ("critical", "fits", [], "fits"),
+    ("critical", "fits", ["x"], "fits[0]"),
+    ("critical", "fits.0.m0_sq", "x", "fits[0].m0_sq"),
+    ("critical", "fits.0.lambda_grid", [3.0, 4.0], "fits[0].lambda_grid"),
+    ("critical", "fit_window", 3, "fit_window"),
+    ("vqe", "model.n_max", None, "model.n_max"),
+    ("vqe", "model.n_max", 5, "model.n_max"),
+    ("vqe", "model.n_max", 8, "model"),
+    ("vqe", "lambda_grid", [float("nan")], "lambda_grid[0]"),
+    ("vqe", "ansatz", [], "ansatz"),
+    ("vqe", "ansatz", "ring", "ansatz[0]"),
+    ("vqe", "backend", "exact", "backend"),
+    ("vqe", "backend", {"kind": "sampled", "shots": 0}, "backend.shots"),
+    ("vqe", "backend", dict(NOISY, calibration_shots=0), "backend.calibration_shots"),
+    ("vqe", "backend", dict(NOISY, p_dep=1.0), "backend.p_dep"),
+    ("vqe", "backend", dict(NOISY, readout=0.5), "backend.readout"),
+    ("vqe", "backend", dict(NOISY, readout_p10=[0.1], readout_p01=[0.1, 0.1]), "backend.readout_p10"),
+    ("vqe", "backend", dict(NOISY, readout_p10=[0.1, 1.0], readout_p01=[0.1, 0.1]),
+     "backend.readout_p10"),
+    ("vqe", "backend", dict(NOISY, readout=0.1, readout_p10=[0.1, 0.1], readout_p01=[0.1, 0.1]),
+     "backend"),
+    # rules the hand-written validation lacked: each of these used to pass validation
+    ("vqe", "backend", dict(NOISY, readout_p10=[0.1, 0.6], readout_p01=[0.1, 0.5]),
+     "backend: qubit 1"),
+    ("vqe", "backend", dict(NOISY, readout_correction="no"), "backend.readout_correction"),
+    ("vqe", "backend", dict(NOISY, purification=1), "backend.purification"),
+    ("vqe", "backend", {"kind": "sampled", "shot": 64}, "backend.shot"),
+    ("vqe", "backend", {"kind": "sampled", "readout": 0.03}, "backend.readout"),
+    ("vqe", "threads", 2, "threads"),
+    ("vqe", "model.mass", 1.0, "model.mass"),
+    ("counterterm", "roots.sweep", 5, "roots.sweep"),
+    ("critical", "fits.0.window", 6, "fits[0].window"),
+    ("critical", "model.m0_sq", -1.5, "model.m0_sq"),
+]
+
+
+def _set_path(cfg, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        cfg = cfg[int(key)] if isinstance(cfg, list) else cfg[key]
+    if value is None:
+        del cfg[last]
+    else:
+        cfg[last] = value
+
+
+@pytest.mark.parametrize("command,dotted,value,path", BAD_FIELDS,
+                         ids=[f"{c}:{d}={v!r}" for c, d, v, _ in BAD_FIELDS])
+def test_bad_field_is_a_config_error_naming_its_path(tmp_path, capsys, command, dotted, value, path):
+    cfg = CONFIGS[command]()
+    _set_path(cfg, dotted, value)
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(line.startswith(path) for line in lines), lines
+
+
+def test_threads_flag_is_gone(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(spectrum_cfg()))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+              "--threads", "2"])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- README drift
+
+def readme_examples():
+    """(command, config) for every ```json block of the README's Command line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for part in section.split("\n### ")[1:]:
+        command = part.split("\n", 1)[0].strip()
+        examples += [(command, json.loads(block))
+                     for block in re.findall(r"```json\n(.*?)```", part, re.S)]
+    return examples
+
+
+def test_readme_config_examples_pass_the_schema():
+    examples = readme_examples()
+    assert {command for command, _ in examples} == set(CONFIG_SCHEMAS)
+    for command, cfg in examples:
+        assert check_config(command, cfg)[1] == [], command

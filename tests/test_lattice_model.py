@@ -8,7 +8,6 @@ from phi4vqe.lattice_model import (
     ModelParams,
     counterterm_continuum,
     counterterm_first_order,
-    delta_from_masses,
     dispersion,
     momentum_grid,
 )
@@ -166,18 +165,6 @@ def test_counterterm_continuum_matches_light_mass_integral():
 
 
 # ---------------------------------------------------------------- mass bookkeeping
-
-def test_delta_from_masses_benchmark():
-    assert delta_from_masses(-1.5, 1.0) == -2.5
-
-
-def test_delta_from_masses_zero():
-    assert delta_from_masses(0.7, 0.7) == 0.0
-
-
-def test_delta_from_masses_positive():
-    assert delta_from_masses(0.5, 0.1) == pytest.approx(0.4, abs=1e-15)
-
 
 def test_model_params_from_bare_consistency():
     p = ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=-1.5, lam=10.0, n_max=4)

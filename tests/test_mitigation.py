@@ -16,7 +16,6 @@ from phi4vqe.mitigation import (
     energy_from_state,
     mcweeny_purify,
     ro_correct,
-    tomography_2q,
     tomography_2q_detail,
 )
 from phi4vqe.qubit_encoding import PauliSum, pauli_word_matrix
@@ -98,6 +97,23 @@ def test_ro_correct_rejects_outcome_length_mismatch():
         ro_correct({"0": 0.5, "01": 0.5}, (1,), cal)
 
 
+@pytest.mark.parametrize("counts", [{"x": 1.0, "1": 1.0}, {"2": 1.0}, {"0 ": 1.0, "11": 1.0}],
+                         ids=["letter", "digit", "space"])
+def test_ro_correct_rejects_outcomes_other_than_bits(counts):
+    k = len(next(iter(counts)))
+    cal = ReadoutCalibration(rates=((0.01, 0.02),) * k)
+    with pytest.raises(ValueError, match="0 and 1"):
+        ro_correct(counts, tuple(range(k)), cal)
+
+
+@pytest.mark.parametrize("weights", [(-1.0, 2.0), (math.nan, 1.0), (math.inf, 1.0)],
+                         ids=["negative", "nan", "inf"])
+def test_ro_correct_rejects_negative_or_non_finite_weights(weights):
+    cal = ReadoutCalibration(rates=((0.01, 0.02),))
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        ro_correct(dict(zip(("0", "1"), weights)), (0,), cal)
+
+
 def test_readout_calibration_validation():
     with pytest.raises(ValueError):
         ReadoutCalibration(rates=((0.6, 0.5),))
@@ -127,7 +143,7 @@ def test_tomography_reconstructs_pure_state():
     circuit = ansatz_entangled(0.9, -0.3, 1.2)
     noise = NoiseModel.noiseless(2, seed=41)
     cal = ReadoutCalibration.exact_from_noise(noise)
-    rho = tomography_2q(circuit, noise, 40_000, cal)
+    rho = tomography_2q_detail(circuit, noise, 40_000, cal).rho
     psi = apply_circuit(circuit, zero_state(2))
     assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -138,7 +154,7 @@ def test_tomography_sees_depolarization():
     circuit = ansatz_entangled(0.9, -0.3, 1.2)
     noise = NoiseModel.uniform(2, p_dep=0.1, seed=42)
     cal = ReadoutCalibration.exact_from_noise(noise)
-    rho_hat = tomography_2q(circuit, noise, 60_000, cal)
+    rho_hat = tomography_2q_detail(circuit, noise, 60_000, cal).rho
     rho = simulate_density(circuit, noise)
     assert abs(np.real(np.trace(rho_hat @ rho_hat)) - np.real(np.trace(rho @ rho))) < 0.05
 

@@ -9,6 +9,7 @@ from phi4vqe.qubit_encoding import parity_blocks, sector_by_parity
 from phi4vqe.circuit_sim import NoiseModel
 from phi4vqe.vqe import (
     BackendSpec,
+    benchmark_sectors,
     energy_objective,
     mass_gap_vqe,
     mitigation_comparison,
@@ -140,6 +141,16 @@ def test_mass_gap_vqe_free_theory():
     params = benchmark(0.0).with_delta(0.0)
     estimate = mass_gap_vqe(params, BackendSpec.exact())
     assert estimate.gap == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("L,n_max,excited", [(1, 8, ("-",)), (2, 4, ("-", "+"))])
+def test_benchmark_sectors_are_all_even_and_odd_in_mode_zero(L, n_max, excited):
+    params = ModelParams.from_bare(L=L, m_sq=1.0, m0_sq=-1.5, lam=6.0, n_max=n_max)
+    ground, first = benchmark_sectors(params)
+    assert ground.parities == ("+",) * L
+    assert first.parities == excited
+    blocks = parity_blocks(build_H(params), params)
+    assert np.array_equal(first.block, sector_by_parity(blocks, excited).block)
 
 
 def test_sector_minima_against_blocks():
