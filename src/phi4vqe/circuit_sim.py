@@ -1,7 +1,9 @@
 """Minimal gate-model simulator for the two variational ansatz circuits.
 
-Gates are RotY(theta) = exp(-i theta Y / 2) and CNOT. Qubit 0 is the most
-significant bit of a basis index. Each measured Pauli word costs one
+Gates are RotY(theta) = exp(-i theta Y / 2) and CNOT, each applied as its
+full-register matrix. Qubit 0 is the most significant bit of a basis index.
+Statevectors may span any number of qubits; density matrices span the two
+qubits of the ansatz circuits. Each measured Pauli word costs one
 multinomial draw over the readout-convolved distribution (the Born marginal
 pushed through the tensored per-qubit confusion matrices), which has the same
 law as sampling shots one at a time and flipping each read bit independently.
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qubit_encoding import PAULI, PauliSum
+from .qubit_encoding import PauliSum
 
 __all__ = [
     "Circuit",
@@ -69,15 +71,6 @@ class Circuit:
                     raise ValueError(f"bad cx qubits ({c}, {t})")
             else:
                 raise ValueError(f"unknown gate {kind!r}")
-
-    def to_text(self) -> str:
-        lines = []
-        for gate in self.gates:
-            if gate[0] == "ry":
-                lines.append(f"ry q{gate[1]} {gate[2]!r}")
-            else:
-                lines.append(f"cx q{gate[1]} q{gate[2]}")
-        return "\n".join(lines)
 
 
 @dataclass(eq=False)
@@ -146,34 +139,13 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _apply_1q(state: np.ndarray, U: np.ndarray, q: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n)
-    psi = np.tensordot(U, psi, axes=([1], [q]))
-    psi = np.moveaxis(psi, 0, q)
-    return psi.reshape(-1)
-
-
-def _apply_cx(state: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    # swap the target amplitudes on the control-1 slice
-    idx_c = [slice(None)] * n
-    idx_c[c] = 1
-    sub = psi[tuple(idx_c)]
-    t_axis = t - (1 if c < t else 0)
-    psi[tuple(idx_c)] = np.flip(sub, axis=t_axis)
-    return psi.reshape(-1)
-
-
 def apply_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     n = circuit.qubit_count
     if initial.shape != (2**n,):
         raise ValueError(f"state dimension {initial.shape} does not match {n} qubits")
     state = initial.astype(complex)
     for gate in circuit.gates:
-        if gate[0] == "ry":
-            state = _apply_1q(state, ry_matrix(gate[2]), gate[1], n)
-        else:
-            state = _apply_cx(state, gate[1], gate[2], n)
+        state = _gate_matrix(gate, n) @ state
     return state
 
 
@@ -206,14 +178,7 @@ def expectation_exact(state: np.ndarray, H: PauliSum) -> float:
     n = H.qubit_count
     if state.shape != (2**n,):
         raise ValueError("state and operator qubit counts differ")
-    total = 0.0 + 0.0j
-    for coeff, word in H.terms:
-        phi = state
-        for q, label in enumerate(word):
-            if label != "I":
-                phi = _apply_1q(phi, PAULI[label], q, n)
-        total += coeff * np.vdot(state, phi)
-    return float(total.real)
+    return float(np.vdot(state, H.to_matrix() @ state).real)
 
 
 def _support_probs(probs_full: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
@@ -252,10 +217,14 @@ def _sample_counts(probs: np.ndarray, support: tuple[int, ...], shots: int,
     return Counts(counts=counts, shots=shots, support=support)
 
 
-def _measurement_setup(word: str) -> tuple[tuple[int, ...], list[tuple[int, np.ndarray]]]:
-    support = tuple(q for q, label in enumerate(word) if label != "I")
-    rotations = [(q, MEAS_ROTATION[word[q]]) for q in support if word[q] in MEAS_ROTATION]
-    return support, rotations
+def _measured_support(word: str, shots: int, dim: int) -> tuple[int, ...]:
+    """Check a measurement request on a 2^n-dimensional state; return the word's support."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    n = int(round(math.log2(dim)))
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != {n} qubits")
+    return tuple(q for q, label in enumerate(word) if label != "I")
 
 
 def measure_pauli(state: np.ndarray, word: str, shots: int, noise: NoiseModel) -> Counts:
@@ -264,29 +233,17 @@ def measure_pauli(state: np.ndarray, word: str, shots: int, noise: NoiseModel) -
     Identity labels are not measured: the distribution is marginalized onto the
     word's support, so readout noise only touches measured qubits.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = int(round(math.log2(len(state))))
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != {n} qubits")
-    support, rotations = _measurement_setup(word)
-    for q, U in rotations:
-        state = _apply_1q(state, U, q, n)
-    probs = _support_probs(np.abs(state) ** 2, support, n)
+    support = _measured_support(word, shots, len(state))
+    probs = _support_probs(np.abs(_basis_change(word) @ state) ** 2, support, len(word))
     return _sample_counts(probs, support, shots, noise)
 
 
 def measure_pauli_density(rho: np.ndarray, word: str, shots: int, noise: NoiseModel) -> Counts:
     """Sampling path for mixed states; mirrors measure_pauli."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = int(round(math.log2(rho.shape[0])))
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != {n} qubits")
-    support, _ = _measurement_setup(word)
+    support = _measured_support(word, shots, rho.shape[0])
     U = _basis_change(word)
     rho = U @ rho @ U.conj().T
-    probs = _support_probs(np.diag(rho).real, support, n)
+    probs = _support_probs(np.diag(rho).real, support, len(word))
     return _sample_counts(probs, support, shots, noise)
 
 
@@ -318,54 +275,38 @@ def _full_1q(U: np.ndarray, q: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _full_cx(c: int, t: int, n: int) -> np.ndarray:
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    term0 = np.ones((1, 1), dtype=complex)
-    term1 = np.ones((1, 1), dtype=complex)
-    for i in range(n):
-        term0 = np.kron(term0, p0 if i == c else np.eye(2, dtype=complex))
-        term1 = np.kron(term1, p1 if i == c else (PAULI["X"] if i == t else np.eye(2, dtype=complex)))
-    U = term0 + term1
+    """CNOT as a permutation of the identity: row i is e_j, j = i with bit t flipped if bit c is set."""
+    index = np.arange(2**n)
+    flip = ((index >> (n - 1 - c)) & 1) << (n - 1 - t)
+    U = np.eye(2**n, dtype=complex)[index ^ flip]
     U.setflags(write=False)
     return U
 
 
-def _partial_trace(rho: np.ndarray, n: int, drop: tuple[int, ...]) -> np.ndarray:
-    t = rho.reshape([2] * (2 * n))
-    m = n
-    for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + m)
-        m -= 1
-    return t.reshape(2**m, 2**m)
-
-
-def _depolarize_pair(rho: np.ndarray, q0: int, q1: int, p: float, n: int) -> np.ndarray:
-    """rho -> (1-p) rho + p (I/4 on the pair) x (reduced state of the rest)."""
-    if p == 0.0:
-        return rho
-    rest = [q for q in range(n) if q not in (q0, q1)]
-    sigma = _partial_trace(rho, n, (q0, q1))
-    mixed = np.kron(np.eye(4, dtype=complex) / 4.0, sigma)
-    # permute from qubit order [q0, q1, *rest] back to ascending
-    order = [q0, q1] + rest
-    t = mixed.reshape([2] * (2 * n))
-    t = np.moveaxis(t, list(range(2 * n)), order + [n + q for q in order])
-    return (1.0 - p) * rho + p * t.reshape(2**n, 2**n)
+def _gate_matrix(gate: tuple, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of one gate of an n-qubit circuit."""
+    if gate[0] == "ry":
+        return _full_1q(ry_matrix(gate[2]), gate[1], n)
+    return _full_cx(gate[1], gate[2], n)
 
 
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Density-matrix evolution from |0...0> with depolarization after each CNOT."""
-    n = circuit.qubit_count
-    rho = np.zeros((2**n, 2**n), dtype=complex)
+    """Two-qubit density-matrix evolution from |00> with depolarization after each CNOT.
+
+    On two qubits the CNOT's pair is the whole register, so the pair channel
+    is rho -> (1-p) rho + p Tr(rho) I/4.
+    """
+    if circuit.qubit_count != 2:
+        raise ValueError("density simulation is implemented for 2-qubit circuits, "
+                         f"got {circuit.qubit_count} qubits")
+    p = noise.p_dep
+    rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     for gate in circuit.gates:
-        if gate[0] == "ry":
-            U = _full_1q(ry_matrix(gate[2]), gate[1], n)
-            rho = U @ rho @ U.conj().T
-        else:
-            U = _full_cx(gate[1], gate[2], n)
-            rho = U @ rho @ U.conj().T
-            rho = _depolarize_pair(rho, gate[1], gate[2], noise.p_dep, n)
+        U = _gate_matrix(gate, 2)
+        rho = U @ rho @ U.conj().T
+        if gate[0] == "cx":
+            rho = (1.0 - p) * rho + (p * np.trace(rho) / 4.0) * np.eye(4)
     return rho
 
 

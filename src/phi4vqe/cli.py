@@ -109,7 +109,8 @@ class ListOf(NamedTuple):
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # rejects NaN, inf and ints too large for a float (math.isfinite raises on those)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _rule(predicate, message: str):
@@ -268,8 +269,10 @@ def check_config(command: str, given: dict) -> tuple[dict, list[str]]:
                           f"for the two-qubit ansatz (got n_max={n_max}, L={L}); use L=2, n_max=4")
     backend = given["backend"] if command == "vqe" and "backend" in given else {}
     if backend and backend["kind"] != "noisy_mitigated":
+        # the exact backend reads only its kind, the sampled one also its shots
+        allowed = ("kind", "shots") if backend["kind"] == "sampled" else ("kind",)
         errors += [f"backend.{key}: not allowed for the {backend['kind']} backend"
-                   for key in ("p_dep", "readout", "readout_p10", "readout_p01") if key in backend]
+                   for key in backend if key not in allowed]
     elif "readout" in backend and ("readout_p10" in backend or "readout_p01" in backend):
         errors.append("backend: provide either readout or readout_p10/readout_p01, not both")
     elif ("readout_p10" in backend) != ("readout_p01" in backend):

@@ -201,21 +201,12 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
         return expectation_exact(apply_circuit(circuit, zero_state(2)), H)
 
     noise = backend.noise
-    if backend.kind == "sampled":
-        state = apply_circuit(circuit, zero_state(2))
-        total = 0.0
-        for coeff, word in H.terms:
-            if set(word) == {"I"}:
-                total += coeff.real
-                continue
-            counts = measure_pauli(state, word, backend.shots, noise)
-            total += coeff.real * counts_expectation(counts)
-        return total
-
-    # noisy_mitigated
-    if backend.readout_correction and cal is None:
+    correct = backend.kind == "noisy_mitigated" and backend.readout_correction
+    if correct and cal is None:
         cal = ReadoutCalibration.from_noise_model(noise, backend.calibration_shots)
-    if len(theta) == 3 and backend.purification:
+    if backend.kind == "sampled":
+        state, measure = apply_circuit(circuit, zero_state(2)), measure_pauli
+    elif len(theta) == 3 and backend.purification:
         detail = tomography_2q_detail(circuit, noise, backend.shots,
                                       cal if cal is not None
                                       else ReadoutCalibration.exact_from_noise(noise))
@@ -224,14 +215,15 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
         if purification_log is not None:
             purification_log.append(report)
         return energy_from_state(rho, H)
-    rho = simulate_density(circuit, noise)
+    else:
+        state, measure = simulate_density(circuit, noise), measure_pauli_density
     total = 0.0
     for coeff, word in H.terms:
         if set(word) == {"I"}:
             total += coeff.real
             continue
-        counts = measure_pauli_density(rho, word, backend.shots, noise)
-        if backend.readout_correction:
+        counts = measure(state, word, backend.shots, noise)
+        if correct:
             total += coeff.real * ro_correct(counts, counts.support, cal)
         else:
             total += coeff.real * counts_expectation(counts)

@@ -96,14 +96,6 @@ def test_circuit_validation():
         Circuit(2, (("cx", 1, 1),))
 
 
-def test_circuit_to_text():
-    text = ansatz_entangled(0.5, 0.25, 1.0).to_text()
-    assert text.splitlines() == [
-        "ry q0 0.5", "ry q1 0.25", "cx q0 q1",
-        "ry q1 -0.5", "cx q0 q1", "ry q1 0.5",
-    ]
-
-
 # ---------------------------------------------------------------- ansatz circuits
 
 def test_ansatz_product_zero_angles_is_vacuum():
@@ -329,6 +321,43 @@ def test_simulate_density_is_physical():
     assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+
+
+def test_simulate_density_matches_pauli_twirl_reference():
+    # independent reference: gates from Pauli word matrices, and after each
+    # CNOT the two-qubit depolarizer in its Pauli form (1-p) rho + (p/16) sum_P P rho P
+    p = 0.3
+    theta0, theta1, theta2 = 1.2, -0.7, 2.0
+    identity = pauli_word_matrix("II")
+
+    def ry(theta, q):
+        word = "".join("Y" if i == q else "I" for i in range(2))
+        return math.cos(theta / 2.0) * identity - 1j * math.sin(theta / 2.0) * pauli_word_matrix(word)
+
+    cnot = (identity + pauli_word_matrix("ZI") + pauli_word_matrix("IX")
+            - pauli_word_matrix("ZX")) / 2.0
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=2)]
+
+    def depolarize(rho):
+        twirl = sum(pauli_word_matrix(w) @ rho @ pauli_word_matrix(w) for w in words)
+        return (1.0 - p) * rho + (p / 16.0) * twirl
+
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    for U, noisy in ((ry(theta0, 0), False), (ry(theta1, 1), False), (cnot, True),
+                     (ry(-theta2 / 2.0, 1), False), (cnot, True), (ry(theta2 / 2.0, 1), False)):
+        rho = U @ rho @ U.conj().T
+        if noisy:
+            rho = depolarize(rho)
+    got = simulate_density(ansatz_entangled(theta0, theta1, theta2), NoiseModel.uniform(2, p_dep=p))
+    assert np.max(np.abs(got - rho)) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 3])
+def test_simulate_density_rejects_other_qubit_counts(n_qubits):
+    circuit = Circuit(n_qubits, (("ry", 0, 0.4),))
+    with pytest.raises(ValueError, match=f"got {n_qubits} qubits"):
+        simulate_density(circuit, NoiseModel.noiseless(n_qubits))
 
 
 def test_measure_pauli_density_matches_trace_formula():

@@ -343,6 +343,7 @@ BAD_FIELDS = [
     ("spectrum", "model", [], "model"),
     ("spectrum", "model.L", 0, "model.L"),
     ("spectrum", "model.m_sq", 0.0, "model.m_sq"),
+    ("spectrum", "model.m_sq", 10**400, "model.m_sq"),  # too large for a float
     ("spectrum", "model.delta_m", "x", "model.delta_m"),
     ("spectrum", "model.n_max", 1, "model.n_max"),
     ("spectrum", "lambda_grid", [], "lambda_grid"),
@@ -398,6 +399,15 @@ BAD_FIELDS = [
     ("vqe", "backend", dict(NOISY, purification=1), "backend.purification"),
     ("vqe", "backend", {"kind": "sampled", "shot": 64}, "backend.shot"),
     ("vqe", "backend", {"kind": "sampled", "readout": 0.03}, "backend.readout"),
+    # keys the exact or sampled backend does not read
+    ("vqe", "backend", {"kind": "exact", "shots": 64}, "backend.shots"),
+    ("vqe", "backend", {"kind": "exact", "calibration_shots": 5}, "backend.calibration_shots"),
+    ("vqe", "backend", {"kind": "exact", "readout_correction": True}, "backend.readout_correction"),
+    ("vqe", "backend", {"kind": "exact", "purification": False}, "backend.purification"),
+    ("vqe", "backend", {"kind": "sampled", "calibration_shots": 5}, "backend.calibration_shots"),
+    ("vqe", "backend", {"kind": "sampled", "readout_correction": False},
+     "backend.readout_correction"),
+    ("vqe", "backend", {"kind": "sampled", "purification": False}, "backend.purification"),
     ("vqe", "threads", 2, "threads"),
     ("vqe", "model.mass", 1.0, "model.mass"),
     ("counterterm", "roots.sweep", 5, "roots.sweep"),
