@@ -3,19 +3,25 @@
 Gates are RotY(theta) = exp(-i theta Y / 2) and CNOT, each applied as its
 full-register matrix. Qubit 0 is the most significant bit of a basis index.
 Statevectors may span any number of qubits; density matrices span the two
-qubits of the ansatz circuits. Each measured Pauli word costs one
-multinomial draw over the readout-convolved distribution (the Born marginal
-pushed through the tensored per-qubit confusion matrices), which has the same
-law as sampling shots one at a time and flipping each read bit independently.
-All draws come from the one seeded stream owned by the experiment's
-NoiseModel, so runs are bit-reproducible.
+qubits of the ansatz circuits.
+
+A measurement takes a batch of Pauli words and reads the whole register for
+each of them: the record is an integer tally array, one row per word and one
+column per register outcome x (qubit 0 the most significant bit of x). The
+whole batch is one multinomial draw over the readout-convolved distributions
+C @ p, p a word's Born distribution after rotating its measured axes to Z
+and C the tensored per-qubit confusion matrix, which has the same law as
+sampling shots one at a time and flipping each read bit independently.
+Expectations are products of the tallies with a word x outcome table
+(outcome_table). All draws come from the one seeded stream owned by the
+experiment's NoiseModel, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -34,6 +40,7 @@ __all__ = [
     "measure_pauli",
     "measure_pauli_density",
     "counts_expectation",
+    "outcome_table",
     "simulate_density",
     "calibrate_readout",
 ]
@@ -118,18 +125,21 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Counts:
-    """Sampled measurement histogram over the word's support qubits.
+    """Tallies of a measured batch of Pauli words on an n-qubit register.
 
-    Keys are bitstrings ordered by ascending register index; ``support`` lists
-    those register indices in key order.
+    ``tallies[i, x]`` is the number of shots of ``words[i]`` that read register
+    outcome x; every row sums to ``shots``.
     """
 
-    counts: dict[str, int]
+    words: tuple[str, ...]
+    tallies: np.ndarray
     shots: int
-    support: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.shots:
+        rows, dim = self.tallies.shape
+        if rows != len(self.words) or any(2 ** len(w) != dim for w in self.words):
+            raise ValueError(f"tallies of shape {self.tallies.shape} do not match words {self.words}")
+        if (self.tallies.sum(axis=1) != self.shots).any():
             raise ValueError("counts do not sum to the declared shot total")
 
 
@@ -181,19 +191,9 @@ def expectation_exact(state: np.ndarray, H: PauliSum) -> float:
     return float(np.vdot(state, H.to_matrix() @ state).real)
 
 
-def _support_probs(probs_full: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
-    """Marginalize the Born distribution onto the support qubits."""
-    p = probs_full.reshape([2] * n) if n else probs_full
-    drop = tuple(q for q in range(n) if q not in support)
-    if drop:
-        p = p.sum(axis=drop)
-    p = np.clip(p.reshape(-1).real, 0.0, None)
-    return p / p.sum()
-
-
 @lru_cache(maxsize=64)
 def _confusion(p10: tuple[float, ...], p01: tuple[float, ...]) -> np.ndarray:
-    """Readout channel on the support: C[read, true], qubits in ascending order."""
+    """Readout channel on the register: C[read, true]."""
     C = np.ones((1, 1))
     for a, b in zip(p10, p01):
         C = np.kron(C, np.array([[1.0 - a, b], [a, 1.0 - b]]))
@@ -201,66 +201,74 @@ def _confusion(p10: tuple[float, ...], p01: tuple[float, ...]) -> np.ndarray:
     return C
 
 
-def _sample_counts(probs: np.ndarray, support: tuple[int, ...], shots: int,
-                   noise: NoiseModel) -> Counts:
-    k = len(support)
-    if k == 0:
-        # all-identity word: nothing is measured
-        return Counts(counts={"": shots}, shots=shots, support=support)
-    p10 = tuple(noise.p10[q] for q in support)
-    p01 = tuple(noise.p01[q] for q in support)
-    if any(p10) or any(p01):
-        probs = np.clip(_confusion(p10, p01) @ probs, 0.0, None)
-        probs = probs / probs.sum()
-    tallies = noise.rng.multinomial(shots, probs)
-    counts = {format(v, f"0{k}b"): int(c) for v, c in enumerate(tallies) if c}
-    return Counts(counts=counts, shots=shots, support=support)
-
-
-def _measured_support(word: str, shots: int, dim: int) -> tuple[int, ...]:
-    """Check a measurement request on a 2^n-dimensional state; return the word's support."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = int(round(math.log2(dim)))
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != {n} qubits")
-    return tuple(q for q, label in enumerate(word) if label != "I")
-
-
-def measure_pauli(state: np.ndarray, word: str, shots: int, noise: NoiseModel) -> Counts:
-    """Sample a Pauli word on a pure state with readout flips applied.
-
-    Identity labels are not measured: the distribution is marginalized onto the
-    word's support, so readout noise only touches measured qubits.
-    """
-    support = _measured_support(word, shots, len(state))
-    probs = _support_probs(np.abs(_basis_change(word) @ state) ** 2, support, len(word))
-    return _sample_counts(probs, support, shots, noise)
-
-
-def measure_pauli_density(rho: np.ndarray, word: str, shots: int, noise: NoiseModel) -> Counts:
-    """Sampling path for mixed states; mirrors measure_pauli."""
-    support = _measured_support(word, shots, rho.shape[0])
-    U = _basis_change(word)
-    rho = U @ rho @ U.conj().T
-    probs = _support_probs(np.diag(rho).real, support, len(word))
-    return _sample_counts(probs, support, shots, noise)
-
-
-def counts_expectation(counts: Counts) -> float:
-    """Raw empirical <Z...Z> over the support: mean of (-1)^(popcount)."""
-    total = 0
-    for bits, c in counts.counts.items():
-        total += c * (-1) ** bits.count("1")
-    return total / counts.shots
+def _outcome_bits(n: int) -> np.ndarray:
+    """bits[q, x]: the value qubit q reads in register outcome x."""
+    return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
 
 
 @lru_cache(maxsize=64)
-def _basis_change(word: str) -> np.ndarray:
-    """Full-register unitary sending every measured axis of the word to Z."""
-    U = np.ones((1, 1), dtype=complex)
-    for label in word:
-        U = np.kron(U, MEAS_ROTATION.get(label, np.eye(2, dtype=complex)))
+def outcome_table(words: tuple[str, ...], p_minus: tuple[float, ...],
+                  p_plus: tuple[float, ...]) -> np.ndarray:
+    """Word x outcome table of prod_q ((-1)^{x_q} - p_minus[q]) / (1 - p_plus[q]).
+
+    The product runs over each word's measured (non-identity) qubits. Zero
+    rates give the eigenvalue signs prod_q (-1)^{x_q} of the raw estimator.
+    """
+    factors = ((1.0 - 2.0 * _outcome_bits(len(p_minus)) - np.array(p_minus)[:, None])
+               / (1.0 - np.array(p_plus))[:, None])
+    measured = np.array([[label != "I" for label in w] for w in words], dtype=bool)
+    table = np.where(measured.reshape(len(words), -1, 1), factors, 1.0).prod(axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str, ...]:
+    """Check a measurement request on a 2^n-dimensional state; return the words."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    n = int(round(math.log2(dim)))
+    if noise.n_qubits != n:
+        raise ValueError(f"noise model covers {noise.n_qubits} qubits, the state {n}")
+    words = tuple(words)
+    for word in words:
+        if len(word) != n or not set(word) <= set("IXYZ"):
+            raise ValueError(f"word {word!r} is not a Pauli word on {n} qubits")
+    return words
+
+
+def _sample(probs: np.ndarray, words: tuple[str, ...], shots: int, noise: NoiseModel) -> Counts:
+    """One multinomial draw over every row of C @ probs."""
+    probs = np.clip(probs @ _confusion(noise.p10, noise.p01).T, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return Counts(words=words, tallies=noise.rng.multinomial(shots, probs), shots=shots)
+
+
+def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
+    """Sample every Pauli word of the batch on a pure state, readout flips applied."""
+    words = _checked_words(words, shots, len(state), noise)
+    return _sample(np.abs(_basis_changes(words, len(state)) @ state) ** 2, words, shots, noise)
+
+
+def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
+    """Sampling path for mixed states; mirrors measure_pauli."""
+    words = _checked_words(words, shots, rho.shape[0], noise)
+    U = _basis_changes(words, rho.shape[0])
+    # Born rows diag(U rho U^dagger), one per word
+    return _sample(((U @ rho) * U.conj()).sum(axis=2).real, words, shots, noise)
+
+
+def counts_expectation(counts: Counts) -> np.ndarray:
+    """Raw empirical <P> of every word: its tallies weighted by the eigenvalue signs."""
+    zeros = (0.0,) * int(math.log2(counts.tallies.shape[1]))
+    return (outcome_table(counts.words, zeros, zeros) * counts.tallies).sum(axis=1) / counts.shots
+
+
+@lru_cache(maxsize=64)
+def _basis_changes(words: tuple[str, ...], dim: int) -> np.ndarray:
+    """Stacked full-register unitaries, each sending every measured axis of its word to Z."""
+    identity = np.eye(2, dtype=complex)
+    U = np.reshape([reduce(np.kron, [MEAS_ROTATION.get(label, identity) for label in word])
+                    for word in words], (len(words), dim, dim))
     U.setflags(write=False)
     return U
 
@@ -312,13 +320,9 @@ def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
 
 def calibrate_readout(noise: NoiseModel, qubit: int, shots: int) -> tuple[float, float]:
     """Empirical flip-rate estimates (p(0|1), p(1|0)) from the two basis preparations."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     n = noise.n_qubits
-    word = "".join("Z" if q == qubit else "I" for q in range(n))
-    counts0 = measure_pauli(zero_state(n), word, shots, noise)
-    p10_hat = counts0.counts.get("1", 0) / shots
     excited = apply_circuit(Circuit(n, (("ry", qubit, math.pi),)), zero_state(n))
-    counts1 = measure_pauli(excited, word, shots, noise)
-    p01_hat = counts1.counts.get("0", 0) / shots
-    return p01_hat, p10_hat
+    bit = _outcome_bits(n)[qubit]
+    read0 = measure_pauli(zero_state(n), ("Z" * n,), shots, noise).tallies[0]
+    read1 = measure_pauli(excited, ("Z" * n,), shots, noise).tallies[0]
+    return int(read1 @ (1 - bit)) / shots, int(read0 @ bit) / shots

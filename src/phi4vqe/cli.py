@@ -117,9 +117,10 @@ def _rule(predicate, message: str):
     return lambda value: None if predicate(value) else message
 
 
-def _int_from(low: int):
-    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low,
-                 f"must be an integer >= {low}")
+def _int_from(low: int, high: float = math.inf):
+    bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and low <= v <= high,
+                 f"must be an integer {bound}")
 
 
 def _in_range(low: float, high: float):
@@ -136,6 +137,7 @@ COUPLINGS = ListOf(_rule(lambda v: _is_num(v) and v >= 0, "coupling must be a nu
 BOOL = _rule(lambda v: isinstance(v, bool), "must be true or false")
 SITES = _int_from(1)
 N_MAX = _int_from(2)
+SHOTS = _int_from(1, 2**63 - 1)  # the largest shot count a multinomial draw accepts
 MODEL = {
     "L": SITES,
     "m_sq": POSITIVE,
@@ -146,8 +148,8 @@ MODEL = {
 RATES = Field(ListOf(_in_range(0, 1), length=2), OPTIONAL)
 BACKEND = {
     "kind": _one_of("exact", "sampled", "noisy_mitigated"),
-    "shots": Field(_int_from(1), 8192),
-    "calibration_shots": Field(_int_from(1), 100_000),
+    "shots": Field(SHOTS, 8192),
+    "calibration_shots": Field(SHOTS, 100_000),
     "p_dep": Field(_in_range(0, 1), 0.02),
     "readout": Field(_in_range(0, 0.5), 0.03),
     "readout_p10": RATES,

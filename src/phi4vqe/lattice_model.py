@@ -82,13 +82,6 @@ class ModelParams:
     def with_lam(self, lam: float) -> "ModelParams":
         return dataclasses.replace(self, lam=lam)
 
-    def with_n_max(self, n_max: int) -> "ModelParams":
-        return dataclasses.replace(self, n_max=n_max)
-
-    def with_reference(self, m_sq: float) -> "ModelParams":
-        """Change the reference mass at fixed bare mass (the counter term follows)."""
-        return dataclasses.replace(self, m_sq=m_sq, delta_m=self.m0_sq - m_sq)
-
 
 @dataclass(frozen=True)
 class MomentumGrid:

@@ -1,8 +1,8 @@
 """Two-stage error mitigation: readout correction, tomography, purification.
 
 Stage one inverts the per-qubit readout bit-flip channel on sampled
-expectations, restricted to each word's support. Stage two reconstructs the
-two-qubit state from all 16 Pauli expectations and pushes it toward the
+expectations, over the measured qubits of each word. Stage two reconstructs
+the two-qubit state from all 16 Pauli expectations and pushes it toward the
 nearest pure state with the McWeeny iteration rho <- 3 rho^2 - 2 rho^3.
 """
 
@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Union
 
 import numpy as np
 
 from .circuit_sim import (
     Circuit,
-    Counts,
     NoiseModel,
     calibrate_readout,
     counts_expectation,
     measure_pauli_density,
+    outcome_table,
     simulate_density,
 )
 from .qubit_encoding import PauliSum, pauli_word_matrix
@@ -81,7 +80,7 @@ class PurificationReport:
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Corrected and uncorrected reconstructions built from the same counts."""
+    """Corrected and uncorrected reconstructions built from the same tallies."""
 
     rho: np.ndarray
     rho_raw: np.ndarray
@@ -89,73 +88,55 @@ class TomographyResult:
     values_raw: dict
 
 
-CountsLike = Union[Counts, Mapping[str, float]]
+def ro_correct(weights: np.ndarray, words: tuple[str, ...], cal: ReadoutCalibration) -> np.ndarray:
+    """Readout-corrected <P> of every word from its register outcome weights.
 
-
-def ro_correct(counts: CountsLike, support: tuple[int, ...], cal: ReadoutCalibration) -> float:
-    """Readout-corrected <Z...Z> over the support qubits.
-
-    Each sampled bitstring x contributes, per support qubit i, the factor
-    ((-1)^{x_i} - p_i^-)/(1 - p_i^+), which inverts the independent bit-flip
-    channel exactly in the infinite-shot limit. A plain mapping of outcome
-    weights is accepted in place of Counts for analytic-channel checks; its
-    outcomes must be bitstrings and its weights finite and non-negative.
+    ``weights[i, x]`` weighs outcome x of words[i], laid out as Counts.tallies:
+    sampled tallies, or an outcome distribution for analytic-channel checks.
+    Each outcome contributes, per measured qubit q, the factor
+    ((-1)^{x_q} - p_q^-)/(1 - p_q^+), which inverts the independent bit-flip
+    channel exactly in the infinite-shot limit.
     """
-    if isinstance(counts, Counts):
-        items, total = counts.counts, float(counts.shots)
-    else:
-        items, total = counts, float(sum(counts.values()))
-    if not items or total <= 0:
+    n = len(cal.rates)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(words), 2**n) or any(len(w) != n for w in words):
+        raise ValueError(f"weights of shape {weights.shape} do not match "
+                         f"{len(words)} words on {n} qubits")
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError("outcome weights must be finite and >= 0")
+    total = weights.sum(axis=1)
+    if (total <= 0).any():
         raise ValueError("empty counts")
-    k = len(support)
-    for bits in items:
-        if len(bits) != k:
-            raise ValueError(f"outcome {bits!r} does not match support size {k}")
-    denom = np.array([1.0 - cal.p_plus(q) for q in support])
-    shift = np.array([cal.p_minus(q) for q in support])
-    ones = np.frombuffer("".join(items).encode("ascii"), dtype=np.uint8).reshape(len(items), k)
-    signs = np.where(ones == ord("1"), -1.0, 1.0)
-    weights = np.fromiter(items.values(), dtype=float, count=len(items))
-    if not isinstance(counts, Counts):
-        if not np.isin(ones, (ord("0"), ord("1"))).all():
-            raise ValueError("outcomes must be bitstrings of 0 and 1")
-        if not (np.isfinite(weights).all() and (weights >= 0).all()):
-            raise ValueError("outcome weights must be finite and >= 0")
-    return float(weights @ np.prod((signs - shift) / denom, axis=1)) / total
+    table = outcome_table(tuple(words), tuple(cal.p_minus(q) for q in range(n)),
+                          tuple(cal.p_plus(q) for q in range(n)))
+    return (table * weights).sum(axis=1) / total
 
 
 _TOMO_WORDS = tuple("".join(p) for p in product("IXYZ", repeat=2))
+_TOMO_PAULIS = np.stack([pauli_word_matrix(w) for w in _TOMO_WORDS])
 
 
 def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
                          cal: ReadoutCalibration) -> TomographyResult:
     """Full two-qubit state tomography with and without readout correction.
 
-    All 15 non-identity words are sampled from the circuit's noisy density
-    matrix; the corrected and raw estimates come from the same counts so the
-    two reconstructions differ only by the correction stage.
+    The 15 non-identity words are sampled from the circuit's noisy density
+    matrix in one batch; the corrected and raw estimates come from the same
+    tallies so the two reconstructions differ only by the correction stage.
     """
     if circuit.qubit_count != 2:
         raise ValueError("tomography is implemented for 2-qubit circuits")
-    rho_sim = simulate_density(circuit, noise)
-    values: dict = {"II": 1.0}
-    values_raw: dict = {"II": 1.0}
-    for word in _TOMO_WORDS:
-        if word == "II":
-            continue
-        counts = measure_pauli_density(rho_sim, word, shots, noise)
-        values[word] = ro_correct(counts, counts.support, cal)
-        values_raw[word] = counts_expectation(counts)
-    rho = _reconstruct(values)
-    rho_raw = _reconstruct(values_raw)
-    return TomographyResult(rho=rho, rho_raw=rho_raw, values=values, values_raw=values_raw)
+    counts = measure_pauli_density(simulate_density(circuit, noise), _TOMO_WORDS[1:], shots, noise)
+    values = np.concatenate(([1.0], ro_correct(counts.tallies, counts.words, cal)))
+    values_raw = np.concatenate(([1.0], counts_expectation(counts)))
+    return TomographyResult(rho=_reconstruct(values), rho_raw=_reconstruct(values_raw),
+                            values=dict(zip(_TOMO_WORDS, values.tolist())),
+                            values_raw=dict(zip(_TOMO_WORDS, values_raw.tolist())))
 
 
-def _reconstruct(values: Mapping[str, float]) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    for word in _TOMO_WORDS:
-        rho += values[word] * pauli_word_matrix(word)
-    rho /= 4.0
+def _reconstruct(values: np.ndarray) -> np.ndarray:
+    """(1/4) sum_P <P> P over the 16 two-qubit words, made exactly Hermitian."""
+    rho = np.tensordot(values, _TOMO_PAULIS, axes=1) / 4.0
     return (rho + rho.conj().T) / 2.0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,12 +55,6 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     return _word_matrix(word)
 
 
-def _format_coeff(c: complex) -> str:
-    if c.imag == 0.0:
-        return repr(c.real)
-    return repr(complex(c))
-
-
 @dataclass(frozen=True)
 class PauliSum:
     """Weighted sum of multi-qubit Pauli words.
@@ -84,10 +78,16 @@ class PauliSum:
             seen.add(word)
 
     def to_matrix(self) -> np.ndarray:
+        """Dense matrix of the sum, built on first use and then reused read-only."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
         dim = 2**self.qubit_count
         out = np.zeros((dim, dim), dtype=complex)
         for coeff, word in self.terms:
             out += coeff * _word_matrix(word)
+        out.setflags(write=False)
         return out
 
     def coefficient(self, word: str) -> complex:
@@ -95,29 +95,6 @@ class PauliSum:
             if w == word:
                 return coeff
         return 0.0
-
-    def to_text(self) -> str:
-        """One term per line, "coefficient word"; round-trips via from_text."""
-        return "\n".join(f"{_format_coeff(c)} {w}" for c, w in self.terms)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliSum":
-        terms = []
-        width = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            coeff_str, word = line.split()
-            try:
-                coeff: complex = float(coeff_str)
-            except ValueError:
-                coeff = complex(coeff_str)
-            terms.append((coeff, word))
-            width = len(word) if width is None else width
-        if not terms:
-            raise ValueError("empty Pauli sum text")
-        return cls(terms=tuple(terms), qubit_count=width)
 
 
 def encode_matrix(M: np.ndarray) -> PauliSum:

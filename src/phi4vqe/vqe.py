@@ -217,17 +217,11 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
         return energy_from_state(rho, H)
     else:
         state, measure = simulate_density(circuit, noise), measure_pauli_density
-    total = 0.0
-    for coeff, word in H.terms:
-        if set(word) == {"I"}:
-            total += coeff.real
-            continue
-        counts = measure(state, word, backend.shots, noise)
-        if correct:
-            total += coeff.real * ro_correct(counts, counts.support, cal)
-        else:
-            total += coeff.real * counts_expectation(counts)
-    return total
+    words = tuple(w for _, w in H.terms if set(w) != {"I"})
+    counts = measure(state, words, backend.shots, noise)
+    values = ro_correct(counts.tallies, words, cal) if correct else counts_expectation(counts)
+    coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
+    return H.coefficient("I" * H.qubit_count).real + float(coeffs @ values)
 
 
 def _reseeded(backend: BackendSpec, seed) -> BackendSpec:

@@ -231,15 +231,16 @@ def test_criterion_07_exact_vqe_completeness():
 
 def corrected_with_plug_in_se(counts, cal):
     # Eq-style estimator plus its plug-in standard error from per-shot products
-    values = {}
-    for bits in counts.counts:
-        v = 1.0
-        for pos, qubit in enumerate(counts.support):
-            v *= (((-1.0) ** int(bits[pos])) - cal.p_minus(qubit)) / (1.0 - cal.p_plus(qubit))
-        values[bits] = v
+    (word,), tallies = counts.words, counts.tallies[0]
+    values = np.ones(len(tallies))
+    for x in range(len(tallies)):
+        bits = format(x, f"0{len(word)}b")  # qubit 0 is the most significant bit
+        for qubit, label in enumerate(word):
+            if label != "I":
+                values[x] *= (((-1.0) ** int(bits[qubit])) - cal.p_minus(qubit)) / (1.0 - cal.p_plus(qubit))
     n = counts.shots
-    est = sum(c * values[b] for b, c in counts.counts.items()) / n
-    second = sum(c * values[b] ** 2 for b, c in counts.counts.items()) / n
+    est = float(tallies @ values) / n
+    second = float(tallies @ values ** 2) / n
     se = math.sqrt(max(second - est ** 2, 0.0) / n)
     return est, se
 
@@ -272,7 +273,7 @@ def test_criterion_08_readout_error_correction():
             flipped[x0 + x1] = total
         truth = sum(q * (-1.0) ** y.count("1") for y, q in state_probs.items())
         cal = ReadoutCalibration(rates=((p01, p10), (p01, p10)))
-        worst = max(worst, abs(ro_correct(flipped, (0, 1), cal) - truth))
+        worst = max(worst, abs(ro_correct([list(flipped.values())], ("ZZ",), cal)[0] - truth))
     print(f"criterion 8: worst analytic inversion error {worst:.3e}")
     assert worst < 1e-10
 
@@ -285,10 +286,10 @@ def test_criterion_08_readout_error_correction():
                            seed=int(trial_rng.integers(1 << 31)))
         state = apply_circuit(ansatz_product(t0, t1), zero_state(2))
         truth = expectation_exact(state, PauliSum(((1.0, "ZZ"),), 2))
-        counts = measure_pauli(state, "ZZ", 10_000, noise)
+        counts = measure_pauli(state, ("ZZ",), 10_000, noise)
         cal = ReadoutCalibration.exact_from_noise(noise)
         est, se = corrected_with_plug_in_se(counts, cal)
-        assert abs(ro_correct(counts.counts, counts.support, cal) - est) < 1e-12
+        assert abs(ro_correct(counts.tallies, counts.words, cal)[0] - est) < 1e-12
         if abs(est - truth) <= 4.0 * se:
             hits += 1
     print(f"criterion 8: {hits}/100 sampled trials within 4 standard errors")

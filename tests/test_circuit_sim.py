@@ -166,36 +166,44 @@ def test_expectation_matches_dense_contraction():
 # ---------------------------------------------------------------- sampling
 
 def test_measure_pauli_vacuum_is_deterministic():
-    counts = measure_pauli(zero_state(1), "Z", 100, NoiseModel.noiseless(1))
-    assert counts.counts == {"0": 100}
-    assert counts.support == (0,)
-    assert counts_expectation(counts) == 1.0
+    counts = measure_pauli(zero_state(1), ("Z",), 100, NoiseModel.noiseless(1))
+    assert counts.tallies.tolist() == [[100, 0]]
+    assert counts.words == ("Z",)
+    assert counts_expectation(counts).tolist() == [1.0]
 
 
 def test_measure_pauli_plus_state_in_x_basis():
     plus = apply_circuit(Circuit(1, (("ry", 0, math.pi / 2.0),)), zero_state(1))
-    counts = measure_pauli(plus, "X", 500, NoiseModel.noiseless(1))
-    assert counts.counts == {"0": 500}
+    counts = measure_pauli(plus, ("X",), 500, NoiseModel.noiseless(1))
+    assert counts.tallies.tolist() == [[500, 0]]
 
 
 def test_measure_pauli_identity_positions_are_marginalized():
-    counts = measure_pauli(zero_state(2), "ZI", 64, NoiseModel.noiseless(2))
-    assert counts.support == (0,)
-    assert set(counts.counts) == {"0"}
+    # qubit 1 in |+> is read in the Z basis and splits its shots, but the
+    # word ZI weighs only qubit 0, so the raw value is exactly <ZI> = 1
+    state = apply_circuit(Circuit(2, (("ry", 1, math.pi / 2.0),)), zero_state(2))
+    counts = measure_pauli(state, ("ZI",), 64, NoiseModel.noiseless(2, seed=1))
+    assert counts.tallies[0, 2:].sum() == 0 and counts.tallies[0, 1] > 0
+    assert counts_expectation(counts).tolist() == [1.0]
 
 
 def test_measure_pauli_all_identity():
-    counts = measure_pauli(zero_state(2), "II", 32, NoiseModel.noiseless(2))
-    assert counts.support == ()
-    assert counts.counts == {"": 32}
-    assert counts_expectation(counts) == 1.0
+    counts = measure_pauli(zero_state(2), ("II",), 32, NoiseModel.noiseless(2))
+    assert counts.tallies.tolist() == [[32, 0, 0, 0]]
+    assert counts_expectation(counts).tolist() == [1.0]
+
+
+def test_measure_pauli_batch_rows_follow_word_order():
+    state = apply_circuit(Circuit(2, (("ry", 1, math.pi),)), zero_state(2))  # |01>
+    counts = measure_pauli(state, ("ZI", "IZ", "ZZ", "II"), 50, NoiseModel.noiseless(2))
+    assert counts_expectation(counts).tolist() == [1.0, -1.0, -1.0, 1.0]
 
 
 def test_measure_pauli_readout_flip_bias():
     # p(1|0) = 0.1 drags <Z> of the vacuum from 1.0 to about 0.8
     noise = NoiseModel(p10=(0.1,), p01=(0.0,), seed=7)
-    counts = measure_pauli(zero_state(1), "Z", 100_000, noise)
-    est = counts_expectation(counts)
+    counts = measure_pauli(zero_state(1), ("Z",), 100_000, noise)
+    est = counts_expectation(counts)[0]
     se = math.sqrt((1.0 - 0.8 ** 2) / 100_000)
     assert abs(est - 0.8) < 4.0 * se
 
@@ -205,16 +213,16 @@ def test_measure_pauli_statistics_match_exact():
     state = apply_circuit(ansatz_entangled(0.9, -0.4, 1.7), zero_state(2))
     for word in ("XY", "ZX", "YY"):
         exact = expectation_exact(state, PauliSum(((1.0, word),), 2))
-        counts = measure_pauli(state, word, 1_000_000, NoiseModel.noiseless(2, seed=int(rng.integers(1 << 30))))
+        counts = measure_pauli(state, (word,), 1_000_000, NoiseModel.noiseless(2, seed=int(rng.integers(1 << 30))))
         se = math.sqrt(max(1.0 - exact ** 2, 1e-12) / 1_000_000)
-        assert abs(counts_expectation(counts) - exact) < 4.0 * se
+        assert abs(counts_expectation(counts)[0] - exact) < 4.0 * se
 
 
 @pytest.mark.parametrize("measure", ["pure", "density"])
 @pytest.mark.parametrize("word", ["ZZ", "ZI", "IZ", "XZ"])
 def test_measure_pauli_per_qubit_confusion(word, measure):
-    # distinct asymmetric rates per qubit: each outcome frequency follows
-    # C @ p, with C built from the rates of the word's own support qubits
+    # distinct asymmetric rates per qubit: the tallies' marginal on the word's
+    # support follows C @ p, with C built from the rates of the support qubits
     p10, p01 = (0.02, 0.09), (0.13, 0.05)
     shots = 200_000
     state = apply_circuit(ansatz_entangled(0.9, -0.4, 1.7), zero_state(2))
@@ -222,12 +230,15 @@ def test_measure_pauli_per_qubit_confusion(word, measure):
     rotated = np.kron(rotation[word[0]], rotation[word[1]]) @ state
     full = (np.abs(rotated) ** 2).reshape(2, 2)
     support = tuple(q for q, label in enumerate(word) if label != "I")
-    born = {}
-    for bits in itertools.product("01", repeat=len(support)):
+
+    def marginal(table, bits):
         index = [slice(None), slice(None)]
         for q, b in zip(support, bits):
             index[q] = int(b)
-        born["".join(bits)] = float(np.sum(full[tuple(index)]))
+        return float(np.sum(table[tuple(index)]))
+
+    born = {"".join(bits): marginal(full, bits)
+            for bits in itertools.product("01", repeat=len(support))}
     expected = {}
     for read in born:
         total = 0.0
@@ -241,23 +252,33 @@ def test_measure_pauli_per_qubit_confusion(word, measure):
         expected[read] = total
     noise = NoiseModel(p10=p10, p01=p01, seed=29)
     if measure == "pure":
-        counts = measure_pauli(state, word, shots, noise)
+        counts = measure_pauli(state, (word,), shots, noise)
     else:
-        counts = measure_pauli_density(np.outer(state, state.conj()), word, shots, noise)
-    assert counts.support == support
+        counts = measure_pauli_density(np.outer(state, state.conj()), (word,), shots, noise)
+    assert counts.words == (word,)
+    tallies = counts.tallies[0].reshape(2, 2)
     for read, q in expected.items():
         sigma = math.sqrt(q * (1.0 - q) / shots)
-        assert abs(counts.counts.get(read, 0) / shots - q) < 4.0 * sigma
+        assert abs(marginal(tallies, read) / shots - q) < 4.0 * sigma
 
 
 def test_measure_pauli_rejects_word_length_mismatch():
     with pytest.raises(ValueError):
-        measure_pauli(zero_state(2), "Z", 10, NoiseModel.noiseless(2))
+        measure_pauli(zero_state(2), ("Z",), 10, NoiseModel.noiseless(2))
+
+
+@pytest.mark.parametrize("words,noise,match", [
+    (("ZQ",), NoiseModel.noiseless(2), "not a Pauli word"),
+    (("ZZ",), NoiseModel.noiseless(1), "noise model covers 1 qubits"),
+], ids=["label", "noise-width"])
+def test_measure_pauli_rejects_bad_requests(words, noise, match):
+    with pytest.raises(ValueError, match=match):
+        measure_pauli(zero_state(2), words, 10, noise)
 
 
 def test_counts_total_must_match_shots():
     with pytest.raises(ValueError):
-        Counts(counts={"0": 3}, shots=4, support=(0,))
+        Counts(words=("Z",), tallies=np.array([[3, 0]]), shots=4)
 
 
 def test_noise_model_validation():
@@ -271,28 +292,20 @@ def test_noise_model_validation():
 
 def test_noise_model_draws_are_reproducible():
     state = apply_circuit(ansatz_entangled(0.5, 0.2, 0.9), zero_state(2))
-    a = measure_pauli(state, "ZZ", 4096, NoiseModel.uniform(2, readout=0.05, seed=3))
-    b = measure_pauli(state, "ZZ", 4096, NoiseModel.uniform(2, readout=0.05, seed=3))
-    assert a.counts == b.counts
+    a = measure_pauli(state, ("ZZ",), 4096, NoiseModel.uniform(2, readout=0.05, seed=3))
+    b = measure_pauli(state, ("ZZ",), 4096, NoiseModel.uniform(2, readout=0.05, seed=3))
+    assert np.array_equal(a.tallies, b.tallies)
 
 
-def test_sampler_makes_one_multinomial_draw_per_measured_word():
-    class RecordingRng:
-        def __init__(self, rng):
-            self.rng, self.calls = rng, []
-
-        def __getattr__(self, name):
-            self.calls.append(name)
-            return getattr(self.rng, name)
-
+def test_sampler_makes_one_multinomial_draw_per_measurement_call(record_draws):
     noise = NoiseModel(p10=(0.02, 0.09), p01=(0.13, 0.05), seed=3)
-    noise.rng = RecordingRng(noise.rng)
+    calls = record_draws(noise)
     state = apply_circuit(ansatz_entangled(0.5, 0.2, 0.9), zero_state(2))
     rho = np.outer(state, state.conj())
-    for word in ("ZZ", "IZ", "II", "XY"):
-        measure_pauli(state, word, 1000, noise)
-        measure_pauli_density(rho, word, 1000, noise)
-    assert noise.rng.calls == ["multinomial"] * 6
+    for words in ((), ("ZZ",), ("IZ", "II"), ("XY", "ZZ", "IX", "YI", "II")):
+        measure_pauli(state, words, 1000, noise)
+        measure_pauli_density(rho, words, 1000, noise)
+    assert calls == ["multinomial"] * 8
 
 
 # ---------------------------------------------------------------- density matrices
@@ -366,9 +379,9 @@ def test_measure_pauli_density_matches_trace_formula():
     rho = simulate_density(circuit, noise)
     word = "ZZ"
     exact = float(np.real(np.trace(rho @ pauli_word_matrix(word))))
-    counts = measure_pauli_density(rho, word, 400_000, NoiseModel.noiseless(2, seed=5))
+    counts = measure_pauli_density(rho, (word,), 400_000, NoiseModel.noiseless(2, seed=5))
     se = math.sqrt(max(1.0 - exact ** 2, 1e-12) / 400_000)
-    assert abs(counts_expectation(counts) - exact) < 4.0 * se
+    assert abs(counts_expectation(counts)[0] - exact) < 4.0 * se
 
 
 # ---------------------------------------------------------------- readout calibration

@@ -385,6 +385,9 @@ BAD_FIELDS = [
     ("vqe", "backend", "exact", "backend"),
     ("vqe", "backend", {"kind": "sampled", "shots": 0}, "backend.shots"),
     ("vqe", "backend", dict(NOISY, calibration_shots=0), "backend.calibration_shots"),
+    # above 2**63 - 1, the largest shot count a multinomial draw accepts
+    ("vqe", "backend", {"kind": "sampled", "shots": 10**29}, "backend.shots"),
+    ("vqe", "backend", dict(NOISY, calibration_shots=10**29), "backend.calibration_shots"),
     ("vqe", "backend", dict(NOISY, p_dep=1.0), "backend.p_dep"),
     ("vqe", "backend", dict(NOISY, readout=0.5), "backend.readout"),
     ("vqe", "backend", dict(NOISY, readout_p10=[0.1], readout_p01=[0.1, 0.1]), "backend.readout_p10"),

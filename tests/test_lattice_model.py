@@ -214,11 +214,3 @@ def test_model_params_with_delta_updates_bare_mass():
     q = p.with_delta(-2.5)
     assert q.m0_sq == -1.5
     assert q.m_sq == p.m_sq and q.lam == p.lam
-
-
-def test_model_params_with_reference_keeps_bare_mass():
-    p = ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=-1.5, lam=10.0, n_max=8)
-    q = p.with_reference(2.0)
-    assert q.m0_sq == p.m0_sq
-    assert q.m_sq == 2.0
-    assert q.delta_m == pytest.approx(-3.5, abs=1e-15)

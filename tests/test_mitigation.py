@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phi4vqe.circuit_sim import (
     NoiseModel,
@@ -51,12 +52,12 @@ def test_ro_correct_zero_rates_is_identity():
     cal = ReadoutCalibration(rates=((0.0, 0.0), (0.0, 0.0)))
     counts = {"00": 3, "01": 5, "10": 7, "11": 1}
     raw = sum(c * (-1.0) ** k.count("1") for k, c in counts.items()) / 16.0
-    assert ro_correct(counts, (0, 1), cal) == pytest.approx(raw, abs=1e-15)
+    assert ro_correct([list(counts.values())], ("ZZ",), cal)[0] == pytest.approx(raw, abs=1e-15)
 
 
 def test_ro_correct_symmetric_single_qubit():
     cal = ReadoutCalibration(rates=((0.1, 0.1),))
-    assert ro_correct({"0": 0.9, "1": 0.1}, (0,), cal) == pytest.approx(1.0, abs=1e-12)
+    assert ro_correct([[0.9, 0.1]], ("Z",), cal)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ro_correct_asymmetric_single_qubit():
@@ -65,7 +66,7 @@ def test_ro_correct_asymmetric_single_qubit():
     counts = {"0": 0.8, "1": 0.2}
     raw = counts["0"] - counts["1"]
     assert raw == pytest.approx(0.6, abs=1e-15)
-    assert ro_correct(counts, (0,), cal) == pytest.approx(1.0, abs=1e-12)
+    assert ro_correct([list(counts.values())], ("Z",), cal)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ro_correct_inverts_analytic_channel():
@@ -81,29 +82,44 @@ def test_ro_correct_inverts_analytic_channel():
         rates = tuple((rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2)) for _ in range(2))
         flipped = flip_channel(true, rates)
         cal = ReadoutCalibration(rates=rates)
-        corrected = ro_correct(flipped, (0, 1), cal)
+        corrected = ro_correct([list(flipped.values())], ("ZZ",), cal)[0]
         assert corrected == pytest.approx(parity_expectation(true), abs=1e-10)
 
 
 def test_ro_correct_subset_support():
     # single-qubit word on a two-qubit register uses that qubit's rates only
     cal = ReadoutCalibration(rates=((0.0, 0.0), (0.0, 0.2)))
-    assert ro_correct({"0": 0.8, "1": 0.2}, (1,), cal) == pytest.approx(1.0, abs=1e-12)
+    assert ro_correct([[0.8, 0.2, 0.0, 0.0]], ("IZ",), cal)[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ro_correct_rejects_outcome_length_mismatch():
-    cal = ReadoutCalibration(rates=((0.0, 0.0), (0.0, 0.2)))
-    with pytest.raises(ValueError, match="does not match support size 1"):
-        ro_correct({"0": 0.5, "01": 0.5}, (1,), cal)
+TWO_QUBIT_WORDS = tuple("".join(w) for w in itertools.product("IXYZ", repeat=2))[1:]
 
 
-@pytest.mark.parametrize("counts", [{"x": 1.0, "1": 1.0}, {"2": 1.0}, {"0 ": 1.0, "11": 1.0}],
-                         ids=["letter", "digit", "space"])
-def test_ro_correct_rejects_outcomes_other_than_bits(counts):
-    k = len(next(iter(counts)))
-    cal = ReadoutCalibration(rates=((0.01, 0.02),) * k)
-    with pytest.raises(ValueError, match="0 and 1"):
-        ro_correct(counts, tuple(range(k)), cal)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rates=st.tuples(*[st.tuples(st.floats(0.0, 0.45), st.floats(0.0, 0.45))] * 2),
+       weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3))
+def test_ro_correct_inverts_exact_channel_for_every_word(rates, weights):
+    # rates[q] = (p01, p10), so p_plus <= 0.9; every word reads the same flipped rows
+    p = np.array(weights) / sum(weights)
+    C = np.kron(*[np.array([[1.0 - p10, p01], [p10, 1.0 - p01]]) for p01, p10 in rates])
+    flipped = np.tile(C @ p, (len(TWO_QUBIT_WORDS), 1))
+    truth = [sum(p[x] * (-1.0) ** sum(int(b) for b, label in zip(format(x, "02b"), word)
+                                       if label != "I")
+                 for x in range(4))
+             for word in TWO_QUBIT_WORDS]
+    got = ro_correct(flipped, TWO_QUBIT_WORDS, ReadoutCalibration(rates=rates))
+    assert np.max(np.abs(got - truth)) < 1e-10
+
+
+@pytest.mark.parametrize("weights,words", [
+    ([[0.5, 0.5]], ("ZZ",)),
+    ([[0.5, 0.5, 0.0, 0.0]], ("ZZ", "XX")),
+    ([[0.5, 0.5, 0.0, 0.0]], ("Z",)),
+], ids=["outcomes", "rows", "word-length"])
+def test_ro_correct_rejects_weight_shape_mismatch(weights, words):
+    cal = ReadoutCalibration(rates=((0.01, 0.02),) * 2)
+    with pytest.raises(ValueError, match="do not match"):
+        ro_correct(weights, words, cal)
 
 
 @pytest.mark.parametrize("weights", [(-1.0, 2.0), (math.nan, 1.0), (math.inf, 1.0)],
@@ -111,7 +127,13 @@ def test_ro_correct_rejects_outcomes_other_than_bits(counts):
 def test_ro_correct_rejects_negative_or_non_finite_weights(weights):
     cal = ReadoutCalibration(rates=((0.01, 0.02),))
     with pytest.raises(ValueError, match="finite and >= 0"):
-        ro_correct(dict(zip(("0", "1"), weights)), (0,), cal)
+        ro_correct([weights], ("Z",), cal)
+
+
+def test_ro_correct_rejects_empty_counts():
+    cal = ReadoutCalibration(rates=((0.01, 0.02),))
+    with pytest.raises(ValueError, match="empty counts"):
+        ro_correct([[1.0, 0.0], [0.0, 0.0]], ("Z", "Z"), cal)
 
 
 def test_readout_calibration_validation():

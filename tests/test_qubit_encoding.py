@@ -78,20 +78,12 @@ def test_encode_drops_negligible_terms():
     assert [w for _, w in sum_.terms] == ["I"]
 
 
-# ---------------------------------------------------------------- serialization
-
-def test_pauli_sum_text_round_trip():
-    rng = np.random.default_rng(5)
-    original = encode_matrix(random_hermitian(4, rng))
-    parsed = PauliSum.from_text(original.to_text())
-    assert np.max(np.abs(parsed.to_matrix() - original.to_matrix())) < 1e-12
-
-
-def test_pauli_sum_text_format():
-    text = encode_matrix(np.diag([1.0, 0.0])).to_text()
-    lines = text.strip().splitlines()
-    assert lines[0].split() == ["0.5", "I"]
-    assert lines[1].split() == ["0.5", "Z"]
+def test_pauli_sum_matrix_is_built_once_and_read_only():
+    H = PauliSum(terms=((0.5, "ZI"), (-0.25, "XY")), qubit_count=2)
+    M = H.to_matrix()
+    assert H.to_matrix() is M
+    assert not M.flags.writeable
+    assert np.array_equal(M, 0.5 * pauli_word_matrix("ZI") - 0.25 * pauli_word_matrix("XY"))
 
 
 def test_pauli_sum_rejects_duplicate_words():

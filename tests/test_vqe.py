@@ -7,6 +7,7 @@ from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H
 from phi4vqe.qubit_encoding import parity_blocks, sector_by_parity
 from phi4vqe.circuit_sim import NoiseModel
+from phi4vqe.mitigation import ReadoutCalibration
 from phi4vqe.vqe import (
     BackendSpec,
     benchmark_sectors,
@@ -71,6 +72,22 @@ def test_energy_objective_sampled_tracks_exact():
     sampled = energy_objective(theta, ground, BackendSpec.sampled(shots=shots, seed=2))
     scale = sum(abs(c) for c, w in ground.pauli.terms if set(w) != {"I"})
     assert abs(sampled - exact) < 4.0 * scale / math.sqrt(shots)
+
+
+@pytest.mark.parametrize("backend,theta", [
+    (BackendSpec.sampled(seed=4), (0.3, -0.5, 0.8)),
+    (BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4)), (0.3, -0.5, 0.8)),
+    (BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4)), (0.3, -0.5)),
+    (BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4),
+                       purification=False), (0.3, -0.5, 0.8)),
+], ids=["sampled", "noisy-purified", "noisy-product", "noisy-unpurified"])
+def test_energy_objective_makes_one_draw_per_evaluation(record_draws, backend, theta):
+    ground, _ = sectors(benchmark(6.0))
+    cal = ReadoutCalibration.exact_from_noise(backend.noise)
+    calls = record_draws(backend.noise)
+    for _ in range(3):
+        energy_objective(theta, ground, backend, cal=cal)
+    assert calls == ["multinomial"] * 3
 
 
 def test_energy_objective_rejects_wrong_parameter_count():
