@@ -57,7 +57,6 @@ from .mitigation import (
 from .qubit_encoding import (
     PauliSum,
     SectorHamiltonian,
-    binary_index_map,
     encode_matrix,
     parity_blocks,
     pauli_word_matrix,

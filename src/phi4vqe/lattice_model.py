@@ -32,9 +32,9 @@ __all__ = [
 class ModelParams:
     """Single source of truth for one physics configuration.
 
-    Both the bare mass ``m0_sq`` and the counter term ``delta_m`` are stored;
-    they must satisfy delta_m = m0_sq - m_sq. Use :meth:`from_bare` or
-    :meth:`from_counterterm` to supply one and derive the other.
+    The counter term ``delta_m`` is stored; the bare mass
+    ``m0_sq = m_sq + delta_m`` is derived from it. Use :meth:`from_bare` or
+    :meth:`from_counterterm` to supply either one.
 
     ``lam`` may be negative at the library level (finite-difference probes of
     the renormalization condition evaluate the gap at lambda = +-epsilon); the
@@ -43,7 +43,6 @@ class ModelParams:
 
     L: int
     m_sq: float
-    m0_sq: float
     delta_m: float
     lam: float
     n_max: int
@@ -53,31 +52,33 @@ class ModelParams:
             raise ValueError(f"L must be a positive integer, got {self.L}")
         if not self.m_sq > 0:
             raise ValueError(f"reference mass m_sq must be > 0, got {self.m_sq}")
-        for name in ("m0_sq", "delta_m", "lam"):
+        for name in ("delta_m", "lam"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if abs(self.delta_m - (self.m0_sq - self.m_sq)) > 1e-9:
-            raise ValueError(
-                f"inconsistent masses: delta_m={self.delta_m} but "
-                f"m0_sq - m_sq = {self.m0_sq - self.m_sq}"
-            )
         if self.n_max < 2:
             raise ValueError(f"n_max must be at least 2, got {self.n_max}")
 
+    @property
+    def m0_sq(self) -> float:
+        """Bare mass of the field."""
+        return self.m_sq + self.delta_m
+
     @classmethod
     def from_bare(cls, L: int, m_sq: float, m0_sq: float, lam: float, n_max: int) -> "ModelParams":
-        return cls(L=L, m_sq=m_sq, m0_sq=m0_sq, delta_m=m0_sq - m_sq, lam=lam, n_max=n_max)
+        if not math.isfinite(m0_sq):
+            raise ValueError(f"m0_sq must be finite, got {m0_sq}")
+        return cls(L=L, m_sq=m_sq, delta_m=m0_sq - m_sq, lam=lam, n_max=n_max)
 
     @classmethod
     def from_counterterm(
         cls, L: int, m_sq: float, delta_m: float, lam: float, n_max: int
     ) -> "ModelParams":
-        return cls(L=L, m_sq=m_sq, m0_sq=m_sq + delta_m, delta_m=delta_m, lam=lam, n_max=n_max)
+        return cls(L=L, m_sq=m_sq, delta_m=delta_m, lam=lam, n_max=n_max)
 
     def with_delta(self, delta_m: float) -> "ModelParams":
         """Same configuration with a new counter term (bare mass follows)."""
-        return dataclasses.replace(self, delta_m=delta_m, m0_sq=self.m_sq + delta_m)
+        return dataclasses.replace(self, delta_m=delta_m)
 
     def with_lam(self, lam: float) -> "ModelParams":
         return dataclasses.replace(self, lam=lam)

@@ -22,7 +22,6 @@ __all__ = [
     "SectorHamiltonian",
     "encode_matrix",
     "pauli_word_matrix",
-    "binary_index_map",
     "parity_blocks",
     "sector_by_parity",
     "qubit_count",
@@ -120,17 +119,6 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
             coeff = complex(coeff.real, 0.0)
         terms.append((coeff, word))
     return PauliSum(terms=tuple(terms), qubit_count=n)
-
-
-def binary_index_map(n_max: int) -> tuple[str, ...]:
-    """Occupancy -> big-endian bitstring for one truncated mode.
-
-    Entry i is the bitstring of occupancy i; the inverse map is int(bits, 2).
-    """
-    if n_max < 2 or 2 ** int(math.log2(n_max)) != n_max:
-        raise ValueError(f"n_max must be a power of two >= 2, got {n_max}")
-    width = int(math.log2(n_max))
-    return tuple(format(i, f"0{width}b") for i in range(n_max))
 
 
 def qubit_count(L: int, n_max: int, sector: bool = False) -> int:

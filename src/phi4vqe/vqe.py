@@ -1,10 +1,11 @@
 """Hybrid variational loop over the parity-sector Hamiltonians.
 
-Energies are minimized with restarted Nelder-Mead over one of two ansatz
-families: two local RotY rotations (product) or the same plus one controlled
-rotation (entangled). Backends: exact statevector expectations, finite-shot
-sampling, or sampled noisy estimates pushed through readout correction and
-tomography + purification.
+Energies are minimized by coordinate sweeps (sequential minimal optimization,
+Nakanishi, Fujii & Todo, arXiv:1903.12166) over one of two ansatz families:
+two local RotY rotations (product) or the same plus one controlled rotation
+(entangled). Backends: exact statevector expectations, finite-shot sampling,
+or sampled noisy estimates pushed through readout correction and tomography +
+purification.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuit_sim import (
     NoiseModel,
@@ -70,16 +71,11 @@ RESTARTS_ENTANGLED = (
     (math.pi / 2, math.pi / 2, 0.0),
 )
 
-EXACT_XATOL = 1e-7
-EXACT_FATOL = 1e-9
-SAMPLED_XATOL = 1e-2
-SAMPLED_MAXITER = 300
-COARSE_SIMPLEX_STEP = 0.4
-REFINE_STEPS = (0.1, 0.03)
-REFINE_XATOL = 1e-3
-REFINE_MAXITER = 400
-REFINE_AVERAGING = 3
-NOISE_PROBES = 5
+# sweeps per corner on the stochastic backends, so their evaluation count
+# follows from the config alone; the exact backend sweeps to a tolerance
+SWEEPS = 6
+EXACT_TOL = 1e-12
+EXACT_MAX_SWEEPS = 100
 REEVALUATIONS = 10
 
 
@@ -162,11 +158,11 @@ class GapEstimate:
     gap_err: float
 
 
-def _build_circuit(theta) -> tuple[str, object]:
+def _build_circuit(theta):
     if len(theta) == 2:
-        return "product", ansatz_product(theta[0], theta[1])
+        return ansatz_product(theta[0], theta[1])
     if len(theta) == 3:
-        return "entangled", ansatz_entangled(theta[0], theta[1], theta[2])
+        return ansatz_entangled(theta[0], theta[1], theta[2])
     raise ValueError(f"parameter count {len(theta)} matches no ansatz (2 for product, 3 for entangled)")
 
 
@@ -179,8 +175,69 @@ def _require_two_qubit(sector: SectorHamiltonian) -> None:
         )
 
 
-def _coefficient_scale(sector: SectorHamiltonian) -> float:
-    return sum(abs(c) for c, w in sector.pauli.terms if set(w) != {"I"})
+# Coordinate slices. With the other angles fixed, theta0 and theta1 each enter
+# one RotY, so the energy is a + c cos(u) + s sin(u) in the offset u. theta2
+# enters as -theta2/2 and +theta2/2 (the compiled controlled rotation), which
+# adds the half frequency: in v = u/2 the slice is a degree-2 trigonometric
+# polynomial of period 4 pi in u. Samples equally spaced over one period fix
+# the coefficients by a discrete Fourier transform: 3 samples for frequency 1,
+# 5 for frequencies 1/2 and 1.
+def _fourier_rows(n: int) -> np.ndarray:
+    """Rows mapping samples at v = 2 pi k / n to (mean, cos v, sin v, cos 2v, sin 2v, ...)."""
+    v = 2.0 * np.pi * np.arange(n) / n
+    harmonics = [2.0 / n * f(j * v) for j in range(1, n // 2 + 1) for f in (np.cos, np.sin)]
+    return np.array([np.full(n, 1.0 / n)] + harmonics)
+
+
+_OFFSETS = {3: 2.0 * np.pi * np.arange(3) / 3, 5: 4.0 * np.pi * np.arange(5) / 5}
+_FIT = {n: _fourier_rows(n) for n in _OFFSETS}
+_SAMPLES_PER_ANGLE = (3, 3, 5)
+# coarse argmin grid over v in [-pi, pi) for the theta2 slice, refined by Newton steps
+_COARSE_V = np.pi * (np.arange(16) / 8.0 - 1.0)
+_COARSE_BASIS = np.array([f(j * _COARSE_V) for j in (1, 2) for f in (np.cos, np.sin)])
+
+
+def _slice_minimum(values: np.ndarray) -> tuple[float, float]:
+    """Offset and value of the minimum of the slice through 3 or 5 samples at _OFFSETS."""
+    if len(values) == 3:
+        a, c, s = _FIT[3] @ values
+        return math.atan2(-s, -c), float(a - math.hypot(c, s))
+    coeffs = _FIT[5] @ values
+    coarse = coeffs[0] + coeffs[1:] @ _COARSE_BASIS
+    k = int(np.argmin(coarse))
+    a, c1, s1, c2, s2 = coeffs.tolist()
+    v = float(_COARSE_V[k])
+    for _ in range(8):  # quadratic convergence from within pi/16 of the minimum
+        cv, sv, c2v, s2v = math.cos(v), math.sin(v), math.cos(2.0 * v), math.sin(2.0 * v)
+        curvature = -(c1 * cv + s1 * sv) - 4.0 * (c2 * c2v + s2 * s2v)
+        if curvature <= 0.0:
+            break
+        v -= (s1 * cv - c1 * sv + 2.0 * (s2 * c2v - c2 * s2v)) / curvature
+    value = (a + c1 * math.cos(v) + s1 * math.sin(v)
+             + c2 * math.cos(2.0 * v) + s2 * math.sin(2.0 * v))
+    if value > coarse[k]:
+        v, value = float(_COARSE_V[k]), float(coarse[k])
+    return 2.0 * v, value
+
+
+def _coordinate_sweeps(fun, start, max_sweeps: int, tol: float) -> tuple[np.ndarray, float, bool]:
+    """Move each angle in turn to its slice minimum, sweep after sweep, from ``start``.
+
+    Returns the angles, the fitted energy after the last sweep, and whether a
+    sweep lowered that energy by less than ``tol`` within ``max_sweeps``.
+    """
+    theta = np.array(start, dtype=float)
+    unit = np.eye(len(theta))
+    energy = math.inf
+    for _ in range(max_sweeps):
+        previous = energy
+        for i in range(len(theta)):
+            values = [fun(theta + offset * unit[i]) for offset in _OFFSETS[_SAMPLES_PER_ANGLE[i]]]
+            step, energy = _slice_minimum(np.array(values))
+            theta[i] += step
+        if previous - energy < tol:
+            return theta, energy, True
+    return theta, energy, False
 
 
 def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
@@ -195,7 +252,7 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
     needed but not supplied (optimize() measures it once and reuses it).
     """
     _require_two_qubit(sector)
-    _, circuit = _build_circuit(theta)
+    circuit = _build_circuit(theta)
     H = sector.pauli
     if backend.kind == "exact":
         return expectation_exact(apply_circuit(circuit, zero_state(2)), H)
@@ -233,19 +290,24 @@ def _reseeded(backend: BackendSpec, seed) -> BackendSpec:
 
 def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
              seed=None) -> VqeResult:
-    """Minimize the sector energy with Nelder-Mead from four fixed corners.
+    """Minimize the sector energy by coordinate sweeps from four fixed corners.
 
-    The reported energy is the mean of ten fresh evaluations at the best
-    parameters found; its standard deviation is the quoted uncertainty (zero
-    on the exact backend). ``seed`` restarts the backend's random stream so
-    identical inputs reproduce identical results bit for bit.
+    The exact backend sweeps until a sweep lowers the fitted energy by less
+    than EXACT_TOL, at most EXACT_MAX_SWEEPS times; the stochastic backends
+    run SWEEPS sweeps from every corner. The corner with the lowest fitted
+    energy wins. ``converged`` is true on the exact backend when that corner
+    met EXACT_TOL within the cap; the stochastic backends have no stopping
+    test, so there it only records that the fixed budget ran.
+
+    The reported energy is the mean of REEVALUATIONS fresh evaluations at the
+    best parameters found and its standard deviation is the quoted
+    uncertainty; the exact backend evaluates once and quotes zero. ``seed``
+    restarts the backend's random stream so identical inputs reproduce
+    identical results bit for bit.
     """
     _require_two_qubit(sector)
-    if ansatz == "product":
-        starts = RESTARTS_PRODUCT
-    elif ansatz == "entangled":
-        starts = RESTARTS_ENTANGLED
-    else:
+    starts = {"product": RESTARTS_PRODUCT, "entangled": RESTARTS_ENTANGLED}.get(ansatz)
+    if starts is None:
         raise ValueError(f"unknown ansatz {ansatz!r}")
     backend = _reseeded(backend, seed)
 
@@ -260,31 +322,19 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
         history.append(float(val))
         return val
 
-    if backend.kind == "exact":
-        best = None
-        any_success = False
-        for start in starts:
-            res = minimize(fun, np.asarray(start, dtype=float), method="Nelder-Mead",
-                           options={"xatol": EXACT_XATOL, "fatol": EXACT_FATOL})
-            any_success = any_success or bool(res.success)
-            if best is None or res.fun < best.fun:
-                best = res
-        best_x = best.x
-    else:
-        best_x, any_success = _optimize_stochastic(fun, starts, sector, backend)
+    exact = backend.kind == "exact"
+    runs = [_coordinate_sweeps(fun, start, EXACT_MAX_SWEEPS if exact else SWEEPS,
+                               EXACT_TOL if exact else -math.inf)
+            for start in starts]
+    best_x, _, settled = min(runs, key=lambda run: run[1])
 
     reports: list[PurificationReport] = []
     samples = [
         energy_objective(best_x, sector, backend, cal=cal, purification_log=reports)
-        for _ in range(REEVALUATIONS)
+        for _ in range(1 if exact else REEVALUATIONS)
     ]
-    if max(samples) == min(samples):
-        # deterministic backend: identical samples, no spread to report
-        energy = float(samples[0])
-        uncertainty = 0.0
-    else:
-        energy = float(np.mean(samples))
-        uncertainty = float(np.std(samples, ddof=1))
+    energy = float(np.mean(samples))
+    uncertainty = 0.0 if exact else float(np.std(samples, ddof=1))
     return VqeResult(
         ansatz=ansatz,
         parameters=tuple(float(v) for v in best_x),
@@ -292,66 +342,26 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
         uncertainty=uncertainty,
         history=tuple(history),
         purification_reports=tuple(reports),
-        converged=any_success,
+        converged=settled or not exact,
         calibration=None if cal is None else cal.rates,
     )
 
 
-def _simplex(x0, step: float) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    return np.vstack([x0] + [x0 + step * row for row in np.eye(len(x0))])
-
-
-def _optimize_stochastic(fun, starts, sector: SectorHamiltonian,
-                         backend: BackendSpec) -> tuple[np.ndarray, bool]:
-    """Restarted Nelder-Mead tuned for noisy objectives.
-
-    scipy's default initial simplex is microscopic, so under shot noise the
-    simplex contracts before it ever sees the landscape; every stage therefore
-    supplies a macroscopic simplex. A coarse pass over the fixed restarts is
-    followed by chained refinements that average repeated evaluations and use
-    the empirically probed noise floor as their function tolerance.
-    """
-    coarse_fatol = _coefficient_scale(sector) / math.sqrt(backend.shots)
-    best = None
-    any_success = False
-    for start in starts:
-        res = minimize(fun, np.asarray(start, dtype=float), method="Nelder-Mead",
-                       options={"xatol": SAMPLED_XATOL, "fatol": coarse_fatol,
-                                "maxiter": SAMPLED_MAXITER,
-                                "initial_simplex": _simplex(start, COARSE_SIMPLEX_STEP)})
-        any_success = any_success or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-
-    probes = [fun(best.x) for _ in range(NOISE_PROBES)]
-    sigma = max(float(np.std(probes, ddof=1)), 1e-12)
-    best_x = best.x
-    best_f = float(np.mean(probes))
-
-    def averaged(x):
-        return float(np.mean([fun(x) for _ in range(REFINE_AVERAGING)]))
-
-    refine_fatol = 2.0 * sigma / math.sqrt(REFINE_AVERAGING)
-    for step in REFINE_STEPS:
-        res = minimize(averaged, best_x, method="Nelder-Mead",
-                       options={"xatol": REFINE_XATOL, "fatol": refine_fatol,
-                                "maxiter": REFINE_MAXITER,
-                                "initial_simplex": _simplex(best_x, step)})
-        if res.fun < best_f:
-            best_x, best_f = res.x, float(res.fun)
-    return best_x, any_success
-
-
+@lru_cache(maxsize=8)
 def benchmark_sectors(params: ModelParams) -> tuple[SectorHamiltonian, SectorHamiltonian]:
     """The two sectors the gap benchmark compares: (ground, excited).
 
     The ground state lives in the all-even sector (+,+,...) and the first
-    excited state in the sector odd in mode 0 only, (-,+,...).
+    excited state in the sector odd in mode 0 only, (-,+,...). Memoized on
+    the frozen params, so the optimizer, the oracle and the mitigation
+    comparison of one point share one build; the blocks are read-only.
     """
     blocks = parity_blocks(build_H(params), params)
     rest = ("+",) * (params.L - 1)
-    return sector_by_parity(blocks, ("+",) + rest), sector_by_parity(blocks, ("-",) + rest)
+    pair = sector_by_parity(blocks, ("+",) + rest), sector_by_parity(blocks, ("-",) + rest)
+    for sector in pair:
+        sector.block.setflags(write=False)
+    return pair
 
 
 def mass_gap_vqe(params: ModelParams, backend: BackendSpec,
@@ -386,7 +396,7 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
     cal = (ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
            if backend.readout_correction
            else ReadoutCalibration.exact_from_noise(backend.noise))
-    _, circuit = _build_circuit(theta)
+    circuit = _build_circuit(theta)
     detail = tomography_2q_detail(circuit, backend.noise, backend.shots, cal)
     rho, report = mcweeny_purify(detail.rho)
     e_mitigated = energy_from_state(rho, sector.pauli)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from phi4vqe import vqe
 from phi4vqe.cli import CONFIG_SCHEMAS, check_config, main
 
 
@@ -314,6 +315,20 @@ def test_vqe_sampled_backend_runs_and_records_shots(tmp_path):
     assert point["shots"] == 1024
     assert record["verdict"]["criterion"] == "within_one_sigma"
     assert point["gap_err"] > 0.0
+
+
+def test_vqe_noisy_point_builds_hamiltonian_once(tmp_path, monkeypatch):
+    # optimizer, oracle and mitigation comparison share one build per point
+    builds = []
+    build_H = vqe.build_H
+    monkeypatch.setattr(vqe, "build_H", lambda params: builds.append(params) or build_H(params))
+    vqe.benchmark_sectors.cache_clear()
+    backend = {"kind": "noisy_mitigated", "shots": 256, "calibration_shots": 1000,
+               "p_dep": 0.02, "readout": 0.03}
+    code, out = run(tmp_path, "vqe", vqe_cfg(backend=backend))
+    assert code == 0
+    assert "mitigation" in json.loads((out / "record.json").read_text())["points"][0]
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------- validation, field by field

@@ -177,11 +177,6 @@ def test_model_params_from_counterterm_consistency():
     assert p.m0_sq == -1.5
 
 
-def test_model_params_rejects_inconsistent_masses():
-    with pytest.raises(ValueError):
-        ModelParams(L=2, m_sq=1.0, m0_sq=-1.5, delta_m=0.0, lam=1.0, n_max=4)
-
-
 def test_model_params_rejects_bad_reference_mass():
     with pytest.raises(ValueError):
         ModelParams.from_bare(L=2, m_sq=0.0, m0_sq=1.0, lam=1.0, n_max=4)
@@ -192,14 +187,18 @@ def test_model_params_rejects_bad_reference_mass():
 @pytest.mark.parametrize("field, value", [
     ("lam", math.nan),
     ("lam", math.inf),
-    ("m0_sq", math.nan),
     ("delta_m", math.nan),
 ])
 def test_model_params_rejects_non_finite(field, value):
-    fields = dict(L=2, m_sq=1.0, m0_sq=-1.5, delta_m=-2.5, lam=6.0, n_max=4)
+    fields = dict(L=2, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=4)
     fields[field] = value
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         ModelParams(**fields)
+
+
+def test_model_params_from_bare_rejects_non_finite_bare_mass():
+    with pytest.raises(ValueError, match="^m0_sq must be finite"):
+        ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=math.nan, lam=6.0, n_max=4)
 
 
 def test_model_params_rejects_bad_sizes():

@@ -5,7 +5,6 @@ from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H, exact_spectrum
 from phi4vqe.qubit_encoding import (
     PauliSum,
-    binary_index_map,
     encode_matrix,
     parity_blocks,
     pauli_word_matrix,
@@ -102,19 +101,7 @@ def test_pauli_sum_coefficient_lookup():
     assert sum_.coefficient("X") == 0.0
 
 
-# ---------------------------------------------------------------- index map
-
-def test_binary_index_map_examples():
-    assert binary_index_map(4)[2] == "10"
-    assert binary_index_map(2) == ("0", "1")
-    assert binary_index_map(8)[5] == "101"
-
-
-def test_binary_index_map_rejects_non_power_of_two():
-    for bad in (3, 6, 12):
-        with pytest.raises(ValueError):
-            binary_index_map(bad)
-
+# ---------------------------------------------------------------- qubit count
 
 def test_qubit_count_examples():
     assert qubit_count(2, 4) == 4

@@ -8,6 +8,7 @@ from phi4vqe.fock_space import build_H
 from phi4vqe.qubit_encoding import parity_blocks, sector_by_parity
 from phi4vqe.circuit_sim import NoiseModel
 from phi4vqe.mitigation import ReadoutCalibration
+from phi4vqe import vqe
 from phi4vqe.vqe import (
     BackendSpec,
     benchmark_sectors,
@@ -108,6 +109,43 @@ def test_optimize_exact_entangled_reaches_block_minimum():
         assert result.uncertainty == 0.0
 
 
+@pytest.mark.parametrize("lam", [2.0, 4.0, 6.0, 8.21, 10.0, 12.0, 14.0])
+def test_slice_fit_reproduces_exact_energy(lam):
+    # 3 samples fix a theta0/theta1 slice and 5 a theta2 slice (frequencies
+    # 1/2 and 1): the fitted series matches the objective at 20 other angles
+    rng = np.random.default_rng([10, int(100 * lam)])
+    backend = BackendSpec.exact()
+    for sector in sectors(benchmark(lam)):
+        theta = rng.uniform(-math.pi, math.pi, size=3)
+        for i, n in enumerate(vqe._SAMPLES_PER_ANGLE):
+            offsets = vqe._OFFSETS[n]
+            period = n * offsets[1]
+
+            def energy(u):
+                probe = theta.copy()
+                probe[i] += u
+                return energy_objective(probe, sector, backend)
+
+            samples = np.array([energy(u) for u in offsets])
+            coeffs = vqe._FIT[n] @ samples
+            step, minimum = vqe._slice_minimum(samples)
+            for u in rng.uniform(0.0, period, size=20):
+                v = 2.0 * math.pi * u / period
+                harmonics = [(math.cos(j * v), math.sin(j * v)) for j in range(1, n // 2 + 1)]
+                fitted = coeffs[0] + np.dot(coeffs[1:], np.ravel(harmonics))
+                assert fitted == pytest.approx(energy(u), abs=1e-12)
+                assert minimum <= energy(u) + 1e-12
+            assert minimum == pytest.approx(energy(step), abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [2.0, 6.0, 14.0])
+def test_optimize_exact_entangled_gap_matches_oracle_to_1e10(lam):
+    params = benchmark(lam)
+    estimate = mass_gap_vqe(params, BackendSpec.exact())
+    assert estimate.ground.converged and estimate.excited.converged
+    assert abs(estimate.gap - sector_minima(params)[2]) < 1e-10
+
+
 def test_optimize_exact_variational_bound():
     ground, _ = sectors(benchmark(8.21))
     eigmin = float(np.min(np.linalg.eigvalsh(ground.block)))
@@ -170,6 +208,14 @@ def test_benchmark_sectors_are_all_even_and_odd_in_mode_zero(L, n_max, excited):
     assert np.array_equal(first.block, sector_by_parity(blocks, excited).block)
 
 
+def test_benchmark_sectors_are_built_once_and_read_only():
+    params = benchmark(7.25)
+    first = benchmark_sectors(params)
+    assert benchmark_sectors(benchmark(7.25)) is first
+    with pytest.raises(ValueError):
+        first[0].block[0, 0] = 0.0
+
+
 def test_sector_minima_against_blocks():
     params = benchmark(8.21)
     ground, excited = sectors(params)
@@ -190,6 +236,20 @@ def test_optimize_sampled_is_deterministic_per_seed():
     assert a.parameters == b.parameters
     assert a.history == b.history
     assert a.uncertainty == b.uncertainty
+
+
+@pytest.mark.parametrize("backend", [
+    BackendSpec.sampled(shots=1024),
+    BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02), shots=1024,
+                      calibration_shots=10_000),
+], ids=["sampled", "noisy"])
+@pytest.mark.parametrize("ansatz,starts", [("product", vqe.RESTARTS_PRODUCT),
+                                           ("entangled", vqe.RESTARTS_ENTANGLED)])
+def test_optimize_stochastic_evaluation_count_is_fixed_by_config(backend, ansatz, starts):
+    ground, _ = sectors(benchmark(6.0))
+    lengths = {len(optimize(ground, ansatz, backend, seed=[seed]).history) for seed in (1, 2)}
+    per_sweep = sum(vqe._SAMPLES_PER_ANGLE[:len(starts[0])])
+    assert lengths == {len(starts) * vqe.SWEEPS * per_sweep}
 
 
 def test_optimize_sampled_lands_near_minimum():
