@@ -432,9 +432,14 @@ def cmd_critical(cfg: dict, out_dir: Path, record: dict) -> None:
         _write_csv(out_dir / "curve.csv", header, rows)
         record["outputs"].append("curve.csv")
         record["curves"] = {
-            repr(float(t)): [[lam, m0] for lam, m0 in points]
+            repr(float(t)): [[lam, m0] for lam, m0, _ in points]
             for t, points in zip(targets, curve_results)
         }
+        record["curve_failures"] = [
+            {"target_gap_sq": t, "lambda": lam, "failure": failure}
+            for t, points in zip(targets, curve_results)
+            for lam, _, failure in points if failure is not None
+        ]
 
     if "fits" in cfg:
         fits_payload = []

@@ -4,13 +4,21 @@ Each momentum mode keeps its lowest n_max oscillator levels. Ladder operators
 are truncated first; every composite operator (phi^2, phi^4, ...) is then a
 product of truncated matrices, so the full Hamiltonian acts on the
 n_max^L-dimensional product space with mode 0 as the slowest tensor index.
+
+The Hamiltonian is real and linear in the two couplings the scans move,
+
+    H = H0 + delta_m A + lambda B,   A = sum_x phi(x)^2 / 2,   B = sum_x phi(x)^4 / 4!,
+
+so H0, A and B are assembled once per Fock basis (L, m_sq, n_max) and kept as
+read-only float64 matrices; every build is a weighted sum of the three, and
+spectra come from the real symmetric eigensolver.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -37,6 +45,8 @@ __all__ = [
 
 # Eigenvalue splittings below this are reported as a vanishing (degenerate) gap.
 DEGENERACY_TOL = 1e-12
+# Largest imaginary round-off dropped when the complex-built H0, A, B are made real.
+IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,17 +109,6 @@ def embed(mode_op: np.ndarray, mode_index: int, params: ModelParams) -> np.ndarr
     return out
 
 
-def build_H0(params: ModelParams) -> np.ndarray:
-    """Free Hamiltonian sum_k omega(k) n(k), diagonal, zero-point energy discarded."""
-    grid = momentum_grid(params)
-    n = number_op(params.n_max)
-    dim = params.n_max**params.L
-    H0 = np.zeros((dim, dim), dtype=complex)
-    for j in range(params.L):
-        H0 += grid.frequencies[j] * embed(n, j, params)
-    return H0
-
-
 def build_field(x: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Field and conjugate momentum at site x from the mode expansion.
 
@@ -134,27 +133,80 @@ def build_field(x: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return phi * norm, pi * norm
 
 
+@lru_cache(maxsize=8)
+def _linear_parts(L: int, m_sq: float, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only float64 (H0, A, B) with H = H0 + delta_m A + lambda B, per Fock basis.
+
+    Assembled from the complex mode operators; their imaginary parts are
+    round-off, dropped only after checking that they stay below IMAG_TOL.
+    """
+    params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
+
+    def real(name: str, M: np.ndarray) -> np.ndarray:
+        leak = float(np.max(np.abs(M.imag)))
+        if leak > IMAG_TOL:
+            raise ValueError(
+                f"{name} at L={L}, m_sq={m_sq}, n_max={n_max} has an imaginary part of "
+                f"{leak:.3e} > {IMAG_TOL:g}; the truncated Hamiltonian must be real"
+            )
+        out = M.real.copy()
+        out.setflags(write=False)
+        return out
+
+    # Each complex part is released once its real copy exists, and H0 comes
+    # last, so the peak (inside build_field) holds no more than two parts.
+    dim = n_max**L
+    A = np.zeros((dim, dim), dtype=complex)
+    B = np.zeros((dim, dim), dtype=complex)
+    for x in range(L):
+        phi = build_field(x, params)[0]
+        phi2 = phi @ phi
+        A += phi2 / 2.0
+        B += (phi2 @ phi2) / 24.0
+    A = real("sum_x phi^2 / 2", A)
+    B = real("sum_x phi^4 / 24", B)
+    H0 = np.zeros((dim, dim), dtype=complex)
+    for j, w in enumerate(momentum_grid(params).frequencies):
+        H0 += w * embed(number_op(n_max), j, params)
+    return real("H0", H0), A, B
+
+
+def build_H0(params: ModelParams) -> np.ndarray:
+    """Free Hamiltonian sum_k omega(k) n(k), diagonal, zero-point energy discarded."""
+    return _linear_parts(params.L, params.m_sq, params.n_max)[0].copy()
+
+
 def build_HI(params: ModelParams) -> np.ndarray:
     """Interaction sum_x [ (delta_m / 2) phi(x)^2 + (lambda / 4!) phi(x)^4 ]."""
-    dim = params.n_max**params.L
-    HI = np.zeros((dim, dim), dtype=complex)
-    for x in range(params.L):
-        phi, _ = build_field(x, params)
-        phi2 = phi @ phi
-        HI += (params.delta_m / 2.0) * phi2 + (params.lam / 24.0) * (phi2 @ phi2)
-    return HI
+    _, A, B = _linear_parts(params.L, params.m_sq, params.n_max)
+    return params.delta_m * A + params.lam * B
 
 
 def build_H(params: ModelParams) -> np.ndarray:
-    return build_H0(params) + build_HI(params)
+    """H0 + delta_m A + lambda B as a fresh writeable float64 matrix."""
+    H0, A, B = _linear_parts(params.L, params.m_sq, params.n_max)
+    return H0 + params.delta_m * A + params.lam * B
 
 
 def exact_spectrum(H: np.ndarray) -> Spectrum:
-    """All eigenvalues of a Hermitian operator, ascending, with the gap."""
+    """All eigenvalues of a Hermitian operator, ascending, with the gap.
+
+    Rejects non-square, smaller than 2 x 2, non-finite and non-Hermitian input,
+    and raises when the eigenvalues overflow.
+    """
+    H = np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 2:
+        raise ValueError(
+            f"exact_spectrum requires a square matrix of size >= 2, got shape {H.shape}"
+        )
+    if not np.isfinite(H).all():
+        raise ValueError("exact_spectrum requires finite entries, got NaN or inf")
     if np.max(np.abs(H - H.conj().T)) > 1e-10:
         raise ValueError("exact_spectrum requires a Hermitian matrix")
     eigenvalues = np.linalg.eigvalsh(H)
-    gap = float(eigenvalues[1] - eigenvalues[0])
+    gap = float(eigenvalues[1]) - float(eigenvalues[0])
+    if not (np.isfinite(eigenvalues).all() and math.isfinite(gap)):
+        raise ValueError("exact_spectrum: eigenvalues overflow; the matrix entries are too large")
     if gap < DEGENERACY_TOL:
         return Spectrum(eigenvalues=eigenvalues, gap=0.0, degenerate=True)
     return Spectrum(eigenvalues=eigenvalues, gap=gap)
@@ -206,19 +258,20 @@ def critical_curve(
     lambda_grid: list[float],
     target_gap_sq: float,
     base: ModelParams,
-) -> list[tuple[float, float]]:
+) -> list[tuple[float, float, str | None]]:
     """Bare mass m0^2 at which the squared gap equals target_gap_sq, per lambda.
 
-    Bracket failures are reported as NaN entries (with a warning), not raised.
+    Each point is (lambda, m0_sq, failure). A bracket failure is not raised: its
+    point carries m0_sq = NaN and the bracket message as failure (None otherwise).
     """
     points = []
     for lam in lambda_grid:
         try:
             delta = solve_counterterm(base.with_lam(lam), target_gap_sq)
-            points.append((lam, base.m_sq + delta))
         except ValueError as err:
-            warnings.warn(f"critical_curve failed at lambda={lam}: {err}", stacklevel=2)
-            points.append((lam, math.nan))
+            points.append((lam, math.nan, str(err)))
+        else:
+            points.append((lam, base.m_sq + delta, None))
     return points
 
 

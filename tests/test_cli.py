@@ -204,6 +204,24 @@ def test_critical_curve_free_intercept(tmp_path):
     assert float(rows[0][1]) == pytest.approx(1.5, abs=1e-4)
 
 
+def test_critical_curve_bracket_failure_is_recorded_not_fatal(tmp_path):
+    cfg = {
+        "model": {"L": 2, "m_sq": 1.0, "n_max": 4},
+        "curves": {"target_gap_sq_values": [0.25, 10_000.0], "lambda_grid": [0.0, 2.5]},
+    }
+    code, out = run(tmp_path, "critical", cfg)
+    assert code == 0
+    _, rows = read_csv(out / "curve.csv")
+    assert all(not math.isnan(float(r[1])) and math.isnan(float(r[2])) for r in rows)
+    record = json.loads((out / "record.json").read_text())
+    assert [len(points) for points in record["curves"].values()] == [2, 2]
+    assert all(m0 is None for _, m0 in record["curves"]["10000.0"])
+    failures = record["curve_failures"]
+    assert [(f["target_gap_sq"], f["lambda"]) for f in failures] == [(10_000.0, 0.0),
+                                                                   (10_000.0, 2.5)]
+    assert all("no sign change" in f["failure"] for f in failures)
+
+
 def test_critical_fit_benchmark_window(tmp_path):
     cfg = {
         "model": {"L": 2, "m_sq": 1.0, "n_max": 8},

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phi4vqe import fock_space
 from phi4vqe.lattice_model import ModelParams, momentum_grid
 from phi4vqe.fock_space import (
     build_field,
@@ -218,6 +219,85 @@ def test_build_H_is_sum_of_parts():
     assert np.allclose(build_H(p), build_H0(p) + build_HI(p), atol=1e-14)
 
 
+# ---------------------------------------------------------------- linear form
+
+def per_call_complex_H(p):
+    # reference: the complex per-call assembly H0 + sum_x [(dm/2) phi^2 + (lam/24) phi^4]
+    grid = momentum_grid(p)
+    H = sum(w * embed(number_op(p.n_max), j, p) for j, w in enumerate(grid.frequencies))
+    for x in range(p.L):
+        phi, _ = build_field(x, p)
+        phi2 = phi @ phi
+        H = H + (p.delta_m / 2.0) * phi2 + (p.lam / 24.0) * (phi2 @ phi2)
+    return H
+
+
+COUPLINGS = [(0.0, 0.0), (-1.0, 6.0), (-2.5, -3.0), (3.0, 24.0), (0.5, -0.75)]
+
+
+@pytest.mark.parametrize("n_max", [4, 16])
+def test_build_H_is_writeable_symmetric_float64(n_max):
+    H = build_H(bench(lam=6.0, delta_m=-1.0, n_max=n_max))
+    assert H.dtype == np.float64
+    assert H.flags.writeable
+    assert np.max(np.abs(H - H.T)) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [4, 8, 16])
+def test_build_H_is_linear_in_counterterm_and_coupling(n_max):
+    H0 = build_H0(bench(n_max=n_max))
+    A = build_HI(bench(delta_m=1.0, n_max=n_max))
+    B = build_HI(bench(lam=1.0, n_max=n_max))
+    for delta_m, lam in COUPLINGS:
+        p = bench(lam=lam, delta_m=delta_m, n_max=n_max)
+        H = build_H(p)
+        assert np.max(np.abs(H - (H0 + delta_m * A + lam * B))) < 1e-12
+        assert np.max(np.abs(H - per_call_complex_H(p))) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [8, 16, 24])
+def test_build_H_spectrum_matches_complex_reference(n_max):
+    for delta_m, lam in [(-2.5, 12.0), (-1.0, -3.0)]:
+        p = bench(lam=lam, delta_m=delta_m, n_max=n_max)
+        want = np.linalg.eigvalsh(per_call_complex_H(p))
+        got = exact_spectrum(build_H(p)).eigenvalues
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_build_H_returns_fresh_arrays():
+    p = bench(lam=6.0, delta_m=-1.0, n_max=8)
+    want = build_H(p).copy()
+    for build in (build_H, build_H0, build_HI):
+        out = build(p)
+        out += 1.0
+    assert np.array_equal(build_H(p), want)
+
+
+def test_build_H_assembles_each_basis_once(monkeypatch):
+    calls = []
+
+    def counting_field(x, params):
+        calls.append(x)
+        return build_field(x, params)
+
+    monkeypatch.setattr(fock_space, "build_field", counting_field)
+    p = bench(m_sq=1.37, n_max=6)
+    for delta_m, lam in COUPLINGS:
+        build_H(p.with_delta(delta_m).with_lam(lam))
+    assert calls == [0, 1]
+
+
+def test_build_H_rejects_complex_parts(monkeypatch):
+    def rotated_field(x, params):
+        phi, pi_op = build_field(x, params)
+        return phi * np.exp(0.3j), pi_op
+
+    monkeypatch.setattr(fock_space, "build_field", rotated_field)
+    with pytest.raises(ValueError, match=r"sum_x phi\^2 / 2 at L=2, m_sq=1.41, n_max=4 "
+                                         r"has an imaginary part"):
+        build_H(bench(m_sq=1.41, n_max=4))
+
+
 # ---------------------------------------------------------------- spectra
 
 def test_exact_spectrum_free_two_level():
@@ -235,6 +315,32 @@ def test_exact_spectrum_free_gap_is_reference_mass():
 def test_exact_spectrum_rejects_non_hermitian():
     with pytest.raises(ValueError):
         exact_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("H", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2)), np.zeros((1, 1))])
+def test_exact_spectrum_rejects_non_square(H):
+    with pytest.raises(ValueError, match="square matrix of size >= 2"):
+        exact_spectrum(H)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exact_spectrum_rejects_non_finite(bad):
+    H = build_H(bench(lam=6.0, n_max=4))
+    H[0, 1] = H[1, 0] = bad
+    with pytest.raises(ValueError, match="finite entries"):
+        exact_spectrum(H)
+
+
+def test_mass_gap_rejects_coupling_that_overflows_H():
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite entries"):
+            # sum_x phi^4 / 24 has entries above 1 at n_max=8, so lambda B overflows
+            mass_gap(bench(lam=1e308, n_max=8))
+
+
+def test_exact_spectrum_rejects_overflowing_gap():
+    with pytest.raises(ValueError, match="overflow"):
+        exact_spectrum(np.diag([-1e308, 1e308]))
 
 
 def test_exact_spectrum_flags_degenerate_gap():
@@ -299,19 +405,22 @@ def test_critical_curve_free_intercept():
     base = bench(n_max=12)
     points = critical_curve([0.0], target_gap_sq=1.5, base=base)
     assert points[0][1] == pytest.approx(1.5, abs=1e-6)
+    assert points[0][2] is None
 
 
 def test_critical_curve_monotone_in_coupling():
     base = bench(n_max=8)
     points = critical_curve([0.0, 2.5, 5.0, 7.5, 10.0], target_gap_sq=0.25, base=base)
-    m0_values = [m0 for _, m0 in points]
+    m0_values = [m0 for _, m0, _ in points]
     assert all(b < a for a, b in zip(m0_values, m0_values[1:]))
 
 
 def test_critical_curve_truncation_drift_grows_with_coupling():
     lo, hi = 1.0, 20.0
-    c8 = dict(critical_curve([lo, hi], target_gap_sq=0.25, base=bench(n_max=8)))
-    c12 = dict(critical_curve([lo, hi], target_gap_sq=0.25, base=bench(n_max=12)))
+    c8 = {lam: m0 for lam, m0, _ in critical_curve([lo, hi], target_gap_sq=0.25,
+                                                    base=bench(n_max=8))}
+    c12 = {lam: m0 for lam, m0, _ in critical_curve([lo, hi], target_gap_sq=0.25,
+                                                     base=bench(n_max=12))}
     assert abs(c8[lo] - c12[lo]) < abs(c8[hi] - c12[hi])
 
 

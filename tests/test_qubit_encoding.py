@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H, exact_spectrum
@@ -132,8 +133,12 @@ def test_parity_blocks_basis_occupancies_match_labels():
                 assert n % 2 == (0 if parity == "+" else 1)
 
 
-def test_parity_blocks_preserve_spectrum():
-    p = benchmark(8.21)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_max=st.sampled_from([2, 4, 6, 8, 10]),
+       delta_m=st.floats(-100.0, 100.0), lam=st.floats(-100.0, 100.0))
+@example(n_max=4, delta_m=-2.5, lam=8.21)
+def test_parity_blocks_preserve_spectrum(n_max, delta_m, lam):
+    p = ModelParams.from_counterterm(L=2, m_sq=1.0, delta_m=delta_m, lam=lam, n_max=n_max)
     H = build_H(p)
     full = np.sort(np.linalg.eigvalsh(H))
     pieces = np.sort(np.concatenate(
