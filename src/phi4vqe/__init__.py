@@ -27,7 +27,6 @@ from .fock_space import (
     build_H,
     build_H0,
     build_HI,
-    build_field,
     critical_curve,
     critical_exponent_fit,
     exact_spectrum,

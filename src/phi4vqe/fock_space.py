@@ -1,17 +1,24 @@
 """Truncated-Fock operator algebra and the exact-diagonalization oracle.
 
 Each momentum mode keeps its lowest n_max oscillator levels. Ladder operators
-are truncated first; every composite operator (phi^2, phi^4, ...) is then a
-product of truncated matrices, so the full Hamiltonian acts on the
-n_max^L-dimensional product space with mode 0 as the slowest tensor index.
+are truncated first; every composite operator is then a product of truncated
+real matrices on the n_max^L-dimensional product space, with mode 0 as the
+slowest tensor index.
 
 The Hamiltonian is real and linear in the two couplings the scans move,
 
-    H = H0 + delta_m A + lambda B,   A = sum_x phi(x)^2 / 2,   B = sum_x phi(x)^4 / 4!,
+    H = H0 + delta_m A + lambda B,   A = sum_x phi(x)^2 / 2,   B = sum_x phi(x)^4 / 4!.
 
-so H0, A and B are assembled once per Fock basis (L, m_sq, n_max) and kept as
-read-only float64 matrices; every build is a weighted sum of the three, and
-spectra come from the real symmetric eigensolver.
+With the momentum-pair fields Phi_k = (a_k + a_dag_{-k}) / sqrt(2 omega_k)
+(mode indices mod L), phi(x) = L^{-1/2} sum_k e^{ikx} Phi_k, and the site sums
+turn the phases into momentum conservation:
+
+    sum_x phi^2 = C_0,   sum_x phi^4 = (1/L) sum_q C_q C_{-q},   C_q = sum_k Phi_k Phi_{q-k}.
+
+These are identities between products of the truncated matrices, so H0, A and
+B are assembled in real arithmetic once per Fock basis (L, m_sq, n_max) and
+kept as read-only float64 matrices; every build is a weighted sum of the
+three, and spectra come from the real symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "quadrature",
     "embed",
     "build_H0",
-    "build_field",
     "build_HI",
     "build_H",
     "exact_spectrum",
@@ -45,8 +51,6 @@ __all__ = [
 
 # Eigenvalue splittings below this are reported as a vanishing (degenerate) gap.
 DEGENERACY_TOL = 1e-12
-# Largest imaginary round-off dropped when the complex-built H0, A, B are made real.
-IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,14 +86,12 @@ def ladder_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    a_dag = np.zeros((n_max, n_max), dtype=complex)
-    for i in range(n_max - 1):
-        a_dag[i + 1, i] = math.sqrt(i + 1.0)
-    return a_dag.conj().T, a_dag
+    a_dag = np.diag(np.sqrt(np.arange(1.0, n_max)), k=-1)
+    return a_dag.T.copy(), a_dag
 
 
 def number_op(n_max: int) -> np.ndarray:
-    return np.diag(np.arange(n_max, dtype=float)).astype(complex)
+    return np.diag(np.arange(n_max, dtype=float))
 
 
 def quadrature(n_max: int) -> np.ndarray:
@@ -102,73 +104,32 @@ def embed(mode_op: np.ndarray, mode_index: int, params: ModelParams) -> np.ndarr
     """Tensor mode_op into the L-mode product space, identities elsewhere."""
     if not 0 <= mode_index < params.L:
         raise ValueError(f"mode_index {mode_index} out of range for L={params.L}")
-    eye = np.eye(params.n_max, dtype=complex)
-    out = np.ones((1, 1), dtype=complex)
+    eye = np.eye(params.n_max)
+    out = np.ones((1, 1))
     for j in range(params.L):
         out = np.kron(out, mode_op if j == mode_index else eye)
     return out
-
-
-def build_field(x: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Field and conjugate momentum at site x from the mode expansion.
-
-    phi(x) = L^{-1/2} sum_k (2 omega_k)^{-1/2} (a_dag(k) e^{-ikx} + a(k) e^{ikx})
-    pi(x)  = i L^{-1/2} sum_k (omega_k / 2)^{1/2} (a_dag(k) e^{-ikx} - a(k) e^{ikx})
-    """
-    if not 0 <= x < params.L:
-        raise ValueError(f"site {x} out of range for L={params.L}")
-    grid = momentum_grid(params)
-    a, a_dag = ladder_ops(params.n_max)
-    dim = params.n_max**params.L
-    phi = np.zeros((dim, dim), dtype=complex)
-    pi = np.zeros((dim, dim), dtype=complex)
-    for j in range(params.L):
-        w = grid.frequencies[j]
-        phase = np.exp(1j * grid.momenta[j] * x)
-        A = embed(a, j, params)
-        A_dag = embed(a_dag, j, params)
-        phi += (A_dag * phase.conjugate() + A * phase) / math.sqrt(2.0 * w)
-        pi += 1j * math.sqrt(w / 2.0) * (A_dag * phase.conjugate() - A * phase)
-    norm = 1.0 / math.sqrt(params.L)
-    return phi * norm, pi * norm
 
 
 @lru_cache(maxsize=8)
 def _linear_parts(L: int, m_sq: float, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only float64 (H0, A, B) with H = H0 + delta_m A + lambda B, per Fock basis.
 
-    Assembled from the complex mode operators; their imaginary parts are
-    round-off, dropped only after checking that they stay below IMAG_TOL.
+    A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L), from the momentum-pair
+    fields Phi_k and C_q = sum_k Phi_k Phi_{q-k} (see the module docstring).
     """
     params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
-
-    def real(name: str, M: np.ndarray) -> np.ndarray:
-        leak = float(np.max(np.abs(M.imag)))
-        if leak > IMAG_TOL:
-            raise ValueError(
-                f"{name} at L={L}, m_sq={m_sq}, n_max={n_max} has an imaginary part of "
-                f"{leak:.3e} > {IMAG_TOL:g}; the truncated Hamiltonian must be real"
-            )
-        out = M.real.copy()
-        out.setflags(write=False)
-        return out
-
-    # Each complex part is released once its real copy exists, and H0 comes
-    # last, so the peak (inside build_field) holds no more than two parts.
-    dim = n_max**L
-    A = np.zeros((dim, dim), dtype=complex)
-    B = np.zeros((dim, dim), dtype=complex)
-    for x in range(L):
-        phi = build_field(x, params)[0]
-        phi2 = phi @ phi
-        A += phi2 / 2.0
-        B += (phi2 @ phi2) / 24.0
-    A = real("sum_x phi^2 / 2", A)
-    B = real("sum_x phi^4 / 24", B)
-    H0 = np.zeros((dim, dim), dtype=complex)
-    for j, w in enumerate(momentum_grid(params).frequencies):
-        H0 += w * embed(number_op(n_max), j, params)
-    return real("H0", H0), A, B
+    omega = momentum_grid(params).frequencies
+    a, a_dag = ladder_ops(n_max)
+    Phi = [(embed(a, k, params) + embed(a_dag, -k % L, params)) / math.sqrt(2.0 * omega[k])
+           for k in range(L)]
+    C = [sum(Phi[k] @ Phi[(q - k) % L] for k in range(L)) for q in range(L)]
+    H0 = sum(w * embed(number_op(n_max), k, params) for k, w in enumerate(omega))
+    A = C[0] / 2.0
+    B = sum(C[q] @ C[-q % L] for q in range(L)) / (24.0 * L)
+    for part in (H0, A, B):
+        part.setflags(write=False)
+    return H0, A, B
 
 
 def build_H0(params: ModelParams) -> np.ndarray:

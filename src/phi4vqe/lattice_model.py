@@ -50,8 +50,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.L < 1:
             raise ValueError(f"L must be a positive integer, got {self.L}")
-        if not self.m_sq > 0:
-            raise ValueError(f"reference mass m_sq must be > 0, got {self.m_sq}")
+        if not (math.isfinite(self.m_sq) and self.m_sq > 0):
+            raise ValueError(f"reference mass m_sq must be finite and > 0, got {self.m_sq}")
         for name in ("delta_m", "lam"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -133,15 +133,17 @@ def qubit_count(L: int, n_max: int, sector: bool = False) -> int:
 class SectorHamiltonian:
     """One parity block: '+' keeps even occupancies, '-' odd, per mode.
 
-    basis_map lists the retained occupancy tuples in block-row order. The
-    Pauli form is present whenever the per-mode block dimension is a power of
-    two (always the case for power-of-two n_max).
+    basis_map lists the retained occupancy tuples in block-row order.
     """
 
     parities: tuple[str, ...]
     block: np.ndarray
-    pauli: PauliSum | None
     basis_map: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def pauli(self) -> PauliSum:
+        """Pauli form of the block, encoded on first use; needs a power-of-two block size."""
+        return encode_matrix(self.block)
 
 
 def parity_blocks(H: np.ndarray, params: ModelParams) -> list[SectorHamiltonian]:
@@ -165,7 +167,6 @@ def parity_blocks(H: np.ndarray, params: ModelParams) -> list[SectorHamiltonian]
                 f"Hamiltonian violates mode-{j} parity symmetry (|[H, P]| = {violation:.3e})"
             )
 
-    encodable = ((n_max // 2) & (n_max // 2 - 1)) == 0
     sectors = []
     for parities in itertools.product("+-", repeat=L):
         per_mode = [
@@ -174,10 +175,7 @@ def parity_blocks(H: np.ndarray, params: ModelParams) -> list[SectorHamiltonian]
         basis_map = tuple(itertools.product(*per_mode))
         indices = [sum(n * n_max**(L - 1 - j) for j, n in enumerate(occ)) for occ in basis_map]
         block = H[np.ix_(indices, indices)]
-        pauli = encode_matrix(block) if encodable else None
-        sectors.append(
-            SectorHamiltonian(parities=parities, block=block, pauli=pauli, basis_map=basis_map)
-        )
+        sectors.append(SectorHamiltonian(parities=parities, block=block, basis_map=basis_map))
     return sectors
 
 

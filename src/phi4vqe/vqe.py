@@ -167,9 +167,7 @@ def _build_circuit(theta):
 
 
 def _require_two_qubit(sector: SectorHamiltonian) -> None:
-    if sector.pauli is None:
-        raise ValueError("sector block has no qubit encoding (per-mode level count is not a power of two)")
-    if sector.pauli.qubit_count != 2:
+    if sector.block.shape != (4, 4):
         raise ValueError(
             f"sector spans {sector.block.shape[0]} states; the two-qubit ansatz needs exactly 4"
         )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from phi4vqe import vqe
+from phi4vqe import qubit_encoding, vqe
 from phi4vqe.cli import CONFIG_SCHEMAS, check_config, main
 
 
@@ -336,10 +336,14 @@ def test_vqe_sampled_backend_runs_and_records_shots(tmp_path):
 
 
 def test_vqe_noisy_point_builds_hamiltonian_once(tmp_path, monkeypatch):
-    # optimizer, oracle and mitigation comparison share one build per point
-    builds = []
+    # optimizer, oracle and mitigation comparison share one build per point,
+    # and only the two benchmark sectors are Pauli-encoded, once each
+    builds, encodes = [], []
     build_H = vqe.build_H
+    encode_matrix = qubit_encoding.encode_matrix
     monkeypatch.setattr(vqe, "build_H", lambda params: builds.append(params) or build_H(params))
+    monkeypatch.setattr(qubit_encoding, "encode_matrix",
+                        lambda M: encodes.append(M) or encode_matrix(M))
     vqe.benchmark_sectors.cache_clear()
     backend = {"kind": "noisy_mitigated", "shots": 256, "calibration_shots": 1000,
                "p_dep": 0.02, "readout": 0.03}
@@ -347,6 +351,7 @@ def test_vqe_noisy_point_builds_hamiltonian_once(tmp_path, monkeypatch):
     assert code == 0
     assert "mitigation" in json.loads((out / "record.json").read_text())["points"][0]
     assert len(builds) == 1
+    assert len(encodes) == 2
 
 
 # ---------------------------------------------------------------- validation, field by field

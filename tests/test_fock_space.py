@@ -6,7 +6,6 @@ import pytest
 from phi4vqe import fock_space
 from phi4vqe.lattice_model import ModelParams, momentum_grid
 from phi4vqe.fock_space import (
-    build_field,
     build_H,
     build_H0,
     build_HI,
@@ -131,51 +130,6 @@ def test_build_H0_eigenvalues_are_occupation_sums():
     assert np.allclose(np.sort(np.diag(build_H0(p))), sums, atol=1e-12)
 
 
-# ---------------------------------------------------------------- field operators
-
-def test_field_vacuum_expectation_vanishes():
-    p = bench(n_max=4)
-    phi, _ = build_field(0, p)
-    assert abs(phi[0, 0]) < 1e-15
-
-
-def test_field_is_hermitian():
-    p = bench(n_max=4)
-    for x in range(p.L):
-        phi, pi_op = build_field(x, p)
-        assert np.allclose(phi, phi.T.conj(), atol=1e-13)
-        assert np.allclose(pi_op, pi_op.T.conj(), atol=1e-13)
-
-
-def test_field_momentum_commutator_on_safe_states():
-    # [phi(x), pi(x)] = i away from the truncation edge
-    p = bench(n_max=6)
-    phi, pi_op = build_field(0, p)
-    comm = phi @ pi_op - pi_op @ phi
-    safe = [i for i in range(p.n_max ** 2)
-            if i // p.n_max <= p.n_max - 2 and i % p.n_max <= p.n_max - 2]
-    block = comm[np.ix_(safe, safe)]
-    assert np.allclose(block, 1j * np.eye(len(safe)), atol=1e-10)
-
-
-def test_field_cross_site_commutator_vanishes():
-    p = bench(n_max=6)
-    phi0, _ = build_field(0, p)
-    _, pi1 = build_field(1, p)
-    comm = phi0 @ pi1 - pi1 @ phi0
-    safe = [i for i in range(p.n_max ** 2)
-            if i // p.n_max <= p.n_max - 2 and i % p.n_max <= p.n_max - 2]
-    assert np.max(np.abs(comm[np.ix_(safe, safe)])) < 1e-10
-
-
-def test_field_site_sum_projects_zero_mode():
-    # sum_x phi(x) keeps only k=0: sqrt(L/omega_0) * q_0 for omega_0 = 1
-    p = bench(n_max=4)
-    phi_sum = build_field(0, p)[0] + build_field(1, p)[0]
-    q0 = embed(quadrature(p.n_max), 0, p)
-    assert np.allclose(phi_sum, math.sqrt(2.0) * q0, atol=1e-12)
-
-
 # ---------------------------------------------------------------- interaction
 
 def q_expansion_two_sites(p):
@@ -221,12 +175,25 @@ def test_build_H_is_sum_of_parts():
 
 # ---------------------------------------------------------------- linear form
 
+def complex_field(x, p):
+    # reference: the per-site field with complex phases,
+    # phi(x) = L^{-1/2} sum_k (2 omega_k)^{-1/2} (a_dag(k) e^{-ikx} + a(k) e^{ikx})
+    grid = momentum_grid(p)
+    a, a_dag = ladder_ops(p.n_max)
+    phi = 0
+    for j, (k, w) in enumerate(zip(grid.momenta, grid.frequencies)):
+        phase = np.exp(1j * k * x)
+        phi = phi + ((embed(a_dag, j, p) * phase.conjugate() + embed(a, j, p) * phase)
+                     / math.sqrt(2.0 * w))
+    return phi / math.sqrt(p.L)
+
+
 def per_call_complex_H(p):
     # reference: the complex per-call assembly H0 + sum_x [(dm/2) phi^2 + (lam/24) phi^4]
     grid = momentum_grid(p)
     H = sum(w * embed(number_op(p.n_max), j, p) for j, w in enumerate(grid.frequencies))
     for x in range(p.L):
-        phi, _ = build_field(x, p)
+        phi = complex_field(x, p)
         phi2 = phi @ phi
         H = H + (p.delta_m / 2.0) * phi2 + (p.lam / 24.0) * (phi2 @ phi2)
     return H
@@ -273,29 +240,38 @@ def test_build_H_returns_fresh_arrays():
     assert np.array_equal(build_H(p), want)
 
 
-def test_build_H_assembles_each_basis_once(monkeypatch):
-    calls = []
-
-    def counting_field(x, params):
-        calls.append(x)
-        return build_field(x, params)
-
-    monkeypatch.setattr(fock_space, "build_field", counting_field)
+def test_build_H_assembles_each_basis_once():
+    fock_space._linear_parts.cache_clear()
     p = bench(m_sq=1.37, n_max=6)
     for delta_m, lam in COUPLINGS:
         build_H(p.with_delta(delta_m).with_lam(lam))
-    assert calls == [0, 1]
+    info = fock_space._linear_parts.cache_info()
+    assert (info.misses, info.hits) == (1, len(COUPLINGS) - 1)
 
 
-def test_build_H_rejects_complex_parts(monkeypatch):
-    def rotated_field(x, params):
-        phi, pi_op = build_field(x, params)
-        return phi * np.exp(0.3j), pi_op
+def translation(p):
+    # T = diag(exp(2 pi i sum_j j n_j / L)), the lattice shift by one site
+    phases = np.ones(1)
+    for j in range(p.L):
+        phases = np.kron(phases, np.exp(2j * np.pi * j * np.arange(p.n_max) / p.L))
+    return phases
 
-    monkeypatch.setattr(fock_space, "build_field", rotated_field)
-    with pytest.raises(ValueError, match=r"sum_x phi\^2 / 2 at L=2, m_sq=1.41, n_max=4 "
-                                         r"has an imaginary part"):
-        build_H(bench(m_sq=1.41, n_max=4))
+
+@pytest.mark.parametrize("L, n_max", [(3, 4), (3, 8), (4, 4)])
+def test_build_H_conserves_total_momentum(L, n_max):
+    t = translation(bench(L=L, n_max=n_max))
+    for delta_m, lam in COUPLINGS:
+        H = build_H(bench(lam=lam, delta_m=delta_m, n_max=n_max, L=L))
+        assert np.max(np.abs(H * t[None, :] - t[:, None] * H)) < 1e-12
+
+
+@pytest.mark.parametrize("L, n_max", [(1, 8), (3, 4), (4, 4)])
+def test_build_H_matches_complex_reference_beyond_two_sites(L, n_max):
+    for delta_m, lam in COUPLINGS:
+        p = bench(lam=lam, delta_m=delta_m, n_max=n_max, L=L)
+        ref = per_call_complex_H(p)
+        assert np.max(np.abs(ref.imag)) < 1e-10
+        assert np.max(np.abs(build_H(p) - ref)) < 1e-12
 
 
 # ---------------------------------------------------------------- spectra

@@ -201,6 +201,14 @@ def test_model_params_from_bare_rejects_non_finite_bare_mass():
         ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=math.nan, lam=6.0, n_max=4)
 
 
+@pytest.mark.parametrize("m_sq", [math.inf, math.nan])
+def test_model_params_rejects_non_finite_reference_mass(m_sq):
+    with pytest.raises(ValueError, match="^reference mass m_sq must be finite"):
+        ModelParams.from_bare(L=2, m_sq=m_sq, m0_sq=1.0, lam=1.0, n_max=4)
+    with pytest.raises(ValueError, match="^reference mass m_sq must be finite"):
+        ModelParams.from_counterterm(L=2, m_sq=m_sq, delta_m=0.0, lam=1.0, n_max=4)
+
+
 def test_model_params_rejects_bad_sizes():
     with pytest.raises(ValueError):
         ModelParams.from_bare(L=0, m_sq=1.0, m0_sq=1.0, lam=1.0, n_max=4)
