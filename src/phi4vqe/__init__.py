@@ -59,7 +59,6 @@ from .qubit_encoding import (
     encode_matrix,
     parity_blocks,
     pauli_word_matrix,
-    qubit_count,
     sector_by_parity,
 )
 from .vqe import (

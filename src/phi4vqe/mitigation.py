@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-8
+# besides 1/2 itself, the two points that 3x^2 - 2x^3 maps onto 1/2: only
+# eigenvalues between them land on their own side of 1/2 (McWeeny, Rev. Mod.
+# Phys. 32, 335)
+PURIFY_BASIN = ((1.0 - np.sqrt(3.0)) / 2.0, (1.0 + np.sqrt(3.0)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,6 @@ class TomographyResult:
 
     rho: np.ndarray
     rho_raw: np.ndarray
-    values: dict
-    values_raw: dict
 
 
 def ro_correct(weights: np.ndarray, words: tuple[str, ...], cal: ReadoutCalibration) -> np.ndarray:
@@ -113,7 +115,8 @@ def ro_correct(weights: np.ndarray, words: tuple[str, ...], cal: ReadoutCalibrat
 
 
 _TOMO_WORDS = tuple("".join(p) for p in product("IXYZ", repeat=2))
-_TOMO_PAULIS = np.stack([pauli_word_matrix(w) for w in _TOMO_WORDS])
+# row i is the matrix of _TOMO_WORDS[i], flattened
+_TOMO_TABLE = np.stack([pauli_word_matrix(w).ravel() for w in _TOMO_WORDS])
 
 
 def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
@@ -129,14 +132,12 @@ def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
     counts = measure_pauli_density(simulate_density(circuit, noise), _TOMO_WORDS[1:], shots, noise)
     values = np.concatenate(([1.0], ro_correct(counts.tallies, counts.words, cal)))
     values_raw = np.concatenate(([1.0], counts_expectation(counts)))
-    return TomographyResult(rho=_reconstruct(values), rho_raw=_reconstruct(values_raw),
-                            values=dict(zip(_TOMO_WORDS, values.tolist())),
-                            values_raw=dict(zip(_TOMO_WORDS, values_raw.tolist())))
+    return TomographyResult(rho=_reconstruct(values), rho_raw=_reconstruct(values_raw))
 
 
 def _reconstruct(values: np.ndarray) -> np.ndarray:
     """(1/4) sum_P <P> P over the 16 two-qubit words, made exactly Hermitian."""
-    rho = np.tensordot(values, _TOMO_PAULIS, axes=1) / 4.0
+    rho = (values @ _TOMO_TABLE).reshape(4, 4) / 4.0
     return (rho + rho.conj().T) / 2.0
 
 
@@ -146,9 +147,12 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
 
     Iterates rho <- 3 rho^2 - 2 rho^3 with trace renormalization each step
     until the non-idempotency N = Tr(rho^2 - rho) satisfies |N| < eps_n.
-    The polynomial maps eigenvalues above 1/2 toward 1 and the rest toward 0,
-    so an input whose dominant eigenvalue is below 1/2 would decay to zero;
-    that case is flagged non-convergent and returned unmodified.
+    The polynomial maps eigenvalues in (1/2, PURIFY_BASIN[1]) toward 1 and
+    those in (PURIFY_BASIN[0], 1/2) toward 0; outside that interval it sends
+    an eigenvalue to the wrong side of 1/2 (a tomographic estimate need not
+    be positive). An input whose dominant eigenvalue is below 1/2, or with
+    any eigenvalue outside the interval, is flagged non-convergent and
+    returned unmodified (trace-normalized).
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
@@ -159,7 +163,9 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
         raise ValueError(f"trace {trace} outside the tolerated window [0.5, 1.5]")
     rho = rho / trace
     initial_purity = float((rho @ rho).trace().real)
-    if np.linalg.eigvalsh(rho)[-1] < 0.5:
+    eigenvalues = np.linalg.eigvalsh(rho)
+    if (eigenvalues[-1] < 0.5 or eigenvalues[-1] >= PURIFY_BASIN[1]
+            or eigenvalues[0] <= PURIFY_BASIN[0]):
         report = PurificationReport(
             iterations=0,
             non_idempotency=initial_purity - 1.0,

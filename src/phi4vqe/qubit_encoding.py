@@ -24,7 +24,6 @@ __all__ = [
     "pauli_word_matrix",
     "parity_blocks",
     "sector_by_parity",
-    "qubit_count",
 ]
 
 PAULI = {
@@ -119,14 +118,6 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
             coeff = complex(coeff.real, 0.0)
         terms.append((coeff, word))
     return PauliSum(terms=tuple(terms), qubit_count=n)
-
-
-def qubit_count(L: int, n_max: int, sector: bool = False) -> int:
-    """Qubits for the binary encoding: L log2(n_max), or L log2(n_max/2) per sector."""
-    if n_max < 2 or 2 ** int(math.log2(n_max)) != n_max:
-        raise ValueError(f"n_max must be a power of two >= 2, got {n_max}")
-    per_mode = n_max // 2 if sector else n_max
-    return L * int(math.log2(per_mode)) if per_mode > 1 else 0
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Energies are minimized by coordinate sweeps (sequential minimal optimization,
 Nakanishi, Fujii & Todo, arXiv:1903.12166) over one of two ansatz families:
 two local RotY rotations (product) or the same plus one controlled rotation
 (entangled). Backends: exact statevector expectations, finite-shot sampling,
-or sampled noisy estimates pushed through readout correction and tomography +
+or a noisy two-qubit tomography per evaluation with readout correction and
 purification.
 """
 
@@ -25,8 +25,6 @@ from .circuit_sim import (
     counts_expectation,
     expectation_exact,
     measure_pauli,
-    measure_pauli_density,
-    simulate_density,
     zero_state,
 )
 from .fock_space import build_H, exact_spectrum
@@ -36,7 +34,6 @@ from .mitigation import (
     ReadoutCalibration,
     energy_from_state,
     mcweeny_purify,
-    ro_correct,
     tomography_2q_detail,
 )
 from .qubit_encoding import SectorHamiltonian, parity_blocks, sector_by_parity
@@ -238,45 +235,48 @@ def _coordinate_sweeps(fun, start, max_sweeps: int, tol: float) -> tuple[np.ndar
     return theta, energy, False
 
 
+def _calibration(backend: BackendSpec) -> ReadoutCalibration:
+    """Sampled readout calibration when correcting; else the true rates, which cost no draw."""
+    if backend.readout_correction:
+        return ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
+    return ReadoutCalibration.exact_from_noise(backend.noise)
+
+
 def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
                      cal: ReadoutCalibration | None = None,
                      purification_log: list | None = None) -> float:
     """Energy of the ansatz state under the sector Hamiltonian, per backend.
 
-    The noisy backend samples every expectation from the depolarized density
-    matrix and applies readout correction when enabled; with the entangled
-    ansatz and purification enabled the energy instead comes from Tr(rho H)
-    over the purified tomographic state. ``cal`` is measured on the fly when
-    needed but not supplied (optimize() measures it once and reuses it).
+    The sampled backend measures the Hamiltonian's words on the statevector.
+    Every noisy evaluation is one two-qubit tomography of the depolarized
+    state (all 15 non-identity words from one draw); the energy is Tr(rho H)
+    over the readout-corrected reconstruction, or the raw one when
+    correction is off, purified first when the ansatz is entangled and
+    purification is on. Tr(rho H) weighs only the Hamiltonian's own words,
+    so without purification it equals the word-by-word estimate. ``cal`` is
+    measured on the fly when needed but not supplied (optimize() measures it
+    once and reuses it).
     """
     _require_two_qubit(sector)
     circuit = _build_circuit(theta)
     H = sector.pauli
     if backend.kind == "exact":
         return expectation_exact(apply_circuit(circuit, zero_state(2)), H)
-
-    noise = backend.noise
-    correct = backend.kind == "noisy_mitigated" and backend.readout_correction
-    if correct and cal is None:
-        cal = ReadoutCalibration.from_noise_model(noise, backend.calibration_shots)
     if backend.kind == "sampled":
-        state, measure = apply_circuit(circuit, zero_state(2)), measure_pauli
-    elif len(theta) == 3 and backend.purification:
-        detail = tomography_2q_detail(circuit, noise, backend.shots,
-                                      cal if cal is not None
-                                      else ReadoutCalibration.exact_from_noise(noise))
-        rho = detail.rho if backend.readout_correction else detail.rho_raw
+        words = tuple(w for _, w in H.terms if set(w) != {"I"})
+        counts = measure_pauli(apply_circuit(circuit, zero_state(2)), words, backend.shots,
+                               backend.noise)
+        coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
+        return H.coefficient("I" * H.qubit_count).real + float(coeffs @ counts_expectation(counts))
+
+    detail = tomography_2q_detail(circuit, backend.noise, backend.shots,
+                                  _calibration(backend) if cal is None else cal)
+    rho = detail.rho if backend.readout_correction else detail.rho_raw
+    if len(theta) == 3 and backend.purification:
         rho, report = mcweeny_purify(rho)
         if purification_log is not None:
             purification_log.append(report)
-        return energy_from_state(rho, H)
-    else:
-        state, measure = simulate_density(circuit, noise), measure_pauli_density
-    words = tuple(w for _, w in H.terms if set(w) != {"I"})
-    counts = measure(state, words, backend.shots, noise)
-    values = ro_correct(counts.tallies, words, cal) if correct else counts_expectation(counts)
-    coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
-    return H.coefficient("I" * H.qubit_count).real + float(coeffs @ values)
+    return energy_from_state(rho, H)
 
 
 def _reseeded(backend: BackendSpec, seed) -> BackendSpec:
@@ -311,7 +311,7 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
 
     cal = None
     if backend.kind == "noisy_mitigated" and backend.readout_correction:
-        cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
+        cal = _calibration(backend)
 
     history: list[float] = []
 
@@ -391,11 +391,8 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
     if backend.kind != "noisy_mitigated":
         raise ValueError("mitigation comparison needs the noisy_mitigated backend")
     backend = _reseeded(backend, seed)
-    cal = (ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
-           if backend.readout_correction
-           else ReadoutCalibration.exact_from_noise(backend.noise))
     circuit = _build_circuit(theta)
-    detail = tomography_2q_detail(circuit, backend.noise, backend.shots, cal)
+    detail = tomography_2q_detail(circuit, backend.noise, backend.shots, _calibration(backend))
     rho, report = mcweeny_purify(detail.rho)
     e_mitigated = energy_from_state(rho, sector.pauli)
     e_raw = energy_from_state(detail.rho_raw, sector.pauli)

@@ -188,8 +188,12 @@ def test_tomography_detail_correction_beats_raw():
     detail = tomography_2q_detail(circuit, noise, 50_000, cal)
     rho = simulate_density(circuit, noise)
     truth = float(np.real(np.trace(rho @ pauli_word_matrix("ZZ"))))
-    assert abs(detail.values["ZZ"] - truth) < abs(detail.values_raw["ZZ"] - truth)
-    assert detail.values["II"] == 1.0
+    zz = PauliSum(terms=((1.0, "ZZ"),), qubit_count=2)
+    corrected = energy_from_state(detail.rho, zz)
+    raw = energy_from_state(detail.rho_raw, zz)
+    assert abs(corrected - truth) < abs(raw - truth)
+    for estimate in (detail.rho, detail.rho_raw):
+        assert np.real(np.trace(estimate)) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- purification
@@ -240,6 +244,21 @@ def test_mcweeny_flags_maximally_mixed():
     rho = np.eye(4) / 4.0
     out, report = mcweeny_purify(rho)
     assert not report.converged
+    assert np.max(np.abs(out - rho)) < 1e-12
+
+
+@pytest.mark.parametrize("spectrum", [(1.2, 0.3, -0.5, 0.0), (1.6, -0.6, 0.0, 0.0)])
+def test_mcweeny_flags_eigenvalues_outside_its_basin(spectrum):
+    # unit trace, dominant eigenvalue above 1/2, but one eigenvalue beyond
+    # (1 -+ sqrt 3)/2, which the iteration would carry past 1/2 onto the wrong
+    # eigenvector
+    rng = np.random.default_rng(56)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rho = (q * np.array(spectrum)) @ q.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    out, report = mcweeny_purify(rho)
+    assert not report.converged
+    assert report.iterations == 0
     assert np.max(np.abs(out - rho)) < 1e-12
 
 

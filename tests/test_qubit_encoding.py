@@ -9,7 +9,6 @@ from phi4vqe.qubit_encoding import (
     encode_matrix,
     parity_blocks,
     pauli_word_matrix,
-    qubit_count,
     sector_by_parity,
 )
 
@@ -100,16 +99,6 @@ def test_pauli_sum_coefficient_lookup():
     sum_ = encode_matrix(np.diag([0.0, 1.0]))
     assert sum_.coefficient("Z") == pytest.approx(-0.5)
     assert sum_.coefficient("X") == 0.0
-
-
-# ---------------------------------------------------------------- qubit count
-
-def test_qubit_count_examples():
-    assert qubit_count(2, 4) == 4
-    assert qubit_count(2, 4, sector=True) == 2
-    assert qubit_count(2, 8) == 6
-    assert qubit_count(2, 8, sector=True) == 4
-    assert qubit_count(3, 4, sector=True) == 3
 
 
 # ---------------------------------------------------------------- parity blocking
