@@ -34,6 +34,8 @@ from .fock_space import (
     mass_gap,
     number_op,
     quadrature,
+    sector_indices,
+    sector_spectrum,
     solve_counterterm,
 )
 from .lattice_model import (

@@ -23,11 +23,10 @@ import numpy as np
 
 from .circuit_sim import NoiseModel
 from .fock_space import (
-    build_H,
     critical_curve,
     critical_exponent_fit,
-    exact_spectrum,
     mass_gap,
+    sector_spectrum,
     solve_counterterm,
 )
 from .lattice_model import (
@@ -320,7 +319,7 @@ def cmd_spectrum(cfg: dict, out_dir: Path, record: dict) -> None:
     by_point = {}
     for n_max in n_max_values:
         for lam in lambda_grid:
-            spectrum = exact_spectrum(build_H(_model_params(model, lam, n_max)))
+            spectrum = sector_spectrum(_model_params(model, lam, n_max))
             levels = [float(e) for e in spectrum.eigenvalues[:cfg["eigenvalue_count"]]]
             by_point[(n_max, lam)] = float(spectrum.gap), spectrum.degenerate, levels
 

@@ -19,10 +19,16 @@ These are identities between products of the truncated matrices, so H0, A and
 B are assembled in real arithmetic once per Fock basis (L, m_sq, n_max) and
 kept as read-only float64 matrices; every build is a weighted sum of the
 three, and spectra come from the real symmetric eigensolver.
+
+H conserves the field parity Z2 = sum_j n_j mod 2 and the total momentum
+P = sum_j j n_j mod L (in units of 2 pi / L) of an occupation basis state, so
+the three parts are also sliced once per basis into (Z2, P) sector blocks;
+spectra and gaps diagonalize the blocks and merge their levels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +48,10 @@ __all__ = [
     "build_H0",
     "build_HI",
     "build_H",
+    "sector_indices",
+    "off_sector_max",
     "exact_spectrum",
+    "sector_spectrum",
     "mass_gap",
     "solve_counterterm",
     "critical_curve",
@@ -51,6 +60,8 @@ __all__ = [
 
 # Eigenvalue splittings below this are reported as a vanishing (degenerate) gap.
 DEGENERACY_TOL = 1e-12
+# Largest matrix entry allowed between two (Z2, P) sectors.
+SECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,55 @@ def _linear_parts(L: int, m_sq: float, n_max: int) -> tuple[np.ndarray, np.ndarr
     return H0, A, B
 
 
+@lru_cache(maxsize=None)
+def sector_indices(L: int, n_max: int) -> dict[tuple[int, int], np.ndarray]:
+    """Basis indices of every non-empty (Z2, P) sector, ascending, keyed in (Z2, P) order.
+
+    Z2 = sum_j n_j mod 2 and P = sum_j j n_j mod L of the occupation labels,
+    mode 0 the slowest tensor index. The index arrays are read-only.
+    """
+    occ = np.indices((n_max,) * L).reshape(L, -1)
+    z2, p = occ.sum(axis=0) % 2, np.arange(L) @ occ % L
+    out = {}
+    for label in itertools.product(range(2), range(L)):
+        indices = np.flatnonzero((z2 == label[0]) & (p == label[1]))
+        if indices.size:
+            indices.setflags(write=False)
+            out[label] = indices
+    return out
+
+
+def off_sector_max(M: np.ndarray, L: int, n_max: int) -> float:
+    """Largest |M[i, j]| over basis states i, j in different (Z2, P) sectors."""
+    if np.shape(M) != (n_max**L, n_max**L):
+        raise ValueError(f"expected a {n_max**L} x {n_max**L} matrix for L={L}, "
+                         f"n_max={n_max}, got shape {np.shape(M)}")
+    rest = np.abs(M)
+    for indices in sector_indices(L, n_max).values():
+        rest[np.ix_(indices, indices)] = 0.0
+    return float(rest.max())
+
+
+@lru_cache(maxsize=8)
+def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
+    """Read-only (H0, A, B) blocks per (Z2, P) sector, sliced once per Fock basis.
+
+    Raises ValueError when a part couples two sectors, so that the blocks
+    hold the whole operator.
+    """
+    parts = _linear_parts(L, m_sq, n_max)
+    for name, part in zip(("H0", "A", "B"), parts):
+        leak = off_sector_max(part, L, n_max)
+        if leak > SECTOR_TOL:
+            raise ValueError(f"{name} couples two (Z2, P) sectors (max |entry| = {leak:.3e})")
+    blocks = {}
+    for label, indices in sector_indices(L, n_max).items():
+        blocks[label] = tuple(part[np.ix_(indices, indices)] for part in parts)
+        for block in blocks[label]:
+            block.setflags(write=False)
+    return blocks
+
+
 def build_H0(params: ModelParams) -> np.ndarray:
     """Free Hamiltonian sum_k omega(k) n(k), diagonal, zero-point energy discarded."""
     return _linear_parts(params.L, params.m_sq, params.n_max)[0].copy()
@@ -143,10 +203,38 @@ def build_HI(params: ModelParams) -> np.ndarray:
     return params.delta_m * A + params.lam * B
 
 
-def build_H(params: ModelParams) -> np.ndarray:
-    """H0 + delta_m A + lambda B as a fresh writeable float64 matrix."""
-    H0, A, B = _linear_parts(params.L, params.m_sq, params.n_max)
+def build_H(params: ModelParams, sector: tuple[int, int] | None = None) -> np.ndarray:
+    """H0 + delta_m A + lambda B as a fresh writeable float64 matrix.
+
+    With a (Z2, P) sector label, only that sector's block, rows and columns in
+    the order of sector_indices; it is bit-equal to the same slice of the
+    full matrix.
+    """
+    if sector is None:
+        H0, A, B = _linear_parts(params.L, params.m_sq, params.n_max)
+    else:
+        blocks = _sector_parts(params.L, params.m_sq, params.n_max)
+        if sector not in blocks:
+            raise ValueError(f"no (Z2, P) sector {sector} at L={params.L}, "
+                             f"n_max={params.n_max}; sectors: {sorted(blocks)}")
+        H0, A, B = blocks[sector]
     return H0 + params.delta_m * A + params.lam * B
+
+
+def _require_finite_hermitian(H: np.ndarray, caller: str) -> None:
+    if not np.isfinite(H).all():
+        raise ValueError(f"{caller} requires finite entries, got NaN or inf")
+    if np.max(np.abs(H - H.conj().T)) > 1e-10:
+        raise ValueError(f"{caller} requires a Hermitian matrix")
+
+
+def _spectrum(eigenvalues: np.ndarray) -> Spectrum:
+    gap = float(eigenvalues[1]) - float(eigenvalues[0])
+    if not (np.isfinite(eigenvalues).all() and math.isfinite(gap)):
+        raise ValueError("exact_spectrum: eigenvalues overflow; the matrix entries are too large")
+    if gap < DEGENERACY_TOL:
+        return Spectrum(eigenvalues=eigenvalues, gap=0.0, degenerate=True)
+    return Spectrum(eigenvalues=eigenvalues, gap=gap)
 
 
 def exact_spectrum(H: np.ndarray) -> Spectrum:
@@ -160,21 +248,30 @@ def exact_spectrum(H: np.ndarray) -> Spectrum:
         raise ValueError(
             f"exact_spectrum requires a square matrix of size >= 2, got shape {H.shape}"
         )
-    if not np.isfinite(H).all():
-        raise ValueError("exact_spectrum requires finite entries, got NaN or inf")
-    if np.max(np.abs(H - H.conj().T)) > 1e-10:
-        raise ValueError("exact_spectrum requires a Hermitian matrix")
-    eigenvalues = np.linalg.eigvalsh(H)
-    gap = float(eigenvalues[1]) - float(eigenvalues[0])
-    if not (np.isfinite(eigenvalues).all() and math.isfinite(gap)):
-        raise ValueError("exact_spectrum: eigenvalues overflow; the matrix entries are too large")
-    if gap < DEGENERACY_TOL:
-        return Spectrum(eigenvalues=eigenvalues, gap=0.0, degenerate=True)
-    return Spectrum(eigenvalues=eigenvalues, gap=gap)
+    _require_finite_hermitian(H, "exact_spectrum")
+    return _spectrum(np.linalg.eigvalsh(H))
+
+
+def sector_spectrum(params: ModelParams) -> Spectrum:
+    """The spectrum of build_H(params), merged from its (Z2, P) sector blocks.
+
+    Every sector is diagonalized, so the gap takes E1 from whichever sector
+    holds it. A one-state block is its own eigenvalue, after the same input
+    checks as exact_spectrum.
+    """
+    levels = []
+    for sector in sector_indices(params.L, params.n_max):
+        block = build_H(params, sector)
+        if block.shape[0] == 1:
+            _require_finite_hermitian(block, "sector_spectrum")
+            levels.append(block[0])
+        else:
+            levels.append(exact_spectrum(block).eigenvalues)
+    return _spectrum(np.sort(np.concatenate(levels)))
 
 
 def mass_gap(params: ModelParams) -> float:
-    return exact_spectrum(build_H(params)).gap
+    return sector_spectrum(params).gap
 
 
 def solve_counterterm(

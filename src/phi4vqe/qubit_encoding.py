@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .fock_space import SECTOR_TOL, off_sector_max, sector_indices
 from .lattice_model import ModelParams
 
 __all__ = [
@@ -138,33 +139,33 @@ class SectorHamiltonian:
 
 
 def parity_blocks(H: np.ndarray, params: ModelParams) -> list[SectorHamiltonian]:
-    """Decompose H into the 2^L per-mode parity sectors.
+    """Decompose H into the 2^L per-mode parity sectors, for L <= 2.
 
-    Validates that H commutes with every per-mode parity (-1)^{n(k)} before
-    slicing; a violation signals a malformed Hamiltonian.
+    At L <= 2 a per-mode parity tuple is exactly one (Z2, P) sector of
+    fock_space (at L = 2, n_1 mod 2 = P), so the blocks are sliced with that
+    labelling, rows in ascending basis order. Rejects L >= 3, where per-mode
+    parity is not a symmetry of H, and an H with an entry between two sectors.
     """
-    if params.n_max % 2 != 0:
-        raise ValueError("parity blocking requires even n_max")
     L, n_max = params.L, params.n_max
-    mode_parity = np.array([(-1.0) ** n for n in range(n_max)])
-    for j in range(L):
-        # diagonal parity: commutator reduces to element-wise phase comparison
-        full = np.ones(1)
-        for i in range(L):
-            full = np.kron(full, mode_parity if i == j else np.ones(n_max))
-        violation = np.max(np.abs(H * full[None, :] - full[:, None] * H))
-        if violation > 1e-10:
-            raise ValueError(
-                f"Hamiltonian violates mode-{j} parity symmetry (|[H, P]| = {violation:.3e})"
-            )
+    if L > 2:
+        raise ValueError(f"parity blocking requires L <= 2, got L={L}: per-mode parity is "
+                         "a symmetry of H only up to two sites; use the (Z2, P) sectors of "
+                         "fock_space.build_H(params, sector) instead")
+    if n_max % 2 != 0:
+        raise ValueError("parity blocking requires even n_max")
+    violation = off_sector_max(H, L, n_max)
+    if violation > SECTOR_TOL:
+        raise ValueError(f"Hamiltonian violates per-mode parity symmetry "
+                         f"(largest entry between sectors {violation:.3e})")
 
+    by_label = sector_indices(L, n_max)
     sectors = []
     for parities in itertools.product("+-", repeat=L):
-        per_mode = [
-            [n for n in range(n_max) if n % 2 == (0 if p == "+" else 1)] for p in parities
-        ]
-        basis_map = tuple(itertools.product(*per_mode))
-        indices = [sum(n * n_max**(L - 1 - j) for j, n in enumerate(occ)) for occ in basis_map]
+        odd = [p == "-" for p in parities]
+        # the (Z2, P) of every state with these per-mode parities, at L <= 2
+        indices = by_label[(sum(odd) % 2, sum(j * o for j, o in enumerate(odd)) % L)]
+        occupations = np.unravel_index(indices, (n_max,) * L)
+        basis_map = tuple(tuple(int(n) for n in occ) for occ in zip(*occupations))
         block = H[np.ix_(indices, indices)]
         sectors.append(SectorHamiltonian(parities=parities, block=block, basis_map=basis_map))
     return sectors

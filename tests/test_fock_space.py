@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phi4vqe import fock_space
 from phi4vqe.lattice_model import ModelParams, momentum_grid
@@ -17,6 +18,8 @@ from phi4vqe.fock_space import (
     mass_gap,
     number_op,
     quadrature,
+    sector_indices,
+    sector_spectrum,
     solve_counterterm,
 )
 
@@ -340,6 +343,78 @@ def test_mass_gap_reference_independence():
         a = mass_gap(ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=0.5, lam=lam, n_max=12))
         b = mass_gap(ModelParams.from_bare(L=2, m_sq=1.5, m0_sq=0.5, lam=lam, n_max=12))
         assert abs(a - b) / b < 0.02
+
+
+# ---------------------------------------------------------------- (Z2, P) sectors
+
+def test_sector_indices_label_occupations():
+    # L=3, n_max=2: basis index 4*n0 + 2*n1 + n2; P = n1 + 2 n2 mod 3
+    assert {k: v.tolist() for k, v in sector_indices(3, 2).items()} == {
+        (0, 0): [0, 3], (0, 1): [6], (0, 2): [5], (1, 0): [4, 7], (1, 1): [2], (1, 2): [1],
+    }
+
+
+@pytest.mark.parametrize("L, n_max", [(1, 2), (1, 7), (2, 3), (3, 4), (4, 3)])
+def test_sector_indices_partition_the_basis(L, n_max):
+    pieces = np.concatenate(list(sector_indices(L, n_max).values()))
+    assert np.array_equal(np.sort(pieces), np.arange(n_max**L))
+    assert all(np.all(np.diff(v) > 0) for v in sector_indices(L, n_max).values())
+
+
+@pytest.mark.parametrize("L, n_max", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_sector_spectrum_matches_dense_with_one_state_sectors(L, n_max):
+    assert min(len(v) for v in sector_indices(L, n_max).values()) == 1
+    for delta_m, lam in COUPLINGS:
+        p = bench(lam=lam, delta_m=delta_m, n_max=n_max, L=L)
+        dense = np.linalg.eigvalsh(build_H(p))
+        spec = sector_spectrum(p)
+        assert np.max(np.abs(spec.eigenvalues - dense)) < 1e-10
+        assert mass_gap(p) == spec.gap
+        assert spec.gap == pytest.approx(dense[1] - dense[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("entry, match", [(math.nan, "finite entries"), (1j, "Hermitian")])
+def test_sector_spectrum_checks_one_state_blocks(monkeypatch, entry, match):
+    monkeypatch.setattr(fock_space, "build_H", lambda params, sector=None: np.array([[entry]]))
+    with pytest.raises(ValueError, match=match):
+        sector_spectrum(bench(n_max=2))
+
+
+def test_build_H_rejects_unknown_sector():
+    with pytest.raises(ValueError, match=r"no \(Z2, P\) sector \(0, 2\)"):
+        build_H(bench(n_max=4), (0, 2))
+
+
+def test_sector_blocks_reject_a_part_that_couples_sectors(monkeypatch):
+    zeros = np.zeros((4, 4))
+    B = zeros.copy()
+    B[0, 1] = B[1, 0] = 1e-9  # (n0, n1) = (0, 0) and (0, 1) differ in Z2 and P
+    monkeypatch.setattr(fock_space, "_linear_parts", lambda L, m_sq, n_max: (zeros, zeros, B))
+    fock_space._sector_parts.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="B couples two"):
+            build_H(bench(n_max=2, m_sq=3.21), (0, 0))
+    finally:
+        fock_space._sector_parts.cache_clear()
+
+
+SECTOR_BASES = ([(1, n) for n in range(2, 11)] + [(2, n) for n in range(2, 11)]
+                + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 5)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(basis=st.sampled_from(SECTOR_BASES),
+       delta_m=st.floats(-100.0, 100.0), lam=st.floats(-100.0, 100.0))
+@example(basis=(2, 24), delta_m=-2.5, lam=12.0)
+@example(basis=(3, 5), delta_m=-100.0, lam=100.0)
+def test_sector_blocks_reproduce_the_full_spectrum(basis, delta_m, lam):
+    L, n_max = basis
+    p = bench(lam=lam, delta_m=delta_m, n_max=n_max, L=L)
+    H = build_H(p)
+    for sector, indices in sector_indices(L, n_max).items():
+        assert np.array_equal(build_H(p, sector), H[np.ix_(indices, indices)])
+    dense = np.linalg.eigvalsh(H)
+    assert np.max(np.abs(sector_spectrum(p).eigenvalues - dense)) < 1e-10
 
 
 # ---------------------------------------------------------------- counterterm roots

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -161,6 +163,35 @@ def test_parity_blocks_reject_symmetry_violation():
     H = (H + H.T) / 2.0
     with pytest.raises(ValueError):
         parity_blocks(H, p)
+
+
+@pytest.mark.parametrize("L, n_max", [(1, 2), (1, 8), (2, 2), (2, 4), (2, 10)])
+def test_parity_blocks_match_per_mode_slicing(L, n_max):
+    # reference: each mode's even or odd occupations, in product (ascending basis) order
+    p = ModelParams.from_counterterm(L=L, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=n_max)
+    H = build_H(p)
+    blocks = parity_blocks(H, p)
+    assert [b.parities for b in blocks] == list(itertools.product("+-", repeat=L))
+    for block in blocks:
+        per_mode = [[n for n in range(n_max) if n % 2 == (s == "-")] for s in block.parities]
+        basis_map = tuple(itertools.product(*per_mode))
+        indices = [int(np.ravel_multi_index(occ, (n_max,) * L)) for occ in basis_map]
+        assert block.basis_map == basis_map
+        assert np.array_equal(block.block, H[np.ix_(indices, indices)])
+
+
+def test_parity_blocks_reject_three_sites():
+    # a correct L=3 Hamiltonian: per-mode parity is no symmetry there, so the
+    # rejection names the site count, not the matrix
+    p = ModelParams.from_counterterm(L=3, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=4)
+    with pytest.raises(ValueError, match=r"requires L <= 2, got L=3"):
+        parity_blocks(build_H(p), p)
+
+
+def test_parity_blocks_reject_a_matrix_of_the_wrong_size():
+    p = benchmark(6.0)
+    with pytest.raises(ValueError, match="expected a 16 x 16 matrix"):
+        parity_blocks(np.eye(9), p)
 
 
 def test_parity_blocks_reject_odd_truncation():
