@@ -15,6 +15,12 @@ sampling shots one at a time and flipping each read bit independently.
 Expectations are products of the tallies with a word x outcome table
 (outcome_table). All draws come from the one seeded stream owned by the
 experiment's NoiseModel, so runs are bit-reproducible.
+
+A circuit whose RotY angles are 1-D arrays of length k is a batch of k
+circuits of one gate layout: each gate is one (k, 2^n, 2^n) stack, states
+evolve as (k, 2^n) and density matrices as (k, 4, 4). The measurement
+functions take the same leading batch axis and make one draw over all k x W
+rows, which consumes the stream exactly as k draws in batch order would.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ __all__ = [
     "Circuit",
     "NoiseModel",
     "Counts",
-    "ry_matrix",
     "zero_state",
     "apply_circuit",
     "ansatz_product",
@@ -51,33 +56,40 @@ S_DAG = np.array([[1, 0], [0, -1j]], dtype=complex)
 MEAS_ROTATION = {"X": HADAMARD, "Y": HADAMARD @ S_DAG}
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate program; gates are ("ry", qubit, angle) or ("cx", control, target)."""
+    """Ordered gate program; gates are ("ry", qubit, angle) or ("cx", control, target).
+
+    Angles are all numbers, or all 1-D arrays of one length k: then the
+    circuit is a batch of k circuits and ``batch_size`` is k (None otherwise).
+    """
 
     qubit_count: int
     gates: tuple[tuple, ...]
+    batch_size: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        angles = []
         for gate in self.gates:
             kind = gate[0]
             if kind == "ry":
                 _, q, theta = gate
                 if not 0 <= q < self.qubit_count:
                     raise ValueError(f"qubit {q} out of range")
-                if not math.isfinite(theta):
-                    raise ValueError(f"non-finite angle {theta}")
+                angles.append(theta)
             elif kind == "cx":
                 _, c, t = gate
                 if not (0 <= c < self.qubit_count and 0 <= t < self.qubit_count and c != t):
                     raise ValueError(f"bad cx qubits ({c}, {t})")
             else:
                 raise ValueError(f"unknown gate {kind!r}")
+        shapes = {np.shape(theta) for theta in angles}
+        if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+            raise ValueError("angles must be all numbers or all 1-D arrays of one length")
+        if not np.isfinite(np.array(angles, dtype=float)).all():
+            raise ValueError(f"non-finite angle among {angles}")
+        if shapes and shapes != {()}:
+            object.__setattr__(self, "batch_size", shapes.pop()[0])
 
 
 @dataclass(eq=False)
@@ -127,8 +139,9 @@ class NoiseModel:
 class Counts:
     """Tallies of a measured batch of Pauli words on an n-qubit register.
 
-    ``tallies[i, x]`` is the number of shots of ``words[i]`` that read register
-    outcome x; every row sums to ``shots``.
+    ``tallies[..., i, x]`` is the number of shots of ``words[i]`` that read
+    register outcome x, with one leading axis per batch of states; every row
+    sums to ``shots``.
     """
 
     words: tuple[str, ...]
@@ -136,10 +149,10 @@ class Counts:
     shots: int
 
     def __post_init__(self) -> None:
-        rows, dim = self.tallies.shape
+        rows, dim = self.tallies.shape[-2:]
         if rows != len(self.words) or any(2 ** len(w) != dim for w in self.words):
             raise ValueError(f"tallies of shape {self.tallies.shape} do not match words {self.words}")
-        if (self.tallies.sum(axis=1) != self.shots).any():
+        if (self.tallies.sum(axis=-1) != self.shots).any():
             raise ValueError("counts do not sum to the declared shot total")
 
 
@@ -150,21 +163,22 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def apply_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
+    """Evolve ``initial`` through the circuit: (2^n,), or (k, 2^n) for a batch of k."""
     n = circuit.qubit_count
     if initial.shape != (2**n,):
         raise ValueError(f"state dimension {initial.shape} does not match {n} qubits")
-    state = initial.astype(complex)
-    for gate in circuit.gates:
-        state = _gate_matrix(gate, n) @ state
-    return state
+    state = np.tile(initial.astype(complex), (circuit.batch_size or 1, 1))[..., None]
+    for U in _gate_stacks(circuit):
+        state = U @ state
+    return state[0, :, 0] if circuit.batch_size is None else state[..., 0]
 
 
-def ansatz_product(theta0: float, theta1: float) -> Circuit:
+def ansatz_product(theta0, theta1) -> Circuit:
     """Two local rotations; spans all real product states of two qubits."""
     return Circuit(2, (("ry", 0, theta0), ("ry", 1, theta1)))
 
 
-def ansatz_entangled(theta0: float, theta1: float, theta2: float) -> Circuit:
+def ansatz_entangled(theta0, theta1, theta2) -> Circuit:
     """Product layer followed by a controlled-RotY(theta2) on qubit 1.
 
     The controlled rotation is compiled to the standard two-CNOT form
@@ -183,12 +197,16 @@ def ansatz_entangled(theta0: float, theta1: float, theta2: float) -> Circuit:
     )
 
 
-def expectation_exact(state: np.ndarray, H: PauliSum) -> float:
-    """<psi|H|psi> for a Pauli sum; real for Hermitian input."""
+def expectation_exact(state: np.ndarray, H: PauliSum) -> float | np.ndarray:
+    """<psi|H|psi> for a Pauli sum; real for Hermitian input. A (k, 2^n) stack gives k values."""
     n = H.qubit_count
-    if state.shape != (2**n,):
+    if state.shape[-1:] != (2**n,) or state.ndim > 2:
         raise ValueError("state and operator qubit counts differ")
-    return float(np.vdot(state, H.to_matrix() @ state).real)
+    states = np.atleast_2d(state)
+    images = (H.to_matrix() @ states[..., None])[..., 0]
+    # one vdot per row: a batched reduction can differ from vdot in the last bit
+    values = np.array([np.vdot(s, image).real for s, image in zip(states, images)])
+    return float(values[0]) if state.ndim == 1 else values
 
 
 @lru_cache(maxsize=64)
@@ -226,7 +244,9 @@ def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str,
     """Check a measurement request on a 2^n-dimensional state; return the words."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    n = int(round(math.log2(dim)))
+    n = dim.bit_length() - 1
+    if n < 1 or dim != 2**n:
+        raise ValueError(f"state dimension {dim} is not a power of two >= 2")
     if noise.n_qubits != n:
         raise ValueError(f"noise model covers {noise.n_qubits} qubits, the state {n}")
     words = tuple(words)
@@ -237,48 +257,48 @@ def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str,
 
 
 def _sample(probs: np.ndarray, words: tuple[str, ...], shots: int, noise: NoiseModel) -> Counts:
-    """One multinomial draw over every row of C @ probs."""
-    probs = np.clip(probs @ _confusion(noise.p10, noise.p01).T, 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return Counts(words=words, tallies=noise.rng.multinomial(shots, probs), shots=shots)
+    """One multinomial draw over every row of C @ probs, probs of shape (..., W, 2^n)."""
+    probs = np.maximum(probs @ _confusion(noise.p10, noise.p01).T, 0.0)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    tallies = noise.rng.multinomial(shots, probs.reshape(-1, probs.shape[-1]))
+    return Counts(words=words, tallies=tallies.reshape(probs.shape), shots=shots)
 
 
 def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
-    """Sample every Pauli word of the batch on a pure state, readout flips applied."""
-    words = _checked_words(words, shots, len(state), noise)
-    return _sample(np.abs(_basis_changes(words, len(state)) @ state) ** 2, words, shots, noise)
+    """Sample every Pauli word of the batch on a pure state (2^n,) or a stack of them (k, 2^n)."""
+    if state.ndim not in (1, 2):
+        raise ValueError(f"state of shape {state.shape} is neither one state nor a stack")
+    words = _checked_words(words, shots, state.shape[-1], noise)
+    U, _ = _basis_changes(words, state.shape[-1])
+    return _sample(np.abs((U @ state[..., None, :, None])[..., 0]) ** 2, words, shots, noise)
 
 
 def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
-    """Sampling path for mixed states; mirrors measure_pauli."""
-    words = _checked_words(words, shots, rho.shape[0], noise)
-    U = _basis_changes(words, rho.shape[0])
+    """Sampling path for mixed states, (2^n, 2^n) or (k, 2^n, 2^n); mirrors measure_pauli."""
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"density matrix of shape {rho.shape} is not square")
+    words = _checked_words(words, shots, rho.shape[-1], noise)
+    U, U_conj = _basis_changes(words, rho.shape[-1])
     # Born rows diag(U rho U^dagger), one per word
-    return _sample(((U @ rho) * U.conj()).sum(axis=2).real, words, shots, noise)
+    return _sample(((U @ rho[..., None, :, :]) * U_conj).sum(axis=-1).real, words, shots, noise)
 
 
 def counts_expectation(counts: Counts) -> np.ndarray:
     """Raw empirical <P> of every word: its tallies weighted by the eigenvalue signs."""
-    zeros = (0.0,) * int(math.log2(counts.tallies.shape[1]))
-    return (outcome_table(counts.words, zeros, zeros) * counts.tallies).sum(axis=1) / counts.shots
+    zeros = (0.0,) * int(math.log2(counts.tallies.shape[-1]))
+    return (outcome_table(counts.words, zeros, zeros) * counts.tallies).sum(axis=-1) / counts.shots
 
 
 @lru_cache(maxsize=64)
-def _basis_changes(words: tuple[str, ...], dim: int) -> np.ndarray:
-    """Stacked full-register unitaries, each sending every measured axis of its word to Z."""
+def _basis_changes(words: tuple[str, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked full-register unitaries sending each word's measured axes to Z, and their conjugates."""
     identity = np.eye(2, dtype=complex)
     U = np.reshape([reduce(np.kron, [MEAS_ROTATION.get(label, identity) for label in word])
                     for word in words], (len(words), dim, dim))
-    U.setflags(write=False)
-    return U
-
-
-def _full_1q(U: np.ndarray, q: int, n: int) -> np.ndarray:
-    """I_(2^q) x U x I_(2^(n-q-1)), built by one broadcast product, not n np.kron calls."""
-    a, b = 2**q, 2 ** (n - q - 1)
-    full = (np.eye(a)[:, None, None, :, None, None] * U[None, :, None, None, :, None]
-            * np.eye(b)[None, None, :, None, None, :])
-    return full.reshape(2**n, 2**n)
+    U_conj = U.conj()
+    for array in (U, U_conj):
+        array.setflags(write=False)
+    return U, U_conj
 
 
 @lru_cache(maxsize=64)
@@ -291,31 +311,63 @@ def _full_cx(c: int, t: int, n: int) -> np.ndarray:
     return U
 
 
-def _gate_matrix(gate: tuple, n: int) -> np.ndarray:
-    """The 2^n x 2^n matrix of one gate of an n-qubit circuit."""
-    if gate[0] == "ry":
-        return _full_1q(ry_matrix(gate[2]), gate[1], n)
-    return _full_cx(gate[1], gate[2], n)
+@lru_cache(maxsize=64)
+def _ry_generators(qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The register identity I and -iY on each listed qubit, G: (len(qubits), 1, 2^n, 2^n).
+
+    RotY(theta) on qubit q is cos(theta/2) I + sin(theta/2) G_q.
+    """
+    index = np.arange(2**n)
+    G = np.zeros((len(qubits), 1, 2**n, 2**n), dtype=complex)
+    for i, q in enumerate(qubits):
+        bit = 1 << (n - 1 - q)
+        low = index[(index & bit) == 0]
+        G[i, 0, low, low | bit] = -1.0
+        G[i, 0, low | bit, low] = 1.0
+    identity = np.eye(2**n)
+    for array in (identity, G):
+        array.setflags(write=False)
+    return identity, G
+
+
+def _gate_stacks(circuit: Circuit) -> list[np.ndarray]:
+    """Full-register matrix stacks of every gate: (k, 2^n, 2^n) per RotY, (1, 2^n, 2^n) per CNOT.
+
+    k is the batch size, 1 for an unbatched circuit.
+    """
+    n = circuit.qubit_count
+    rotations = [gate for gate in circuit.gates if gate[0] == "ry"]
+    # per-angle math.cos/math.sin: the numpy ufuncs can differ from them in the last bit
+    half = (np.array([gate[2] for gate in rotations], dtype=float) / 2.0).ravel().tolist()
+    shape = (len(rotations), circuit.batch_size or 1, 1, 1)
+    cos = np.reshape([math.cos(h) for h in half], shape)
+    sin = np.reshape([math.sin(h) for h in half], shape)
+    identity, generators = _ry_generators(tuple(gate[1] for gate in rotations), n)
+    stacks = iter(cos * identity + sin * generators)
+    return [next(stacks) if gate[0] == "ry" else _full_cx(gate[1], gate[2], n)[None]
+            for gate in circuit.gates]
 
 
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Two-qubit density-matrix evolution from |00> with depolarization after each CNOT.
 
     On two qubits the CNOT's pair is the whole register, so the pair channel
-    is rho -> (1-p) rho + p Tr(rho) I/4.
+    is rho -> (1-p) rho + p Tr(rho) I/4. Returns (4, 4), or (k, 4, 4) for a
+    batch of k.
     """
     if circuit.qubit_count != 2:
         raise ValueError("density simulation is implemented for 2-qubit circuits, "
                          f"got {circuit.qubit_count} qubits")
     p = noise.p_dep
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    for gate in circuit.gates:
-        U = _gate_matrix(gate, 2)
-        rho = U @ rho @ U.conj().T
+    rho = np.zeros((circuit.batch_size or 1, 4, 4), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    for gate, U in zip(circuit.gates, _gate_stacks(circuit)):
+        # RotY and CNOT are real, so U^dagger = U^T
+        rho = U @ rho @ U.transpose(0, 2, 1)
         if gate[0] == "cx":
-            rho = (1.0 - p) * rho + (p * np.trace(rho) / 4.0) * np.eye(4)
-    return rho
+            trace = rho.trace(axis1=1, axis2=2)[:, None, None]
+            rho = (1.0 - p) * rho + (p * trace / 4.0) * np.eye(4)
+    return rho[0] if circuit.batch_size is None else rho
 
 
 def calibrate_readout(noise: NoiseModel, qubit: int, shots: int) -> tuple[float, float]:

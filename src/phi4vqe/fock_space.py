@@ -224,7 +224,10 @@ def build_H(params: ModelParams, sector: tuple[int, int] | None = None) -> np.nd
 def _require_finite_hermitian(H: np.ndarray, caller: str) -> None:
     if not np.isfinite(H).all():
         raise ValueError(f"{caller} requires finite entries, got NaN or inf")
-    if np.max(np.abs(H - H.conj().T)) > 1e-10:
+    # a real H is compared with H.T directly, and an exactly Hermitian one
+    # (every block build_H makes) skips the difference matrix
+    adjoint = H.T if np.isrealobj(H) else H.conj().T
+    if not np.array_equal(H, adjoint) and np.max(np.abs(H - adjoint)) > 1e-10:
         raise ValueError(f"{caller} requires a Hermitian matrix")
 
 

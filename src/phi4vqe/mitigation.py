@@ -4,6 +4,10 @@ Stage one inverts the per-qubit readout bit-flip channel on sampled
 expectations, over the measured qubits of each word. Stage two reconstructs
 the two-qubit state from all 16 Pauli expectations and pushes it toward the
 nearest pure state with the McWeeny iteration rho <- 3 rho^2 - 2 rho^3.
+
+Every stage works on stacks: a batch of k circuits is one tomography pass
+(one draw of k x 15 word rows), k reconstructions and one purification loop
+that iterates each matrix until its own stopping test holds.
 """
 
 from __future__ import annotations
@@ -84,7 +88,10 @@ class PurificationReport:
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Corrected and uncorrected reconstructions built from the same tallies."""
+    """Corrected and uncorrected reconstructions built from the same tallies.
+
+    Each is (4, 4) for one circuit or (k, 4, 4) for a batch.
+    """
 
     rho: np.ndarray
     rho_raw: np.ndarray
@@ -93,25 +100,26 @@ class TomographyResult:
 def ro_correct(weights: np.ndarray, words: tuple[str, ...], cal: ReadoutCalibration) -> np.ndarray:
     """Readout-corrected <P> of every word from its register outcome weights.
 
-    ``weights[i, x]`` weighs outcome x of words[i], laid out as Counts.tallies:
-    sampled tallies, or an outcome distribution for analytic-channel checks.
+    ``weights[..., i, x]`` weighs outcome x of words[i], laid out as
+    Counts.tallies (leading axes for batches): sampled tallies, or an outcome
+    distribution for analytic-channel checks.
     Each outcome contributes, per measured qubit q, the factor
     ((-1)^{x_q} - p_q^-)/(1 - p_q^+), which inverts the independent bit-flip
     channel exactly in the infinite-shot limit.
     """
     n = len(cal.rates)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(words), 2**n) or any(len(w) != n for w in words):
+    if weights.shape[-2:] != (len(words), 2**n) or any(len(w) != n for w in words):
         raise ValueError(f"weights of shape {weights.shape} do not match "
                          f"{len(words)} words on {n} qubits")
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise ValueError("outcome weights must be finite and >= 0")
-    total = weights.sum(axis=1)
+    total = weights.sum(axis=-1)
     if (total <= 0).any():
         raise ValueError("empty counts")
     table = outcome_table(tuple(words), tuple(cal.p_minus(q) for q in range(n)),
                           tuple(cal.p_plus(q) for q in range(n)))
-    return (table * weights).sum(axis=1) / total
+    return (table * weights).sum(axis=-1) / total
 
 
 _TOMO_WORDS = tuple("".join(p) for p in product("IXYZ", repeat=2))
@@ -123,22 +131,72 @@ def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
                          cal: ReadoutCalibration) -> TomographyResult:
     """Full two-qubit state tomography with and without readout correction.
 
-    The 15 non-identity words are sampled from the circuit's noisy density
-    matrix in one batch; the corrected and raw estimates come from the same
-    tallies so the two reconstructions differ only by the correction stage.
+    The 15 non-identity words are sampled from the noisy density matrix of
+    the circuit, or of every circuit of a batch, in one draw; the corrected
+    and raw estimates come from the same tallies so the two reconstructions
+    differ only by the correction stage.
     """
-    if circuit.qubit_count != 2:
-        raise ValueError("tomography is implemented for 2-qubit circuits")
     counts = measure_pauli_density(simulate_density(circuit, noise), _TOMO_WORDS[1:], shots, noise)
-    values = np.concatenate(([1.0], ro_correct(counts.tallies, counts.words, cal)))
-    values_raw = np.concatenate(([1.0], counts_expectation(counts)))
-    return TomographyResult(rho=_reconstruct(values), rho_raw=_reconstruct(values_raw))
+    # corrected and raw <P> of the 15 words, then <II> = 1 in front
+    values = np.stack((ro_correct(counts.tallies, counts.words, cal), counts_expectation(counts)))
+    values = np.concatenate((np.ones(values.shape[:-1] + (1,)), values), axis=-1)
+    rho, rho_raw = _reconstruct(values)
+    return TomographyResult(rho=rho, rho_raw=rho_raw)
 
 
 def _reconstruct(values: np.ndarray) -> np.ndarray:
-    """(1/4) sum_P <P> P over the 16 two-qubit words, made exactly Hermitian."""
-    rho = (values @ _TOMO_TABLE).reshape(4, 4) / 4.0
-    return (rho + rho.conj().T) / 2.0
+    """(1/4) sum_P <P> P over the 16 two-qubit words, made exactly Hermitian: (..., 16) -> (..., 4, 4)."""
+    # one vector-matrix product per row: a (k, 16) @ (16, 16) product can differ in the last bit
+    rho = (values[..., None, :] @ _TOMO_TABLE).reshape(values.shape[:-1] + (4, 4)) / 4.0
+    return (rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0
+
+
+def _trace(rho: np.ndarray) -> np.ndarray:
+    return rho.trace(axis1=-2, axis2=-1)
+
+
+def _purify(rho: np.ndarray, eps_n: float = 1e-4,
+            max_iter: int = 100) -> tuple[np.ndarray, list[PurificationReport]]:
+    """mcweeny_purify on a (k, d, d) stack: each matrix iterates until its own test holds."""
+    if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
+        raise ValueError("density matrix must be square")
+    if np.max(np.abs(rho - np.swapaxes(rho.conj(), 1, 2))) > HERMITICITY_TOL:
+        raise ValueError("density matrix must be Hermitian")
+    trace = _trace(rho).real
+    for t in trace:
+        if not 0.5 <= t <= 1.5:
+            raise ValueError(f"trace {t} outside the tolerated window [0.5, 1.5]")
+    rho = rho / trace[:, None, None]
+    rho_sq = rho @ rho
+    initial_purity = _trace(rho_sq).real
+    eigenvalues = np.linalg.eigvalsh(rho)
+    basin = ((eigenvalues[:, -1] >= 0.5) & (eigenvalues[:, -1] < PURIFY_BASIN[1])
+             & (eigenvalues[:, 0] > PURIFY_BASIN[0]))
+    n_val = _trace(rho_sq - rho).real
+    iterations = np.zeros(len(rho), dtype=int)
+    # the matrices still iterating, all at the same count
+    active = np.flatnonzero(basin & (np.abs(n_val) >= eps_n))
+    part, part_sq = rho[active], rho_sq[active]
+    for count in range(1, max_iter + 1):
+        if not active.size:
+            break
+        part = 3.0 * part_sq - 2.0 * (part_sq @ part)
+        part = part / _trace(part).real[:, None, None]
+        part_sq = part @ part
+        part_n = _trace(part_sq - part).real
+        rho[active], n_val[active], iterations[active] = part, part_n, count
+        going = np.abs(part_n) >= eps_n
+        active, part, part_sq = active[going], part[going], part_sq[going]
+    # a flagged matrix is returned trace-normalized and otherwise unmodified
+    n_val = np.where(basin, n_val, initial_purity - 1.0)
+    reports = [
+        PurificationReport(iterations=int(i), non_idempotency=float(n),
+                           converged=bool(inside and abs(n) < eps_n),
+                           initial_purity=float(p0), final_purity=float(p1))
+        for i, n, p0, p1, inside in zip(iterations, n_val, initial_purity,
+                                        _trace(rho @ rho).real, basin)
+    ]
+    return rho, reports
 
 
 def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
@@ -154,48 +212,16 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
     any eigenvalue outside the interval, is flagged non-convergent and
     returned unmodified (trace-normalized).
     """
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2:
         raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("density matrix must be Hermitian")
-    trace = rho.trace().real
-    if not 0.5 <= trace <= 1.5:
-        raise ValueError(f"trace {trace} outside the tolerated window [0.5, 1.5]")
-    rho = rho / trace
-    initial_purity = float((rho @ rho).trace().real)
-    eigenvalues = np.linalg.eigvalsh(rho)
-    if (eigenvalues[-1] < 0.5 or eigenvalues[-1] >= PURIFY_BASIN[1]
-            or eigenvalues[0] <= PURIFY_BASIN[0]):
-        report = PurificationReport(
-            iterations=0,
-            non_idempotency=initial_purity - 1.0,
-            converged=False,
-            initial_purity=initial_purity,
-            final_purity=initial_purity,
-        )
-        return rho, report
-    iterations = 0
-    n_val = float((rho @ rho - rho).trace().real)
-    while abs(n_val) >= eps_n and iterations < max_iter:
-        rho_sq = rho @ rho
-        rho = 3.0 * rho_sq - 2.0 * (rho_sq @ rho)
-        rho = rho / rho.trace().real
-        iterations += 1
-        n_val = float((rho @ rho - rho).trace().real)
-    final_purity = float((rho @ rho).trace().real)
-    report = PurificationReport(
-        iterations=iterations,
-        non_idempotency=n_val,
-        converged=abs(n_val) < eps_n,
-        initial_purity=initial_purity,
-        final_purity=final_purity,
-    )
-    return rho, report
+    purified, reports = _purify(rho[None], eps_n, max_iter)
+    return purified[0], reports[0]
 
 
-def energy_from_state(rho: np.ndarray, H: PauliSum) -> float:
-    """Re Tr(rho H)."""
+def energy_from_state(rho: np.ndarray, H: PauliSum) -> float | np.ndarray:
+    """Re Tr(rho H); a (k, d, d) stack gives k values."""
     dim = 2**H.qubit_count
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim) or rho.ndim > 3:
         raise ValueError(f"state dimension {rho.shape} does not match operator on {H.qubit_count} qubits")
-    return float(np.trace(rho @ H.to_matrix()).real)
+    values = _trace(rho @ H.to_matrix()).real
+    return float(values) if rho.ndim == 2 else values

@@ -5,7 +5,9 @@ Nakanishi, Fujii & Todo, arXiv:1903.12166) over one of two ansatz families:
 two local RotY rotations (product) or the same plus one controlled rotation
 (entangled). Backends: exact statevector expectations, finite-shot sampling,
 or a noisy two-qubit tomography per evaluation with readout correction and
-purification.
+purification. The samples of one coordinate slice, and the re-evaluations at
+the optimum, are one batch: one circuit-simulation stack, one multinomial
+draw and one purification loop.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .lattice_model import ModelParams
 from .mitigation import (
     PurificationReport,
     ReadoutCalibration,
+    _purify,
     energy_from_state,
     mcweeny_purify,
     tomography_2q_detail,
@@ -155,12 +158,14 @@ class GapEstimate:
     gap_err: float
 
 
-def _build_circuit(theta):
-    if len(theta) == 2:
-        return ansatz_product(theta[0], theta[1])
-    if len(theta) == 3:
-        return ansatz_entangled(theta[0], theta[1], theta[2])
-    raise ValueError(f"parameter count {len(theta)} matches no ansatz (2 for product, 3 for entangled)")
+def _build_circuit(theta: np.ndarray):
+    """The ansatz circuit of one angle set, or the batch of a (k, 2|3) stack of them."""
+    if theta.shape[-1] == 2:
+        return ansatz_product(*theta.T)
+    if theta.shape[-1] == 3:
+        return ansatz_entangled(*theta.T)
+    raise ValueError(f"parameter count {theta.shape[-1]} matches no ansatz "
+                     "(2 for product, 3 for entangled)")
 
 
 def _require_two_qubit(sector: SectorHamiltonian) -> None:
@@ -227,8 +232,8 @@ def _coordinate_sweeps(fun, start, max_sweeps: int, tol: float) -> tuple[np.ndar
     for _ in range(max_sweeps):
         previous = energy
         for i in range(len(theta)):
-            values = [fun(theta + offset * unit[i]) for offset in _OFFSETS[_SAMPLES_PER_ANGLE[i]]]
-            step, energy = _slice_minimum(np.array(values))
+            offsets = _OFFSETS[_SAMPLES_PER_ANGLE[i]]
+            step, energy = _slice_minimum(fun(theta + offsets[:, None] * unit[i]))
             theta[i] += step
         if previous - energy < tol:
             return theta, energy, True
@@ -244,13 +249,16 @@ def _calibration(backend: BackendSpec) -> ReadoutCalibration:
 
 def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
                      cal: ReadoutCalibration | None = None,
-                     purification_log: list | None = None) -> float:
+                     purification_log: list | None = None) -> float | np.ndarray:
     """Energy of the ansatz state under the sector Hamiltonian, per backend.
 
-    The sampled backend measures the Hamiltonian's words on the statevector.
-    Every noisy evaluation is one two-qubit tomography of the depolarized
-    state (all 15 non-identity words from one draw); the energy is Tr(rho H)
-    over the readout-corrected reconstruction, or the raw one when
+    ``theta`` is one angle set, which gives a float, or a (k, 2|3) stack,
+    which gives k energies from one batch: the same values, draws and
+    purification reports as k calls in row order. The sampled backend
+    measures the Hamiltonian's words on the statevector. Every noisy
+    evaluation is one two-qubit tomography of the depolarized state (all 15
+    non-identity words, drawn for the whole batch at once); the energy is
+    Tr(rho H) over the readout-corrected reconstruction, or the raw one when
     correction is off, purified first when the ansatz is entangled and
     purification is on. Tr(rho H) weighs only the Hamiltonian's own words,
     so without purification it equals the word-by-word estimate. ``cal`` is
@@ -258,25 +266,31 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
     once and reuses it).
     """
     _require_two_qubit(sector)
-    circuit = _build_circuit(theta)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2):
+        raise ValueError(f"theta of shape {theta.shape} is neither one angle set nor a stack")
+    circuit = _build_circuit(np.atleast_2d(theta))
     H = sector.pauli
     if backend.kind == "exact":
-        return expectation_exact(apply_circuit(circuit, zero_state(2)), H)
-    if backend.kind == "sampled":
+        energies = expectation_exact(apply_circuit(circuit, zero_state(2)), H)
+    elif backend.kind == "sampled":
         words = tuple(w for _, w in H.terms if set(w) != {"I"})
         counts = measure_pauli(apply_circuit(circuit, zero_state(2)), words, backend.shots,
                                backend.noise)
         coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
-        return H.coefficient("I" * H.qubit_count).real + float(coeffs @ counts_expectation(counts))
-
-    detail = tomography_2q_detail(circuit, backend.noise, backend.shots,
-                                  _calibration(backend) if cal is None else cal)
-    rho = detail.rho if backend.readout_correction else detail.rho_raw
-    if len(theta) == 3 and backend.purification:
-        rho, report = mcweeny_purify(rho)
-        if purification_log is not None:
-            purification_log.append(report)
-    return energy_from_state(rho, H)
+        # one dot per row: a matrix-vector product can differ in the last bit
+        energies = H.coefficient("I" * H.qubit_count).real + np.array(
+            [coeffs @ row for row in counts_expectation(counts)])
+    else:
+        detail = tomography_2q_detail(circuit, backend.noise, backend.shots,
+                                      _calibration(backend) if cal is None else cal)
+        rho = detail.rho if backend.readout_correction else detail.rho_raw
+        if theta.shape[-1] == 3 and backend.purification:
+            rho, reports = _purify(rho)
+            if purification_log is not None:
+                purification_log.extend(reports)
+        energies = energy_from_state(rho, H)
+    return float(energies[0]) if theta.ndim == 1 else energies
 
 
 def _reseeded(backend: BackendSpec, seed) -> BackendSpec:
@@ -315,10 +329,10 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
 
     history: list[float] = []
 
-    def fun(x):
-        val = energy_objective(x, sector, backend, cal=cal)
-        history.append(float(val))
-        return val
+    def fun(thetas):
+        values = energy_objective(thetas, sector, backend, cal=cal)
+        history.extend(values.tolist())
+        return values
 
     exact = backend.kind == "exact"
     runs = [_coordinate_sweeps(fun, start, EXACT_MAX_SWEEPS if exact else SWEEPS,
@@ -327,10 +341,8 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
     best_x, _, settled = min(runs, key=lambda run: run[1])
 
     reports: list[PurificationReport] = []
-    samples = [
-        energy_objective(best_x, sector, backend, cal=cal, purification_log=reports)
-        for _ in range(1 if exact else REEVALUATIONS)
-    ]
+    samples = energy_objective(np.tile(best_x, (1 if exact else REEVALUATIONS, 1)), sector,
+                               backend, cal=cal, purification_log=reports)
     energy = float(np.mean(samples))
     uncertainty = 0.0 if exact else float(np.std(samples, ddof=1))
     return VqeResult(
@@ -391,7 +403,7 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
     if backend.kind != "noisy_mitigated":
         raise ValueError("mitigation comparison needs the noisy_mitigated backend")
     backend = _reseeded(backend, seed)
-    circuit = _build_circuit(theta)
+    circuit = _build_circuit(np.asarray(theta, dtype=float))
     detail = tomography_2q_detail(circuit, backend.noise, backend.shots, _calibration(backend))
     rho, report = mcweeny_purify(detail.rho)
     e_mitigated = energy_from_state(rho, sector.pauli)

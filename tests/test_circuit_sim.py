@@ -16,7 +16,6 @@ from phi4vqe.circuit_sim import (
     expectation_exact,
     measure_pauli,
     measure_pauli_density,
-    ry_matrix,
     simulate_density,
     zero_state,
 )
@@ -31,8 +30,11 @@ def random_state(n_qubits, rng):
 # ---------------------------------------------------------------- gates
 
 def test_ry_matrix_convention():
+    # the columns of RotY(0.3) are its images of |0> and |1>
     c, s = math.cos(0.15), math.sin(0.15)
-    assert np.allclose(ry_matrix(0.3), [[c, -s], [s, c]], atol=1e-15)
+    gate = Circuit(1, (("ry", 0, 0.3),))
+    columns = [apply_circuit(gate, basis) for basis in np.eye(2, dtype=complex)]
+    assert np.allclose(np.transpose(columns), [[c, -s], [s, c]], atol=1e-15)
 
 
 def test_ry_pi_flips_zero():
@@ -305,7 +307,62 @@ def test_sampler_makes_one_multinomial_draw_per_measurement_call(record_draws):
     for words in ((), ("ZZ",), ("IZ", "II"), ("XY", "ZZ", "IX", "YI", "II")):
         measure_pauli(state, words, 1000, noise)
         measure_pauli_density(rho, words, 1000, noise)
-    assert calls == ["multinomial"] * 8
+        # a stack of states is still one draw
+        measure_pauli(np.stack([state] * 3), words, 1000, noise)
+        measure_pauli_density(np.stack([rho] * 3), words, 1000, noise)
+    assert calls == ["multinomial"] * 16
+
+
+@pytest.mark.parametrize("measure", ["pure", "density"])
+def test_stacked_draw_equals_draws_in_batch_order(measure):
+    # one draw over k x W rows consumes the stream exactly as k draws would
+    angles = np.array([[0.5, 0.2, 0.9], [-1.3, 2.0, 0.1], [3.0, -0.7, -2.2]])
+    batch = ansatz_entangled(*angles.T)
+    if measure == "pure":
+        states, run = apply_circuit(batch, zero_state(2)), measure_pauli
+    else:
+        states, run = simulate_density(batch, NoiseModel.noiseless(2)), measure_pauli_density
+    words = ("XY", "ZZ", "IX")
+    stacked, single = (NoiseModel(p10=(0.02, 0.09), p01=(0.13, 0.05), seed=8) for _ in range(2))
+    counts = run(states, words, 500, stacked)
+    assert counts.tallies.shape == (3, 3, 4)
+    for state, tallies in zip(states, counts.tallies):
+        assert np.array_equal(run(state, words, 500, single).tallies, tallies)
+    assert stacked.rng.bit_generator.state == single.rng.bit_generator.state
+
+
+def test_batched_circuit_matches_its_members():
+    angles = np.array([[0.5, 0.2, 0.9], [-1.3, 2.0, 0.1]])
+    batch = ansatz_entangled(*angles.T)
+    assert batch.batch_size == 2 and ansatz_entangled(*angles[0]).batch_size is None
+    noise = NoiseModel.uniform(2, p_dep=0.05)
+    states, rhos = apply_circuit(batch, zero_state(2)), simulate_density(batch, noise)
+    for row, state, rho in zip(angles, states, rhos):
+        assert np.array_equal(apply_circuit(ansatz_entangled(*row), zero_state(2)), state)
+        assert np.array_equal(simulate_density(ansatz_entangled(*row), noise), rho)
+
+
+@pytest.mark.parametrize("angles", [
+    (np.array([0.1, 0.2]), np.array([0.3])),
+    (np.array([0.1, 0.2]), 0.3),
+    (np.zeros((2, 2)), np.zeros((2, 2))),
+], ids=["lengths", "mixed", "2-d"])
+def test_circuit_rejects_inconsistent_batch_angles(angles):
+    with pytest.raises(ValueError, match="one length"):
+        ansatz_product(*angles)
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_measure_pauli_rejects_non_power_of_two_state(length):
+    state = np.zeros(length, dtype=complex)
+    state[0] = 1.0
+    with pytest.raises(ValueError, match=f"state dimension {length} is not a power of two"):
+        measure_pauli(state, ("ZZ",), 10, NoiseModel.noiseless(2))
+
+
+def test_measure_pauli_density_rejects_non_square_matrix():
+    with pytest.raises(ValueError, match=r"shape \(4, 3\) is not square"):
+        measure_pauli_density(np.eye(4, 3), ("ZZ",), 10, NoiseModel.noiseless(2))
 
 
 # ---------------------------------------------------------------- density matrices

@@ -14,6 +14,7 @@ from phi4vqe.circuit_sim import (
 )
 from phi4vqe.mitigation import (
     ReadoutCalibration,
+    _purify,
     energy_from_state,
     mcweeny_purify,
     ro_correct,
@@ -260,6 +261,57 @@ def test_mcweeny_flags_eigenvalues_outside_its_basin(spectrum):
     assert not report.converged
     assert report.iterations == 0
     assert np.max(np.abs(out - rho)) < 1e-12
+
+
+def rotated(spectrum, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rho = (q * np.array(spectrum)) @ q.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("max_iter", [100, 2])
+def test_purify_core_gives_every_matrix_its_own_report(max_iter):
+    # a pure state (0 iterations), near-pure states that need different
+    # iteration counts, a dominant eigenvalue below 1/2 and an eigenvalue
+    # outside the basin, purified as one stack
+    batch = np.stack([
+        depolarized_pure(0.0, seed=61)[0],
+        *(depolarized_pure(eps, seed=62)[0] for eps in (0.01, 0.2, 0.45)),
+        rotated((0.45, 0.3, 0.15, 0.1), seed=63),
+        rotated((1.2, 0.3, -0.5, 0.0), seed=64),
+    ])
+    out, reports = _purify(batch, max_iter=max_iter)
+    for rho, got, report in zip(batch, out, reports):
+        want, want_report = mcweeny_purify(rho, max_iter=max_iter)
+        assert report == want_report
+        assert np.array_equal(got, want)
+    for flagged in reports[4:]:
+        assert flagged.final_purity == flagged.initial_purity
+        assert flagged.non_idempotency == flagged.initial_purity - 1.0
+    if max_iter == 100:
+        assert [r.iterations for r in reports[:4]] == sorted({r.iterations for r in reports[:4]})
+        assert [r.converged for r in reports] == [True] * 4 + [False] * 2
+    else:
+        assert [r.iterations for r in reports] == [0, 2, 2, 2, 0, 0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 4]),
+       parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+           lambda v: sum(x * x for x in v) > 1e-2))
+def test_mcweeny_returns_a_projector_unchanged(dim, parts):
+    # P = |v><v| is idempotent, so it is the iteration's fixed point
+    v = np.array(parts[:dim]) + 1j * np.array(parts[4:4 + dim])
+    if np.linalg.norm(v) < 1e-3:
+        v[0] += 1.0
+    v /= np.linalg.norm(v)
+    P = np.outer(v, v.conj())
+    P = (P + P.conj().T) / 2.0
+    out, report = mcweeny_purify(P)
+    assert report.iterations == 0 and report.converged
+    assert abs(report.non_idempotency) < 1e-12
+    assert np.max(np.abs(out - P)) < 1e-12
 
 
 def test_mcweeny_input_validation():

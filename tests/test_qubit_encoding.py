@@ -67,6 +67,17 @@ def test_encode_round_trip_random_hermitian():
         assert np.max(np.abs(encode_matrix(M).to_matrix() - M)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_qubits=st.integers(1, 3), data=st.data())
+def test_encode_round_trips_any_complex_matrix(n_qubits, data):
+    dim = 2**n_qubits
+    parts = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * dim * dim,
+                               max_size=2 * dim * dim))
+    M = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(dim, dim)
+    # coefficients below COEFF_TOL are dropped, at most 4^n of them
+    assert np.max(np.abs(encode_matrix(M).to_matrix() - M)) < 1e-10
+
+
 def test_encode_hermitian_gives_real_coefficients():
     rng = np.random.default_rng(4)
     M = random_hermitian(8, rng)

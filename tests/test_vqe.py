@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H
@@ -88,7 +89,54 @@ def test_energy_objective_makes_one_draw_per_evaluation(record_draws, backend, t
     calls = record_draws(backend.noise)
     for _ in range(3):
         energy_objective(theta, ground, backend, cal=cal)
-    assert calls == ["multinomial"] * 3
+    # a batch of angle sets is one draw too
+    energy_objective(np.tile(theta, (5, 1)), ground, backend, cal=cal)
+    assert calls == ["multinomial"] * 4
+
+
+def batch_backend(kind, shots, seed):
+    noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=seed)
+    return {
+        "exact": BackendSpec.exact,
+        "sampled": lambda: BackendSpec.sampled(shots=shots, seed=seed),
+        "noisy": lambda: BackendSpec.noisy(noise, shots=shots),
+        "noisy-unpurified": lambda: BackendSpec.noisy(noise, shots=shots, purification=False),
+        "noisy-uncorrected": lambda: BackendSpec.noisy(noise, shots=shots,
+                                                       readout_correction=False),
+    }[kind]()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["exact", "sampled", "noisy", "noisy-unpurified", "noisy-uncorrected"]),
+       n_params=st.sampled_from([2, 3]), shots=st.sampled_from([4, 64, 8192]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_batched_objective_equals_scalar_calls(kind, n_params, shots, seed, data):
+    # one call on k angle sets: bit-equal energies, the same purification
+    # reports and the same generator state as k calls in row order
+    k = data.draw(st.integers(1, 10), label="k")
+    theta = np.array(data.draw(st.lists(st.lists(st.floats(-7.0, 7.0), min_size=n_params,
+                                                 max_size=n_params),
+                                        min_size=k, max_size=k), label="theta"))
+    ground, _ = sectors(benchmark(6.0))
+    batched, scalar = batch_backend(kind, shots, seed), batch_backend(kind, shots, seed)
+    cal = None if kind == "exact" else ReadoutCalibration.exact_from_noise(batched.noise)
+    batch_log, scalar_log = [], []
+    energies = energy_objective(theta, ground, batched, cal=cal, purification_log=batch_log)
+    singles = [energy_objective(row, ground, scalar, cal=cal, purification_log=scalar_log)
+               for row in theta]
+    assert energies.shape == (k,) and all(type(e) is float for e in singles)
+    assert [e.hex() for e in energies.tolist()] == [e.hex() for e in singles]
+    assert batch_log == scalar_log
+    if kind.startswith("noisy") and kind != "noisy-unpurified" and n_params == 3:
+        assert len(batch_log) == k
+    if kind != "exact":
+        assert batched.noise.rng.bit_generator.state == scalar.noise.rng.bit_generator.state
+
+
+def test_energy_objective_rejects_a_theta_of_rank_three():
+    ground, _ = sectors(benchmark(6.0))
+    with pytest.raises(ValueError, match="neither one angle set nor a stack"):
+        energy_objective(np.zeros((2, 2, 3)), ground, BackendSpec.exact())
 
 
 def test_energy_objective_rejects_wrong_parameter_count():
