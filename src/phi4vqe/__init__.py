@@ -1,10 +1,11 @@
 """Truncated-Fock lattice phi^4 Hamiltonians and a simulated variational solver.
 
-The package is organized in layers: lattice_model (parameters, dispersion,
-counterterms), fock_space (truncated operators, exact spectra, critical
-fits), qubit_encoding (parity sectors and Pauli sums), circuit_sim (gates,
-sampling, noise), mitigation (readout correction, tomography, purification),
-vqe (the hybrid loop), and cli (config-driven experiments).
+The package is organized in layers: lattice_model (parameters, momentum grid,
+counterterms), fock_space (truncated operators, (Z2, P) sector blocks, exact
+spectra, critical fits), qubit_encoding (sector Hamiltonians and Pauli sums),
+circuit_sim (gates, sampling, noise), mitigation (readout correction,
+tomography, purification), vqe (the hybrid loop), and cli (config-driven
+experiments).
 """
 
 from .circuit_sim import (
@@ -25,7 +26,6 @@ from .fock_space import (
     CriticalFit,
     Spectrum,
     build_H,
-    build_H0,
     build_HI,
     critical_curve,
     critical_exponent_fit,
@@ -34,6 +34,7 @@ from .fock_space import (
     mass_gap,
     number_op,
     quadrature,
+    sector_blocks,
     sector_indices,
     sector_spectrum,
     solve_counterterm,
@@ -43,7 +44,6 @@ from .lattice_model import (
     MomentumGrid,
     counterterm_continuum,
     counterterm_first_order,
-    dispersion,
     momentum_grid,
 )
 from .mitigation import (
@@ -61,7 +61,6 @@ from .qubit_encoding import (
     encode_matrix,
     parity_blocks,
     pauli_word_matrix,
-    sector_by_parity,
 )
 from .vqe import (
     BackendSpec,

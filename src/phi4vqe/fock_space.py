@@ -22,7 +22,8 @@ three, and spectra come from the real symmetric eigensolver.
 
 H conserves the field parity Z2 = sum_j n_j mod 2 and the total momentum
 P = sum_j j n_j mod L (in units of 2 pi / L) of an occupation basis state, so
-the three parts are also sliced once per basis into (Z2, P) sector blocks;
+the three parts are also sliced once per basis into (Z2, P) sector blocks by
+sector_blocks, the one slicer (qubit_encoding.parity_blocks wraps it too);
 spectra and gaps diagonalize the blocks and merge their levels.
 """
 
@@ -45,11 +46,10 @@ __all__ = [
     "number_op",
     "quadrature",
     "embed",
-    "build_H0",
     "build_HI",
     "build_H",
     "sector_indices",
-    "off_sector_max",
+    "sector_blocks",
     "exact_spectrum",
     "sector_spectrum",
     "mass_gap",
@@ -62,6 +62,9 @@ __all__ = [
 DEGENERACY_TOL = 1e-12
 # Largest matrix entry allowed between two (Z2, P) sectors.
 SECTOR_TOL = 1e-10
+# Bisection of solve_counterterm: bracket width at which it stops, and its step cap.
+COUNTERTERM_TOL = 1e-8
+COUNTERTERM_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -161,40 +164,36 @@ def sector_indices(L: int, n_max: int) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
-def off_sector_max(M: np.ndarray, L: int, n_max: int) -> float:
-    """Largest |M[i, j]| over basis states i, j in different (Z2, P) sectors."""
+def sector_blocks(M: np.ndarray, L: int, n_max: int,
+                  name: str = "H") -> dict[tuple[int, int], np.ndarray]:
+    """Read-only blocks M[sector, sector] per (Z2, P) sector, keyed in sector_indices order.
+
+    Rows and columns follow sector_indices. Raises ValueError when M is not
+    n_max^L square or has an entry above SECTOR_TOL between two sectors, so
+    that the blocks hold the whole matrix; name labels M in that message.
+    """
     if np.shape(M) != (n_max**L, n_max**L):
         raise ValueError(f"expected a {n_max**L} x {n_max**L} matrix for L={L}, "
                          f"n_max={n_max}, got shape {np.shape(M)}")
+    sectors = sector_indices(L, n_max)
     rest = np.abs(M)
-    for indices in sector_indices(L, n_max).values():
+    for indices in sectors.values():
         rest[np.ix_(indices, indices)] = 0.0
-    return float(rest.max())
+    leak = rest.max()
+    if leak > SECTOR_TOL:
+        raise ValueError(f"{name} couples two (Z2, P) sectors (max |entry| = {leak:.3e})")
+    blocks = {label: M[np.ix_(indices, indices)] for label, indices in sectors.items()}
+    for block in blocks.values():
+        block.setflags(write=False)
+    return blocks
 
 
 @lru_cache(maxsize=8)
 def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
-    """Read-only (H0, A, B) blocks per (Z2, P) sector, sliced once per Fock basis.
-
-    Raises ValueError when a part couples two sectors, so that the blocks
-    hold the whole operator.
-    """
-    parts = _linear_parts(L, m_sq, n_max)
-    for name, part in zip(("H0", "A", "B"), parts):
-        leak = off_sector_max(part, L, n_max)
-        if leak > SECTOR_TOL:
-            raise ValueError(f"{name} couples two (Z2, P) sectors (max |entry| = {leak:.3e})")
-    blocks = {}
-    for label, indices in sector_indices(L, n_max).items():
-        blocks[label] = tuple(part[np.ix_(indices, indices)] for part in parts)
-        for block in blocks[label]:
-            block.setflags(write=False)
-    return blocks
-
-
-def build_H0(params: ModelParams) -> np.ndarray:
-    """Free Hamiltonian sum_k omega(k) n(k), diagonal, zero-point energy discarded."""
-    return _linear_parts(params.L, params.m_sq, params.n_max)[0].copy()
+    """Read-only (H0, A, B) blocks per (Z2, P) sector, sliced once per Fock basis."""
+    sliced = [sector_blocks(part, L, n_max, name)
+              for name, part in zip(("H0", "A", "B"), _linear_parts(L, m_sq, n_max))]
+    return {label: tuple(blocks[label] for blocks in sliced) for label in sliced[0]}
 
 
 def build_HI(params: ModelParams) -> np.ndarray:
@@ -277,12 +276,7 @@ def mass_gap(params: ModelParams) -> float:
     return sector_spectrum(params).gap
 
 
-def solve_counterterm(
-    params: ModelParams,
-    target_m_sq: float,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> float:
+def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
     """Counter term delta_m at which the squared mass gap equals target_m_sq.
 
     Bisection on delta_m over [-|m0_sq| - m_sq - lambda, m_sq + lambda]; the gap
@@ -303,9 +297,9 @@ def solve_counterterm(
             f"no sign change on delta_m bracket [{lo}, {hi}] "
             f"(f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g})"
         )
-    for _ in range(max_iter):
+    for _ in range(COUNTERTERM_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < COUNTERTERM_TOL:
             break
         f_mid = excess(mid)
         if f_lo * f_mid <= 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "ModelParams",
     "MomentumGrid",
     "momentum_grid",
-    "dispersion",
     "counterterm_first_order",
     "counterterm_continuum",
 ]
@@ -48,16 +48,16 @@ class ModelParams:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise ValueError(f"L must be a positive integer, got {self.L}")
+        for name, least in (("L", 1), ("n_max", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (math.isfinite(self.m_sq) and self.m_sq > 0):
             raise ValueError(f"reference mass m_sq must be finite and > 0, got {self.m_sq}")
         for name in ("delta_m", "lam"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be at least 2, got {self.n_max}")
 
     @property
     def m0_sq(self) -> float:
@@ -90,14 +90,6 @@ class MomentumGrid:
 
     momenta: np.ndarray
     frequencies: np.ndarray
-
-
-def dispersion(k: float, m_sq: float) -> float:
-    """Nonnegative root of omega(k)^2 = m_sq + 4 sin^2(k/2)."""
-    radicand = m_sq + 4.0 * math.sin(k / 2.0) ** 2
-    if radicand < 0:
-        raise ValueError(f"negative dispersion radicand {radicand}: unphysical reference mass")
-    return math.sqrt(radicand)
 
 
 def momentum_grid(params: ModelParams) -> MomentumGrid:

@@ -1,4 +1,4 @@
-"""Pauli-sum encoding of truncated-Fock operators and parity-sector reduction.
+"""Pauli-sum encoding of truncated-Fock operators and symmetry-sector reduction.
 
 Conventions fixed project-wide: qubit 0 is the leftmost label of a Pauli word
 and the most significant bit of a basis index; mode 0 (the k = 0 momentum) is
@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fock_space import SECTOR_TOL, off_sector_max, sector_indices
+from .fock_space import sector_blocks
 from .lattice_model import ModelParams
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "encode_matrix",
     "pauli_word_matrix",
     "parity_blocks",
-    "sector_by_parity",
 ]
 
 PAULI = {
@@ -105,6 +104,10 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
     dim = M.shape[0]
     if M.shape != (dim, dim):
         raise ValueError(f"matrix must be square, got {M.shape}")
+    if dim == 0:
+        raise ValueError("matrix must be non-empty, got shape (0, 0)")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite, got NaN or inf")
     n = int(math.log2(dim))
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -123,14 +126,10 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """One parity block: '+' keeps even occupancies, '-' odd, per mode.
+    """The block of H in one (Z2, P) sector, label (Z2, P), rows in sector_indices order."""
 
-    basis_map lists the retained occupancy tuples in block-row order.
-    """
-
-    parities: tuple[str, ...]
+    label: tuple[int, int]
     block: np.ndarray
-    basis_map: tuple[tuple[int, ...], ...]
 
     @cached_property
     def pauli(self) -> PauliSum:
@@ -139,40 +138,11 @@ class SectorHamiltonian:
 
 
 def parity_blocks(H: np.ndarray, params: ModelParams) -> list[SectorHamiltonian]:
-    """Decompose H into the 2^L per-mode parity sectors, for L <= 2.
+    """H split into its read-only (Z2, P) sector blocks, in sector_indices order.
 
-    At L <= 2 a per-mode parity tuple is exactly one (Z2, P) sector of
-    fock_space (at L = 2, n_1 mod 2 = P), so the blocks are sliced with that
-    labelling, rows in ascending basis order. Rejects L >= 3, where per-mode
-    parity is not a symmetry of H, and an H with an entry between two sectors.
+    Z2 is the field parity and P the total momentum (see fock_space), a
+    symmetry of H at every L and n_max. Raises ValueError when H has the wrong
+    size or an entry between two sectors.
     """
-    L, n_max = params.L, params.n_max
-    if L > 2:
-        raise ValueError(f"parity blocking requires L <= 2, got L={L}: per-mode parity is "
-                         "a symmetry of H only up to two sites; use the (Z2, P) sectors of "
-                         "fock_space.build_H(params, sector) instead")
-    if n_max % 2 != 0:
-        raise ValueError("parity blocking requires even n_max")
-    violation = off_sector_max(H, L, n_max)
-    if violation > SECTOR_TOL:
-        raise ValueError(f"Hamiltonian violates per-mode parity symmetry "
-                         f"(largest entry between sectors {violation:.3e})")
-
-    by_label = sector_indices(L, n_max)
-    sectors = []
-    for parities in itertools.product("+-", repeat=L):
-        odd = [p == "-" for p in parities]
-        # the (Z2, P) of every state with these per-mode parities, at L <= 2
-        indices = by_label[(sum(odd) % 2, sum(j * o for j, o in enumerate(odd)) % L)]
-        occupations = np.unravel_index(indices, (n_max,) * L)
-        basis_map = tuple(tuple(int(n) for n in occ) for occ in zip(*occupations))
-        block = H[np.ix_(indices, indices)]
-        sectors.append(SectorHamiltonian(parities=parities, block=block, basis_map=basis_map))
-    return sectors
-
-
-def sector_by_parity(sectors: list[SectorHamiltonian], parities: tuple[str, ...]) -> SectorHamiltonian:
-    for sector in sectors:
-        if sector.parities == tuple(parities):
-            return sector
-    raise KeyError(f"no sector with parities {parities}")
+    blocks = sector_blocks(H, params.L, params.n_max)
+    return [SectorHamiltonian(label, block) for label, block in blocks.items()]

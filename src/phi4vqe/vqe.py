@@ -1,4 +1,4 @@
-"""Hybrid variational loop over the parity-sector Hamiltonians.
+"""Hybrid variational loop over the symmetry-sector Hamiltonians.
 
 Energies are minimized by coordinate sweeps (sequential minimal optimization,
 Nakanishi, Fujii & Todo, arXiv:1903.12166) over one of two ansatz families:
@@ -39,7 +39,7 @@ from .mitigation import (
     mcweeny_purify,
     tomography_2q_detail,
 )
-from .qubit_encoding import SectorHamiltonian, parity_blocks, sector_by_parity
+from .qubit_encoding import SectorHamiltonian, parity_blocks
 
 __all__ = [
     "BackendSpec",
@@ -361,24 +361,20 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
 def benchmark_sectors(params: ModelParams) -> tuple[SectorHamiltonian, SectorHamiltonian]:
     """The two sectors the gap benchmark compares: (ground, excited).
 
-    The ground state lives in the all-even sector (+,+,...) and the first
-    excited state in the sector odd in mode 0 only, (-,+,...). Memoized on
+    The ground state lives in the even zero-momentum sector (Z2, P) = (0, 0)
+    and the first excited state, one quantum at rest, in (1, 0). Memoized on
     the frozen params, so the optimizer, the oracle and the mitigation
     comparison of one point share one build; the blocks are read-only.
     """
-    blocks = parity_blocks(build_H(params), params)
-    rest = ("+",) * (params.L - 1)
-    pair = sector_by_parity(blocks, ("+",) + rest), sector_by_parity(blocks, ("-",) + rest)
-    for sector in pair:
-        sector.block.setflags(write=False)
-    return pair
+    sectors = {sector.label: sector for sector in parity_blocks(build_H(params), params)}
+    return sectors[(0, 0)], sectors[(1, 0)]
 
 
 def mass_gap_vqe(params: ModelParams, backend: BackendSpec,
                  ansatz: str = "entangled", seed=None) -> GapEstimate:
     """Optimize the two benchmark sectors and report the gap.
 
-    The ground and first excited states live in different parity sectors
+    The ground and first excited states live in different (Z2, P) sectors
     (see benchmark_sectors), so the gap needs no excited-state machinery
     beyond a second sector optimization. Uncertainties add in quadrature.
     """

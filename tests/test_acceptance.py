@@ -23,7 +23,7 @@ from phi4vqe.fock_space import (
     critical_exponent_fit,
     quadrature,
 )
-from phi4vqe.qubit_encoding import encode_matrix, parity_blocks, sector_by_parity
+from phi4vqe.qubit_encoding import encode_matrix, parity_blocks
 from phi4vqe.circuit_sim import (
     NoiseModel,
     ansatz_product,
@@ -45,9 +45,8 @@ def benchmark(lam, n_max=4, m0_sq=-1.5):
 
 
 def ground_and_excited_sectors(params):
-    blocks = parity_blocks(build_H(params), params)
-    return (sector_by_parity(blocks, ("+", "+")),
-            sector_by_parity(blocks, ("-", "+")))
+    blocks = {b.label: b for b in parity_blocks(build_H(params), params)}
+    return blocks[(0, 0)], blocks[(1, 0)]
 
 
 # ------------------------------------------------------------------ criterion 1
@@ -147,7 +146,7 @@ def test_criterion_04_truncation_convergence():
 
 def test_criterion_05_parity_blocking_completeness():
     # eigenvalue multiset preserved to 1e-10 on random couplings; ground state in
-    # the even sector and first excited in the (-,+) sector across the benchmark grid
+    # the (0, 0) sector and first excited in the (1, 0) sector across the benchmark grid
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):

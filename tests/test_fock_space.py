@@ -8,7 +8,6 @@ from phi4vqe import fock_space
 from phi4vqe.lattice_model import ModelParams, momentum_grid
 from phi4vqe.fock_space import (
     build_H,
-    build_H0,
     build_HI,
     critical_curve,
     critical_exponent_fit,
@@ -18,6 +17,7 @@ from phi4vqe.fock_space import (
     mass_gap,
     number_op,
     quadrature,
+    sector_blocks,
     sector_indices,
     sector_spectrum,
     solve_counterterm,
@@ -108,29 +108,30 @@ def test_embed_rejects_out_of_range_mode():
 
 
 # ---------------------------------------------------------------- free Hamiltonian
+# build_H at delta_m = lambda = 0 is H0 + 0 A + 0 B, bit-equal to H0
 
-def test_build_H0_two_site_diagonal():
-    H0 = build_H0(bench(n_max=2))
+def test_free_H_two_site_diagonal():
+    H0 = build_H(bench(n_max=2))
     assert np.allclose(np.diag(H0), [0.0, SQ5, 1.0, 1.0 + SQ5], atol=1e-14)
     assert np.allclose(H0, np.diag(np.diag(H0)), atol=1e-15)
 
 
-def test_build_H0_vacuum_at_zero():
-    H0 = build_H0(bench(n_max=8))
+def test_free_H_vacuum_at_zero():
+    H0 = build_H(bench(n_max=8))
     assert np.min(np.diag(H0)) == 0.0
 
 
-def test_build_H0_single_site_ladder():
+def test_free_H_single_site_ladder():
     p = ModelParams.from_counterterm(L=1, m_sq=4.0, delta_m=0.0, lam=0.0, n_max=3)
-    assert np.allclose(np.diag(build_H0(p)), [0.0, 2.0, 4.0], atol=1e-14)
+    assert np.allclose(np.diag(build_H(p)), [0.0, 2.0, 4.0], atol=1e-14)
 
 
-def test_build_H0_eigenvalues_are_occupation_sums():
+def test_free_H_eigenvalues_are_occupation_sums():
     p = bench(n_max=4)
     grid = momentum_grid(p)
     sums = sorted(n0 * grid.frequencies[0] + n1 * grid.frequencies[1]
                   for n0 in range(4) for n1 in range(4))
-    assert np.allclose(np.sort(np.diag(build_H0(p))), sums, atol=1e-12)
+    assert np.allclose(np.sort(np.diag(build_H(p))), sums, atol=1e-12)
 
 
 # ---------------------------------------------------------------- interaction
@@ -173,7 +174,8 @@ def test_hamiltonian_commutes_with_mode_parity():
 
 def test_build_H_is_sum_of_parts():
     p = bench(lam=6.0, delta_m=-1.0, n_max=4)
-    assert np.allclose(build_H(p), build_H0(p) + build_HI(p), atol=1e-14)
+    assert np.allclose(build_H(p), build_H(p.with_delta(0.0).with_lam(0.0)) + build_HI(p),
+                       atol=1e-14)
 
 
 # ---------------------------------------------------------------- linear form
@@ -215,7 +217,7 @@ def test_build_H_is_writeable_symmetric_float64(n_max):
 
 @pytest.mark.parametrize("n_max", [4, 8, 16])
 def test_build_H_is_linear_in_counterterm_and_coupling(n_max):
-    H0 = build_H0(bench(n_max=n_max))
+    H0 = build_H(bench(n_max=n_max))
     A = build_HI(bench(delta_m=1.0, n_max=n_max))
     B = build_HI(bench(lam=1.0, n_max=n_max))
     for delta_m, lam in COUPLINGS:
@@ -237,7 +239,7 @@ def test_build_H_spectrum_matches_complex_reference(n_max):
 def test_build_H_returns_fresh_arrays():
     p = bench(lam=6.0, delta_m=-1.0, n_max=8)
     want = build_H(p).copy()
-    for build in (build_H, build_H0, build_HI):
+    for build in (build_H, build_HI):
         out = build(p)
         out += 1.0
     assert np.array_equal(build_H(p), want)
@@ -280,7 +282,7 @@ def test_build_H_matches_complex_reference_beyond_two_sites(L, n_max):
 # ---------------------------------------------------------------- spectra
 
 def test_exact_spectrum_free_two_level():
-    spec = exact_spectrum(build_H0(bench(n_max=2)))
+    spec = exact_spectrum(build_H(bench(n_max=2)))
     assert np.allclose(spec.eigenvalues, [0.0, 1.0, SQ5, 1.0 + SQ5], atol=1e-13)
     assert spec.gap == pytest.approx(1.0, abs=1e-13)
     assert not spec.degenerate
@@ -396,6 +398,16 @@ def test_sector_blocks_reject_a_part_that_couples_sectors(monkeypatch):
             build_H(bench(n_max=2, m_sq=3.21), (0, 0))
     finally:
         fock_space._sector_parts.cache_clear()
+
+
+def test_sector_blocks_name_the_matrix_that_couples_sectors():
+    M = np.eye(4)
+    M[0, 1] = M[1, 0] = fock_space.SECTOR_TOL  # at the tolerance: accepted
+    assert len(sector_blocks(M, 2, 2, "M")) == 4
+    M[0, 1] = M[1, 0] = 1e-9
+    message = r"^M couples two \(Z2, P\) sectors \(max \|entry\| = 1.000e-09\)$"
+    with pytest.raises(ValueError, match=message):
+        sector_blocks(M, 2, 2, "M")
 
 
 SECTOR_BASES = ([(1, n) for n in range(2, 11)] + [(2, n) for n in range(2, 11)]

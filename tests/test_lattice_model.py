@@ -8,7 +8,6 @@ from phi4vqe.lattice_model import (
     ModelParams,
     counterterm_continuum,
     counterterm_first_order,
-    dispersion,
     momentum_grid,
 )
 
@@ -20,35 +19,35 @@ def params(L=2, m_sq=1.0, m0_sq=None, delta_m=None, lam=0.0, n_max=4):
                                         lam=lam, n_max=n_max)
 
 
-# ---------------------------------------------------------------- dispersion
+# ---------------------------------------------------------------- momentum grid
 
-def test_dispersion_zero_momentum():
-    assert dispersion(0.0, 1.5) == pytest.approx(math.sqrt(1.5), abs=1e-15)
-
-
-def test_dispersion_zone_boundary_massless():
-    assert dispersion(math.pi, 0.0) == pytest.approx(2.0, abs=1e-15)
+def test_momentum_grid_zero_momentum_is_the_reference_mass():
+    for L in (1, 2, 5):
+        grid = momentum_grid(params(L=L, m_sq=1.5, n_max=2))
+        assert grid.frequencies[0] == pytest.approx(math.sqrt(1.5), abs=1e-15)
 
 
-def test_dispersion_zone_boundary_unit_mass():
-    assert dispersion(math.pi, 1.0) == pytest.approx(math.sqrt(5.0), abs=1e-15)
+def test_momentum_grid_zone_boundary():
+    # k = pi: omega^2 = m^2 + 4, so 2 in the massless limit and sqrt(5) at m^2 = 1
+    for m_sq, want in [(1e-300, 2.0), (1.0, math.sqrt(5.0))]:
+        grid = momentum_grid(params(L=4, m_sq=m_sq, n_max=2))
+        assert grid.momenta[2] == pytest.approx(math.pi, abs=1e-15)
+        assert grid.frequencies[2] == pytest.approx(want, abs=1e-15)
 
 
-def test_dispersion_rejects_negative_frequency_squared():
-    with pytest.raises(ValueError):
-        dispersion(0.0, -1.0)
-
-
-def test_dispersion_relation_identity():
+def test_momentum_grid_matches_the_dispersion_relation():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        k = rng.uniform(0.0, 2.0 * math.pi)
+        L = int(rng.integers(1, 9))
         m_sq = rng.uniform(0.05, 5.0)
-        w = dispersion(k, m_sq)
-        assert abs(w * w - m_sq - 4.0 * math.sin(k / 2.0) ** 2) < 1e-12
+        grid = momentum_grid(params(L=L, m_sq=m_sq, n_max=2))
+        assert np.allclose(grid.momenta, 2.0 * math.pi * np.arange(L) / L, atol=1e-15)
+        for k, w in zip(grid.momenta, grid.frequencies):
+            assert w >= 0.0
+            assert abs(w * w - m_sq - 4.0 * math.sin(k / 2.0) ** 2) < 1e-12
+        # omega(k) = omega(-k): mode j and mode L - j share a frequency
+        assert np.allclose(grid.frequencies[1:], grid.frequencies[1:][::-1], atol=1e-14)
 
-
-# ---------------------------------------------------------------- momentum grid
 
 def test_momentum_grid_two_sites():
     grid = momentum_grid(params(L=2, m_sq=1.0))
@@ -68,12 +67,6 @@ def test_momentum_grid_four_sites_quarter_zone():
     # k = pi/2 entry: omega^2 = 1.5 + 4 sin^2(pi/4) = 3.5
     idx = np.argmin(np.abs(grid.momenta - math.pi / 2.0))
     assert grid.frequencies[idx] ** 2 == pytest.approx(3.5, abs=1e-12)
-
-
-def test_momentum_grid_matches_dispersion():
-    grid = momentum_grid(params(L=6, m_sq=0.7, n_max=2))
-    for k, w in zip(grid.momenta, grid.frequencies):
-        assert w == pytest.approx(dispersion(k, 0.7), abs=1e-15)
 
 
 # ---------------------------------------------------------------- counterterm, finite L
@@ -214,6 +207,20 @@ def test_model_params_rejects_bad_sizes():
         ModelParams.from_bare(L=0, m_sq=1.0, m0_sq=1.0, lam=1.0, n_max=4)
     with pytest.raises(ValueError):
         ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=1.0, lam=1.0, n_max=1)
+
+
+@pytest.mark.parametrize("field, value", [("L", 2.5), ("L", True), ("L", "2"), ("L", None),
+                                          ("n_max", 4.5), ("n_max", False), ("n_max", 4.0)])
+def test_model_params_rejects_non_integer_sizes(field, value):
+    fields = dict(L=2, m_sq=1.0, delta_m=0.0, lam=6.0, n_max=4)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        ModelParams(**fields)
+
+
+def test_model_params_accepts_numpy_integer_sizes():
+    p = ModelParams(L=np.int64(2), m_sq=1.0, delta_m=0.0, lam=6.0, n_max=np.int64(4))
+    assert (p.L, p.n_max) == (2, 4)
 
 
 def test_model_params_with_delta_updates_bare_mass():

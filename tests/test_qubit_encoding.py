@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phi4vqe.lattice_model import ModelParams
-from phi4vqe.fock_space import build_H, exact_spectrum
+from phi4vqe.fock_space import build_H, exact_spectrum, sector_indices
 from phi4vqe.qubit_encoding import (
     PauliSum,
     encode_matrix,
     parity_blocks,
     pauli_word_matrix,
-    sector_by_parity,
 )
 
 
@@ -85,6 +84,19 @@ def test_encode_hermitian_gives_real_coefficients():
     assert np.max(np.abs(coeffs.imag)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite_entries(bad):
+    M = np.eye(4)
+    M[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite, got NaN or inf$"):
+        encode_matrix(M)
+
+
+def test_encode_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"^matrix must be non-empty, got shape \(0, 0\)$"):
+        encode_matrix(np.zeros((0, 0)))
+
+
 def test_encode_drops_negligible_terms():
     sum_ = encode_matrix(np.diag([1.0, 1.0]))
     assert [w for _, w in sum_.terms] == ["I"]
@@ -114,49 +126,54 @@ def test_pauli_sum_coefficient_lookup():
     assert sum_.coefficient("X") == 0.0
 
 
-# ---------------------------------------------------------------- parity blocking
+# ---------------------------------------------------------------- sector blocking
 
 def benchmark(lam):
     return ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=-1.5, lam=lam, n_max=4)
 
 
+def by_label(sectors):
+    return {sector.label: sector for sector in sectors}
+
+
 def test_parity_blocks_shapes_and_order():
     p = benchmark(6.0)
     blocks = parity_blocks(build_H(p), p)
-    assert [b.parities for b in blocks] == [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]
+    assert [b.label for b in blocks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(b.block.shape == (4, 4) for b in blocks)
+    assert not any(b.block.flags.writeable for b in blocks)
 
 
-def test_parity_blocks_basis_occupancies_match_labels():
-    p = benchmark(6.0)
-    for block in parity_blocks(build_H(p), p):
-        for occ in block.basis_map:
-            for n, parity in zip(occ, block.parities):
-                assert n % 2 == (0 if parity == "+" else 1)
+SECTOR_BASES = ([(1, n) for n in range(2, 11)] + [(2, n) for n in range(2, 11)]
+                + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 5)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(n_max=st.sampled_from([2, 4, 6, 8, 10]),
+@given(basis=st.sampled_from(SECTOR_BASES),
        delta_m=st.floats(-100.0, 100.0), lam=st.floats(-100.0, 100.0))
-@example(n_max=4, delta_m=-2.5, lam=8.21)
-def test_parity_blocks_preserve_spectrum(n_max, delta_m, lam):
-    p = ModelParams.from_counterterm(L=2, m_sq=1.0, delta_m=delta_m, lam=lam, n_max=n_max)
+@example(basis=(2, 4), delta_m=-2.5, lam=8.21)
+@example(basis=(3, 5), delta_m=-100.0, lam=100.0)
+def test_parity_blocks_are_the_sector_builds_and_hold_the_spectrum(basis, delta_m, lam):
+    L, n_max = basis
+    p = ModelParams.from_counterterm(L=L, m_sq=1.0, delta_m=delta_m, lam=lam, n_max=n_max)
     H = build_H(p)
+    blocks = parity_blocks(H, p)
+    assert [b.label for b in blocks] == list(sector_indices(L, n_max))
+    for block in blocks:
+        assert np.array_equal(block.block, build_H(p, block.label))
     full = np.sort(np.linalg.eigvalsh(H))
-    pieces = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(b.block) for b in parity_blocks(H, p)]))
+    pieces = np.sort(np.concatenate([np.linalg.eigvalsh(b.block) for b in blocks]))
     assert np.max(np.abs(full - pieces)) < 1e-10
 
 
 def test_parity_blocks_ground_and_excited_sectors():
     p = benchmark(6.0)
     H = build_H(p)
-    blocks = parity_blocks(H, p)
-    minima = {b.parities: np.min(np.linalg.eigvalsh(b.block)) for b in blocks}
+    minima = {b.label: np.min(np.linalg.eigvalsh(b.block)) for b in parity_blocks(H, p)}
     spec = exact_spectrum(H)
-    assert minima[("+", "+")] == pytest.approx(spec.eigenvalues[0], abs=1e-10)
-    second = min(v for k, v in minima.items() if k != ("+", "+"))
-    assert minima[("-", "+")] == pytest.approx(second, abs=1e-12)
+    assert minima[(0, 0)] == pytest.approx(spec.eigenvalues[0], abs=1e-10)
+    second = min(v for k, v in minima.items() if k != (0, 0))
+    assert minima[(1, 0)] == pytest.approx(second, abs=1e-12)
 
 
 def test_parity_blocks_pauli_matches_block():
@@ -172,49 +189,37 @@ def test_parity_blocks_reject_symmetry_violation():
     rng = np.random.default_rng(9)
     H = random_hermitian(16, rng).real
     H = (H + H.T) / 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^H couples two \(Z2, P\) sectors"):
         parity_blocks(H, p)
 
 
 @pytest.mark.parametrize("L, n_max", [(1, 2), (1, 8), (2, 2), (2, 4), (2, 10)])
 def test_parity_blocks_match_per_mode_slicing(L, n_max):
-    # reference: each mode's even or odd occupations, in product (ascending basis) order
+    # reference: at L <= 2 each per-mode parity tuple (even or odd occupations
+    # per mode, in product = ascending basis order) is exactly one (Z2, P)
+    # sector: Z2 = number of odd modes mod 2, P = parity of mode 1
     p = ModelParams.from_counterterm(L=L, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=n_max)
     H = build_H(p)
-    blocks = parity_blocks(H, p)
-    assert [b.parities for b in blocks] == list(itertools.product("+-", repeat=L))
-    for block in blocks:
-        per_mode = [[n for n in range(n_max) if n % 2 == (s == "-")] for s in block.parities]
-        basis_map = tuple(itertools.product(*per_mode))
-        indices = [int(np.ravel_multi_index(occ, (n_max,) * L)) for occ in basis_map]
-        assert block.basis_map == basis_map
-        assert np.array_equal(block.block, H[np.ix_(indices, indices)])
+    blocks = by_label(parity_blocks(H, p))
+    assert len(blocks) == 2**L
+    for odd in itertools.product((0, 1), repeat=L):
+        per_mode = [[n for n in range(n_max) if n % 2 == o] for o in odd]
+        indices = [int(np.ravel_multi_index(occ, (n_max,) * L))
+                   for occ in itertools.product(*per_mode)]
+        label = (sum(odd) % 2, sum(j * o for j, o in enumerate(odd)) % L)
+        assert np.array_equal(blocks[label].block, H[np.ix_(indices, indices)])
 
 
-def test_parity_blocks_reject_three_sites():
-    # a correct L=3 Hamiltonian: per-mode parity is no symmetry there, so the
-    # rejection names the site count, not the matrix
-    p = ModelParams.from_counterterm(L=3, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=4)
-    with pytest.raises(ValueError, match=r"requires L <= 2, got L=3"):
-        parity_blocks(build_H(p), p)
+@pytest.mark.parametrize("L, n_max", [(3, 4), (4, 3), (2, 5)])
+def test_parity_blocks_accept_any_site_count_and_truncation(L, n_max):
+    # (Z2, P) is a symmetry of H at every L and n_max, where per-mode parity is not
+    p = ModelParams.from_counterterm(L=L, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=n_max)
+    blocks = parity_blocks(build_H(p), p)
+    assert sum(b.block.shape[0] for b in blocks) == n_max**L
+    assert {(0, 0), (1, 0)} <= set(by_label(blocks))
 
 
 def test_parity_blocks_reject_a_matrix_of_the_wrong_size():
     p = benchmark(6.0)
     with pytest.raises(ValueError, match="expected a 16 x 16 matrix"):
         parity_blocks(np.eye(9), p)
-
-
-def test_parity_blocks_reject_odd_truncation():
-    p = ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=1.0, lam=0.0, n_max=3)
-    from phi4vqe.fock_space import build_H as bh
-    with pytest.raises(ValueError):
-        parity_blocks(bh(p), p)
-
-
-def test_sector_by_parity_lookup():
-    p = benchmark(2.0)
-    blocks = parity_blocks(build_H(p), p)
-    assert sector_by_parity(blocks, ("-", "+")).parities == ("-", "+")
-    with pytest.raises(KeyError):
-        sector_by_parity(blocks, ("-", "?"))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H
-from phi4vqe.qubit_encoding import parity_blocks, sector_by_parity
+from phi4vqe.qubit_encoding import parity_blocks
 from phi4vqe.circuit_sim import NoiseModel
 from phi4vqe.mitigation import ReadoutCalibration
 from phi4vqe import vqe
@@ -26,10 +26,8 @@ def benchmark(lam, n_max=4):
 
 
 def sectors(params):
-    blocks = parity_blocks(build_H(params), params)
-    ground = sector_by_parity(blocks, ("+", "+"))
-    excited = sector_by_parity(blocks, ("-", "+"))
-    return ground, excited
+    blocks = {b.label: b for b in parity_blocks(build_H(params), params)}
+    return blocks[(0, 0)], blocks[(1, 0)]
 
 
 # ---------------------------------------------------------------- backends
@@ -246,14 +244,13 @@ def test_mass_gap_vqe_free_theory():
     assert estimate.gap == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("L,n_max,excited", [(1, 8, ("-",)), (2, 4, ("-", "+"))])
-def test_benchmark_sectors_are_all_even_and_odd_in_mode_zero(L, n_max, excited):
+@pytest.mark.parametrize("L,n_max", [(1, 8), (2, 4), (3, 4)])
+def test_benchmark_sectors_are_the_even_and_odd_zero_momentum_blocks(L, n_max):
     params = ModelParams.from_bare(L=L, m_sq=1.0, m0_sq=-1.5, lam=6.0, n_max=n_max)
     ground, first = benchmark_sectors(params)
-    assert ground.parities == ("+",) * L
-    assert first.parities == excited
-    blocks = parity_blocks(build_H(params), params)
-    assert np.array_equal(first.block, sector_by_parity(blocks, excited).block)
+    assert (ground.label, first.label) == ((0, 0), (1, 0))
+    assert np.array_equal(ground.block, build_H(params, (0, 0)))
+    assert np.array_equal(first.block, build_H(params, (1, 0)))
 
 
 def test_benchmark_sectors_are_built_once_and_read_only():
