@@ -266,8 +266,9 @@ def check_config(command: str, given: dict) -> tuple[dict, list[str]]:
     if command == "vqe":
         n_max, L = cfg["model"]["n_max"], cfg["model"]["L"]
         if n_max % 2 or (n_max // 2)**L != 4:
-            errors.append("model.n_max: each parity sector must span (n_max/2)^L = 4 states "
-                          f"for the two-qubit ansatz (got n_max={n_max}, L={L}); use L=2, n_max=4")
+            errors.append("model.n_max: the two-qubit ansatz needs 4-state (Z2, P) sectors "
+                          "(0, 0) and (1, 0), which only (L, n_max) = (1, 8) and (2, 4) give; "
+                          f"got ({L}, {n_max})")
     backend = given["backend"] if command == "vqe" and "backend" in given else {}
     if backend and backend["kind"] != "noisy_mitigated":
         # the exact backend reads only its kind, the sampled one also its shots

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from .lattice_model import ModelParams, momentum_grid
 
@@ -62,9 +62,8 @@ __all__ = [
 DEGENERACY_TOL = 1e-12
 # Largest matrix entry allowed between two (Z2, P) sectors.
 SECTOR_TOL = 1e-10
-# Bisection of solve_counterterm: bracket width at which it stops, and its step cap.
+# Absolute delta_m tolerance of the Brent root search in solve_counterterm.
 COUNTERTERM_TOL = 1e-8
-COUNTERTERM_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -169,12 +168,15 @@ def sector_blocks(M: np.ndarray, L: int, n_max: int,
     """Read-only blocks M[sector, sector] per (Z2, P) sector, keyed in sector_indices order.
 
     Rows and columns follow sector_indices. Raises ValueError when M is not
-    n_max^L square or has an entry above SECTOR_TOL between two sectors, so
-    that the blocks hold the whole matrix; name labels M in that message.
+    n_max^L square, has a NaN or inf entry, or has an entry above SECTOR_TOL
+    between two sectors, so that the blocks hold the whole matrix; name labels
+    M in the last two messages.
     """
     if np.shape(M) != (n_max**L, n_max**L):
         raise ValueError(f"expected a {n_max**L} x {n_max**L} matrix for L={L}, "
                          f"n_max={n_max}, got shape {np.shape(M)}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has NaN or inf entries")
     sectors = sector_indices(L, n_max)
     rest = np.abs(M)
     for indices in sectors.values():
@@ -279,9 +281,10 @@ def mass_gap(params: ModelParams) -> float:
 def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
     """Counter term delta_m at which the squared mass gap equals target_m_sq.
 
-    Bisection on delta_m over [-|m0_sq| - m_sq - lambda, m_sq + lambda]; the gap
-    is continuous and monotone increasing in delta_m on the physical branch.
-    Raises ValueError when the bracket shows no sign change.
+    Brent's method on delta_m over [-|m0_sq| - m_sq - lambda, m_sq + lambda],
+    to COUNTERTERM_TOL; the gap is continuous and monotone increasing in
+    delta_m on the physical branch. Raises ValueError when the bracket shows
+    no sign change; an error inside mass_gap reaches the caller unchanged.
     """
     if not target_m_sq > 0:
         raise ValueError(f"target_m_sq must be > 0, got {target_m_sq}")
@@ -297,16 +300,7 @@ def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
             f"no sign change on delta_m bracket [{lo}, {hi}] "
             f"(f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g})"
         )
-    for _ in range(COUNTERTERM_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < COUNTERTERM_TOL:
-            break
-        f_mid = excess(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return brentq(excess, lo, hi, xtol=COUNTERTERM_TOL)
 
 
 def critical_curve(

@@ -96,7 +96,7 @@ class PauliSum:
 
 
 def encode_matrix(M: np.ndarray) -> PauliSum:
-    """Expand a 2^n x 2^n matrix in the Pauli basis: M = sum_w c_w w.
+    """Expand a 2^n x 2^n matrix, n >= 1, in the Pauli basis: M = sum_w c_w w.
 
     Coefficients are the normalized trace inner products
     c_w = Tr(w M) / 2^n, so the expansion is exact by construction.
@@ -104,8 +104,9 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
     dim = M.shape[0]
     if M.shape != (dim, dim):
         raise ValueError(f"matrix must be square, got {M.shape}")
-    if dim == 0:
-        raise ValueError("matrix must be non-empty, got shape (0, 0)")
+    if dim < 2:
+        raise ValueError("matrix must be at least 2 x 2 (encoding needs at least one qubit), "
+                         f"got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite, got NaN or inf")
     n = int(math.log2(dim))
@@ -142,7 +143,7 @@ def parity_blocks(H: np.ndarray, params: ModelParams) -> list[SectorHamiltonian]
 
     Z2 is the field parity and P the total momentum (see fock_space), a
     symmetry of H at every L and n_max. Raises ValueError when H has the wrong
-    size or an entry between two sectors.
+    size, a NaN or inf entry, or an entry between two sectors.
     """
     blocks = sector_blocks(H, params.L, params.n_max)
     return [SectorHamiltonian(label, block) for label, block in blocks.items()]

@@ -376,6 +376,9 @@ NOISY = {"kind": "noisy_mitigated", "shots": 64}
 CONFIGS = {"spectrum": spectrum_cfg, "counterterm": counterterm_cfg,
            "critical": critical_cfg, "vqe": vqe_cfg}
 
+VQE_SIZE = ("model.n_max: the two-qubit ansatz needs 4-state (Z2, P) sectors (0, 0) and (1, 0), "
+            "which only (L, n_max) = (1, 8) and (2, 4) give")
+
 # (command, dotted path to set or delete, bad value, path every error line must start with)
 BAD_FIELDS = [
     ("spectrum", "model", [], "model"),
@@ -415,8 +418,9 @@ BAD_FIELDS = [
     ("critical", "fits.0.lambda_grid", [3.0, 4.0], "fits[0].lambda_grid"),
     ("critical", "fit_window", 3, "fit_window"),
     ("vqe", "model.n_max", None, "model.n_max"),
-    ("vqe", "model.n_max", 5, "model.n_max"),
-    ("vqe", "model.n_max", 8, "model"),
+    ("vqe", "model.n_max", 5, f"{VQE_SIZE}; got (2, 5)"),
+    ("vqe", "model.n_max", 8, f"{VQE_SIZE}; got (2, 8)"),
+    ("vqe", "model.L", 1, f"{VQE_SIZE}; got (1, 4)"),
     ("vqe", "lambda_grid", [float("nan")], "lambda_grid[0]"),
     ("vqe", "ansatz", [], "ansatz"),
     ("vqe", "ansatz", "ring", "ansatz[0]"),

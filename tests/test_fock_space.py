@@ -410,6 +410,15 @@ def test_sector_blocks_name_the_matrix_that_couples_sectors():
         sector_blocks(M, 2, 2, "M")
 
 
+# a non-finite diagonal entry sits inside a sector block, where the leak check never looks
+@pytest.mark.parametrize("M", [np.full((16, 16), np.nan), np.diag([np.nan] + [1.0] * 15),
+                               np.diag([1.0] * 15 + [np.inf])],
+                         ids=["nan_everywhere", "nan_on_diagonal", "inf_on_diagonal"])
+def test_sector_blocks_reject_non_finite_entries(M):
+    with pytest.raises(ValueError, match="^M has NaN or inf entries$"):
+        sector_blocks(M, 2, 4, "M")
+
+
 SECTOR_BASES = ([(1, n) for n in range(2, 11)] + [(2, n) for n in range(2, 11)]
                 + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 5)])
 
@@ -451,6 +460,68 @@ def test_solve_counterterm_regression_values():
     assert root12 == pytest.approx(-0.97782695, abs=1e-6)
     # truncation refinement moves the root only slightly
     assert 0.0 < abs(root4 - root12) < 0.1
+
+
+def bisect_counterterm(params, target_m_sq):
+    """Reference oracle: plain bisection on the bracket solve_counterterm uses."""
+    lo = -abs(params.m0_sq) - params.m_sq - params.lam
+    hi = params.m_sq + params.lam
+
+    def excess(delta):
+        return mass_gap(params.with_delta(delta)) ** 2 - target_m_sq
+
+    f_lo = excess(lo)
+    assert f_lo * excess(hi) <= 0
+    while hi - lo >= 1e-8:
+        mid = 0.5 * (lo + hi)
+        f_mid = excess(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+# (lambda, n_max, target): the benchmark counterterm roots (n_max 16), the
+# critical-curve points (n_max 8, target 0.25), and a coupling grid at n_max 4 and 8
+ROOT_CASES = ([(lam, 16, 1.0) for lam in (6.0, 10.0)]
+              + [(lam, 8, 0.25) for lam in (0.0, 2.5, 5.0, 7.5, 10.0)]
+              + [(lam, n_max, 1.0) for n_max in (4, 8) for lam in (0.0, 6.0, 24.0)])
+
+
+@pytest.mark.parametrize("lam, n_max, target", ROOT_CASES)
+def test_solve_counterterm_matches_bisection(lam, n_max, target):
+    p = bench(lam=lam, n_max=n_max)
+    assert abs(solve_counterterm(p, target) - bisect_counterterm(p, target)) <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [6.0, 10.0, 24.0])
+def test_solve_counterterm_needs_few_gap_evaluations(monkeypatch, lam):
+    calls = []
+    monkeypatch.setattr(fock_space, "mass_gap",
+                        lambda params: calls.append(params) or mass_gap(params))
+    solve_counterterm(bench(lam=lam, n_max=8), target_m_sq=1.0)
+    assert len(calls) <= 20
+
+
+def test_solve_counterterm_bracket_failure_names_both_ends():
+    # the free gap^2 = m_sq + delta stays below 100 on [-2, 1]
+    message = (r"^no sign change on delta_m bracket \[-2\.0, 1\.0\] "
+               r"\(f\(lo\)=-\S+, f\(hi\)=-\S+\)$")
+    with pytest.raises(ValueError, match=message):
+        solve_counterterm(bench(lam=0.0, n_max=4), target_m_sq=100.0)
+
+
+def test_solve_counterterm_passes_a_gap_error_through(monkeypatch):
+    # the bracket is [-8, 7]: its ends evaluate normally, any interior point fails
+    def failing_gap(params):
+        if -8.0 < params.delta_m < 7.0:
+            raise ValueError(f"gap failed at delta_m={params.delta_m}")
+        return mass_gap(params)
+
+    monkeypatch.setattr(fock_space, "mass_gap", failing_gap)
+    with pytest.raises(ValueError, match=r"^gap failed at delta_m=-?\d"):
+        solve_counterterm(bench(lam=6.0, n_max=4), target_m_sq=1.0)
 
 
 def test_gap_monotone_in_counterterm_near_root():

@@ -92,9 +92,12 @@ def test_encode_rejects_non_finite_entries(bad):
         encode_matrix(M)
 
 
-def test_encode_rejects_an_empty_matrix():
-    with pytest.raises(ValueError, match=r"^matrix must be non-empty, got shape \(0, 0\)$"):
-        encode_matrix(np.zeros((0, 0)))
+@pytest.mark.parametrize("dim", [0, 1])
+def test_encode_rejects_a_matrix_without_a_qubit(dim):
+    message = (r"^matrix must be at least 2 x 2 \(encoding needs at least one qubit\), "
+               rf"got shape \({dim}, {dim}\)$")
+    with pytest.raises(ValueError, match=message):
+        encode_matrix(np.full((dim, dim), 2.0))
 
 
 def test_encode_drops_negligible_terms():
@@ -191,6 +194,12 @@ def test_parity_blocks_reject_symmetry_violation():
     H = (H + H.T) / 2.0
     with pytest.raises(ValueError, match=r"^H couples two \(Z2, P\) sectors"):
         parity_blocks(H, p)
+
+
+def test_parity_blocks_reject_a_nan_hamiltonian():
+    p = benchmark(6.0)
+    with pytest.raises(ValueError, match="^H has NaN or inf entries$"):
+        parity_blocks(np.full((16, 16), np.nan), p)
 
 
 @pytest.mark.parametrize("L, n_max", [(1, 2), (1, 8), (2, 2), (2, 4), (2, 10)])
