@@ -300,7 +300,8 @@ def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
             f"no sign change on delta_m bracket [{lo}, {hi}] "
             f"(f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g})"
         )
-    return brentq(excess, lo, hi, xtol=COUNTERTERM_TOL)
+    known = {lo: f_lo, hi: f_hi}  # brentq starts at both ends: reuse them
+    return brentq(lambda d: known[d] if d in known else excess(d), lo, hi, xtol=COUNTERTERM_TOL)
 
 
 def critical_curve(

@@ -5,9 +5,10 @@ Nakanishi, Fujii & Todo, arXiv:1903.12166) over one of two ansatz families:
 two local RotY rotations (product) or the same plus one controlled rotation
 (entangled). Backends: exact statevector expectations, finite-shot sampling,
 or a noisy two-qubit tomography per evaluation with readout correction and
-purification. The samples of one coordinate slice, and the re-evaluations at
-the optimum, are one batch: one circuit-simulation stack, one multinomial
-draw and one purification loop.
+purification. The four restart corners advance in lockstep; each coordinate
+slice of every active corner is one batch, as are the re-evaluations at the
+optimum: one circuit-simulation stack, one multinomial draw and one
+purification loop.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class VqeResult:
     parameters: tuple[float, ...]
     energy: float
     uncertainty: float
-    history: tuple[float, ...]
+    history: tuple[float, ...]  # slice by slice, each active corner's samples in turn
     purification_reports: tuple[PurificationReport, ...]
     converged: bool
     calibration: tuple[tuple[float, float], ...] | None = None
@@ -220,24 +221,31 @@ def _slice_minimum(values: np.ndarray) -> tuple[float, float]:
     return 2.0 * v, value
 
 
-def _coordinate_sweeps(fun, start, max_sweeps: int, tol: float) -> tuple[np.ndarray, float, bool]:
-    """Move each angle in turn to its slice minimum, sweep after sweep, from ``start``.
+def _coordinate_sweeps(fun, starts, max_sweeps: int,
+                       tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Move each angle of every corner in ``starts`` (r, d) in turn to its slice minimum.
 
-    Returns the angles, the fitted energy after the last sweep, and whether a
-    sweep lowered that energy by less than ``tol`` within ``max_sweeps``.
+    The corners advance in lockstep: each slice of every active corner is one
+    call of ``fun``. A corner stops once a sweep lowers its fitted energy by
+    less than ``tol``, or after ``max_sweeps``. Returns the (r, d) angles, the
+    fitted energies after each corner's last sweep, and which corners met ``tol``.
     """
-    theta = np.array(start, dtype=float)
-    unit = np.eye(len(theta))
-    energy = math.inf
+    theta = np.array(starts, dtype=float)
+    unit = np.eye(theta.shape[1])
+    energy = np.full(len(theta), math.inf)
+    active = np.arange(len(theta))
     for _ in range(max_sweeps):
-        previous = energy
-        for i in range(len(theta)):
-            offsets = _OFFSETS[_SAMPLES_PER_ANGLE[i]]
-            step, energy = _slice_minimum(fun(theta + offsets[:, None] * unit[i]))
-            theta[i] += step
-        if previous - energy < tol:
-            return theta, energy, True
-    return theta, energy, False
+        previous = energy[active]
+        for i, n in enumerate(_SAMPLES_PER_ANGLE[:len(unit)]):
+            probes = theta[active, None] + _OFFSETS[n][:, None] * unit[i]
+            values = fun(probes.reshape(-1, len(unit))).reshape(len(active), n)
+            for corner, samples in zip(active, values):
+                step, energy[corner] = _slice_minimum(samples)
+                theta[corner, i] += step
+        active = active[~(previous - energy[active] < tol)]
+        if not active.size:
+            break
+    return theta, energy, ~np.isin(np.arange(len(theta)), active)
 
 
 def _calibration(backend: BackendSpec) -> ReadoutCalibration:
@@ -269,6 +277,8 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
     theta = np.asarray(theta, dtype=float)
     if theta.ndim not in (1, 2):
         raise ValueError(f"theta of shape {theta.shape} is neither one angle set nor a stack")
+    if theta.ndim == 2 and len(theta) == 0:
+        raise ValueError(f"theta is an empty {theta.shape} stack; give at least one angle set")
     circuit = _build_circuit(np.atleast_2d(theta))
     H = sector.pauli
     if backend.kind == "exact":
@@ -304,12 +314,14 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
              seed=None) -> VqeResult:
     """Minimize the sector energy by coordinate sweeps from four fixed corners.
 
-    The exact backend sweeps until a sweep lowers the fitted energy by less
-    than EXACT_TOL, at most EXACT_MAX_SWEEPS times; the stochastic backends
-    run SWEEPS sweeps from every corner. The corner with the lowest fitted
-    energy wins. ``converged`` is true on the exact backend when that corner
-    met EXACT_TOL within the cap; the stochastic backends have no stopping
-    test, so there it only records that the fixed budget ran.
+    The four corners advance in lockstep; each coordinate slice of every
+    active corner is one batch. On the exact backend a corner sweeps until a
+    sweep lowers its fitted energy by less than EXACT_TOL, at most
+    EXACT_MAX_SWEEPS times; the stochastic backends run SWEEPS sweeps from
+    every corner. The corner with the lowest fitted energy wins. ``converged``
+    is true on the exact backend when that corner met EXACT_TOL within the
+    cap; the stochastic backends have no stopping test, so there it only
+    records that the fixed budget ran.
 
     The reported energy is the mean of REEVALUATIONS fresh evaluations at the
     best parameters found and its standard deviation is the quoted
@@ -335,10 +347,10 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
         return values
 
     exact = backend.kind == "exact"
-    runs = [_coordinate_sweeps(fun, start, EXACT_MAX_SWEEPS if exact else SWEEPS,
-                               EXACT_TOL if exact else -math.inf)
-            for start in starts]
-    best_x, _, settled = min(runs, key=lambda run: run[1])
+    budget = (EXACT_MAX_SWEEPS, EXACT_TOL) if exact else (SWEEPS, -math.inf)
+    thetas, energies, settled = _coordinate_sweeps(fun, starts, *budget)
+    best = min(range(len(starts)), key=energies.__getitem__)
+    best_x = thetas[best]
 
     reports: list[PurificationReport] = []
     samples = energy_objective(np.tile(best_x, (1 if exact else REEVALUATIONS, 1)), sector,
@@ -352,7 +364,7 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
         uncertainty=uncertainty,
         history=tuple(history),
         purification_reports=tuple(reports),
-        converged=settled or not exact,
+        converged=bool(settled[best]) or not exact,
         calibration=None if cal is None else cal.rates,
     )
 

@@ -504,6 +504,19 @@ def test_solve_counterterm_needs_few_gap_evaluations(monkeypatch, lam):
     assert len(calls) <= 20
 
 
+@pytest.mark.parametrize("lam", [0.0, 6.0, 24.0])
+def test_solve_counterterm_evaluates_each_bracket_end_once(monkeypatch, lam):
+    params = bench(lam=lam, n_max=8)
+    lo = -abs(params.m0_sq) - params.m_sq - params.lam
+    hi = params.m_sq + params.lam
+    deltas = []
+    monkeypatch.setattr(fock_space, "mass_gap",
+                        lambda p: deltas.append(p.delta_m) or mass_gap(p))
+    solve_counterterm(params, target_m_sq=1.0)
+    assert deltas[:2] == [lo, hi]
+    assert lo not in deltas[2:] and hi not in deltas[2:]
+
+
 def test_solve_counterterm_bracket_failure_names_both_ends():
     # the free gap^2 = m_sq + delta stays below 100 on [-2, 1]
     message = (r"^no sign change on delta_m bracket \[-2\.0, 1\.0\] "

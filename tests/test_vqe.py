@@ -137,6 +137,12 @@ def test_energy_objective_rejects_a_theta_of_rank_three():
         energy_objective(np.zeros((2, 2, 3)), ground, BackendSpec.exact())
 
 
+def test_energy_objective_rejects_an_empty_stack():
+    ground, _ = sectors(benchmark(6.0))
+    with pytest.raises(ValueError, match=r"^theta is an empty \(0, 3\) stack"):
+        energy_objective(np.zeros((0, 3)), ground, BackendSpec.exact())
+
+
 def test_energy_objective_rejects_wrong_parameter_count():
     ground, _ = sectors(benchmark(6.0))
     with pytest.raises(ValueError):
@@ -190,6 +196,58 @@ def test_optimize_exact_entangled_gap_matches_oracle_to_1e10(lam):
     estimate = mass_gap_vqe(params, BackendSpec.exact())
     assert estimate.ground.converged and estimate.excited.converged
     assert abs(estimate.gap - sector_minima(params)[2]) < 1e-10
+
+
+def serial_sweeps(fun, start, max_sweeps, tol):
+    """Reference oracle: the coordinate sweeps of one corner, slice after slice."""
+    theta = np.array(start, dtype=float)
+    unit = np.eye(len(theta))
+    energy = math.inf
+    for _ in range(max_sweeps):
+        previous = energy
+        for i in range(len(theta)):
+            offsets = vqe._OFFSETS[vqe._SAMPLES_PER_ANGLE[i]]
+            step, energy = vqe._slice_minimum(fun(theta + offsets[:, None] * unit[i]))
+            theta[i] += step
+        if previous - energy < tol:
+            return theta, energy, True
+    return theta, energy, False
+
+
+@pytest.mark.parametrize("lam", [0.0, 6.0, 14.0])
+@pytest.mark.parametrize("ansatz,starts", [("product", vqe.RESTARTS_PRODUCT),
+                                           ("entangled", vqe.RESTARTS_ENTANGLED)])
+def test_lockstep_sweeps_match_the_serial_oracle_bit_for_bit(lam, ansatz, starts):
+    # the corners advance together, one batch per slice, yet each does exactly
+    # the sweeps it does alone; a settled corner is no longer evaluated
+    backend = BackendSpec.exact()
+    for sector in sectors(benchmark(lam)):
+        rows = []
+
+        def fun(thetas):
+            rows.append(len(np.atleast_2d(thetas)))
+            return energy_objective(thetas, sector, backend)
+
+        oracle, corner_calls = [], []
+        for start in starts:
+            before = len(rows)
+            oracle.append(serial_sweeps(fun, start, vqe.EXACT_MAX_SWEEPS, vqe.EXACT_TOL))
+            corner_calls.append(len(rows) - before)
+        oracle_rows, oracle_calls = sum(rows), len(rows)
+        thetas, energies, settled = vqe._coordinate_sweeps(
+            fun, starts, vqe.EXACT_MAX_SWEEPS, vqe.EXACT_TOL)
+        assert sum(rows) == 2 * oracle_rows
+        assert len(rows) - oracle_calls == max(corner_calls)  # one batch per slice
+        assert thetas.tobytes() == np.array([run[0] for run in oracle]).tobytes()
+        assert energies.tobytes() == np.array([run[1] for run in oracle]).tobytes()
+        assert settled.tolist() == [run[2] for run in oracle]
+
+        best_x, _, best_settled = min(oracle, key=lambda run: run[1])
+        result = optimize(sector, ansatz, backend)
+        assert np.array(result.parameters).tobytes() == best_x.tobytes()
+        assert result.energy == energy_objective(best_x, sector, backend)
+        assert result.converged == best_settled
+        assert len(result.history) == oracle_rows
 
 
 def test_optimize_exact_variational_bound():
