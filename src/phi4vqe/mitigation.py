@@ -6,8 +6,8 @@ the two-qubit state from all 16 Pauli expectations and pushes it toward the
 nearest pure state with the McWeeny iteration rho <- 3 rho^2 - 2 rho^3.
 
 Every stage works on stacks: a batch of k circuits is one tomography pass
-(one draw of k x 15 word rows), k reconstructions and one purification loop
-that iterates each matrix until its own stopping test holds.
+(one draw of k x 15 word rows), k reconstructions and one purification that
+iterates each matrix's eigenvalues until its own stopping test holds.
 """
 
 from __future__ import annotations
@@ -157,9 +157,12 @@ def _trace(rho: np.ndarray) -> np.ndarray:
 
 def _purify(rho: np.ndarray, eps_n: float = 1e-4,
             max_iter: int = 100) -> tuple[np.ndarray, list[PurificationReport]]:
-    """mcweeny_purify on a (k, d, d) stack: each matrix iterates until its own test holds."""
+    """mcweeny_purify on a (k, d, d) stack: one eigh, w <- w^2 (3 - 2w) / sum on each
+    row of eigenvalues until its own test holds, and one rebuild V diag(w) V^dagger."""
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValueError("density matrix must be square")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has NaN or inf entries")
     if np.max(np.abs(rho - np.swapaxes(rho.conj(), 1, 2))) > HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
     trace = _trace(rho).real
@@ -167,36 +170,30 @@ def _purify(rho: np.ndarray, eps_n: float = 1e-4,
         if not 0.5 <= t <= 1.5:
             raise ValueError(f"trace {t} outside the tolerated window [0.5, 1.5]")
     rho = rho / trace[:, None, None]
-    rho_sq = rho @ rho
-    initial_purity = _trace(rho_sq).real
-    eigenvalues = np.linalg.eigvalsh(rho)
-    basin = ((eigenvalues[:, -1] >= 0.5) & (eigenvalues[:, -1] < PURIFY_BASIN[1])
-             & (eigenvalues[:, 0] > PURIFY_BASIN[0]))
-    n_val = _trace(rho_sq - rho).real
-    iterations = np.zeros(len(rho), dtype=int)
-    # the matrices still iterating, all at the same count
-    active = np.flatnonzero(basin & (np.abs(n_val) >= eps_n))
-    part, part_sq = rho[active], rho_sq[active]
+    w, v = np.linalg.eigh(rho)
+    initial_purity = (w * w).sum(axis=1)
+    basin = (w[:, -1] >= 0.5) & (w[:, -1] < PURIFY_BASIN[1]) & (w[:, 0] > PURIFY_BASIN[0])
+    iterations = np.zeros(len(w), dtype=int)
+    # N = Tr(rho^2 - rho) = Tr(rho^2) - 1 at unit trace
+    going = basin & (np.abs(initial_purity - 1.0) >= eps_n)
     for count in range(1, max_iter + 1):
-        if not active.size:
+        if not going.any():
             break
-        part = 3.0 * part_sq - 2.0 * (part_sq @ part)
-        part = part / _trace(part).real[:, None, None]
-        part_sq = part @ part
-        part_n = _trace(part_sq - part).real
-        rho[active], n_val[active], iterations[active] = part, part_n, count
-        going = np.abs(part_n) >= eps_n
-        active, part, part_sq = active[going], part[going], part_sq[going]
-    # a flagged matrix is returned trace-normalized and otherwise unmodified
-    n_val = np.where(basin, n_val, initial_purity - 1.0)
-    reports = [
-        PurificationReport(iterations=int(i), non_idempotency=float(n),
-                           converged=bool(inside and abs(n) < eps_n),
+        part = w[going]
+        part = part * part * (3.0 - 2.0 * part)
+        part /= part.sum(axis=1, keepdims=True)
+        w[going], iterations[going] = part, count
+        going[going] = np.abs((part * part).sum(axis=1) - 1.0) >= eps_n
+    # flagged and 0-step matrices come back trace-normalized and otherwise unmodified
+    stepped = iterations > 0
+    rho[stepped] = (v[stepped] * w[stepped, None, :]) @ np.swapaxes(v[stepped].conj(), 1, 2)
+    final_purity = (w * w).sum(axis=1)
+    return rho, [
+        PurificationReport(iterations=int(i), non_idempotency=float(p1 - 1.0),
+                           converged=bool(inside and abs(p1 - 1.0) < eps_n),
                            initial_purity=float(p0), final_purity=float(p1))
-        for i, n, p0, p1, inside in zip(iterations, n_val, initial_purity,
-                                        _trace(rho @ rho).real, basin)
+        for i, p0, p1, inside in zip(iterations, initial_purity, final_purity, basin)
     ]
-    return rho, reports
 
 
 def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
@@ -204,7 +201,8 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
     """Drive a near-pure density matrix to the closest pure state.
 
     Iterates rho <- 3 rho^2 - 2 rho^3 with trace renormalization each step
-    until the non-idempotency N = Tr(rho^2 - rho) satisfies |N| < eps_n.
+    until the non-idempotency N = Tr(rho^2 - rho) satisfies |N| < eps_n, at
+    most max_iter steps, computed in rho's eigenbasis (the map acts on eigenvalues alone).
     The polynomial maps eigenvalues in (1/2, PURIFY_BASIN[1]) toward 1 and
     those in (PURIFY_BASIN[0], 1/2) toward 0; outside that interval it sends
     an eigenvalue to the wrong side of 1/2 (a tomographic estimate need not

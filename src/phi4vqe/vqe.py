@@ -8,7 +8,7 @@ or a noisy two-qubit tomography per evaluation with readout correction and
 purification. The four restart corners advance in lockstep; each coordinate
 slice of every active corner is one batch, as are the re-evaluations at the
 optimum: one circuit-simulation stack, one multinomial draw and one
-purification loop.
+purification, in each state's eigenbasis.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from phi4vqe.circuit_sim import (
     zero_state,
 )
 from phi4vqe.mitigation import (
+    PURIFY_BASIN,
+    PurificationReport,
     ReadoutCalibration,
     _purify,
     energy_from_state,
@@ -264,8 +266,9 @@ def test_mcweeny_flags_eigenvalues_outside_its_basin(spectrum):
 
 
 def rotated(spectrum, seed):
+    dim = len(spectrum)
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     rho = (q * np.array(spectrum)) @ q.conj().T
     return (rho + rho.conj().T) / 2.0
 
@@ -312,6 +315,114 @@ def test_mcweeny_returns_a_projector_unchanged(dim, parts):
     assert report.iterations == 0 and report.converged
     assert abs(report.non_idempotency) < 1e-12
     assert np.max(np.abs(out - P)) < 1e-12
+
+
+def iterative_purify(rho, eps_n=1e-4, max_iter=100):
+    # the matrix iteration rho <- 3 rho^2 - 2 rho^3 on a (k, d, d) stack, each
+    # matrix stopping at its own count: the oracle for the eigenbasis _purify
+    rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    eigenvalues = np.linalg.eigvalsh(rho)
+    basin = ((eigenvalues[:, -1] >= 0.5) & (eigenvalues[:, -1] < PURIFY_BASIN[1])
+             & (eigenvalues[:, 0] > PURIFY_BASIN[0]))
+    initial_purity = np.trace(rho @ rho, axis1=1, axis2=2).real
+    reports = []
+    for k in range(len(rho)):
+        n_val = np.trace(rho[k] @ rho[k] - rho[k]).real
+        count = 0
+        while basin[k] and abs(n_val) >= eps_n and count < max_iter:
+            sq = rho[k] @ rho[k]
+            step = 3.0 * sq - 2.0 * (sq @ rho[k])
+            rho[k] = step / np.trace(step).real
+            n_val = np.trace(rho[k] @ rho[k] - rho[k]).real
+            count += 1
+        if not basin[k]:
+            n_val = initial_purity[k] - 1.0
+        reports.append(PurificationReport(
+            iterations=count, non_idempotency=float(n_val),
+            converged=bool(basin[k] and abs(n_val) < eps_n),
+            initial_purity=float(initial_purity[k]),
+            final_purity=float(np.trace(rho[k] @ rho[k]).real)))
+    return rho, reports
+
+
+def assert_matches_oracle(stack, max_iter=100, tol=1e-12):
+    got, reports = _purify(stack, max_iter=max_iter)
+    want, want_reports = iterative_purify(stack, max_iter=max_iter)
+    for report, want_report in zip(reports, want_reports, strict=True):
+        assert report.iterations == want_report.iterations
+        assert report.converged == want_report.converged
+        for name in ("non_idempotency", "initial_purity", "final_purity"):
+            assert abs(getattr(report, name) - getattr(want_report, name)) < tol
+    assert np.max(np.abs(got - want)) < tol
+    return reports
+
+
+def spectrum_of(kind, dim, head, tail):
+    # a unit-trace spectrum: the largest eigenvalue, then the rest sharing what is left
+    if kind == "pure":
+        return [1.0] + [0.0] * (dim - 1)
+    if kind == "near_pure":
+        small = [1e-3 * t for t in tail[:dim - 1]]
+        return [1.0 - sum(small)] + small
+    if kind == "negative" and dim > 2:
+        # one eigenvalue below PURIFY_BASIN[0], the dominant one inside the basin
+        low = -0.4 - 0.4 * abs(tail[0])
+        weights = [abs(t) + 0.1 for t in tail[1:dim - 1]]
+        return [head] + [low] + [(1.0 - head - low) * u / sum(weights) for u in weights]
+    weights = [abs(t) + 0.5 for t in tail[:dim - 1]]
+    return [head] + [(1.0 - head) * u / sum(weights) for u in weights]
+
+
+# dominant-eigenvalue ranges, each clear of 1/2 and of the basin edges
+HEAD_RANGE = {"pure": (1.0, 1.0), "near_pure": (1.0, 1.0), "mixed": (0.51, 1.3),
+              "below_half": (0.42, 0.49), "outside": (1.4, 1.8), "negative": (0.6, 1.2)}
+
+
+@st.composite
+def spectrum_stacks(draw):
+    dim = draw(st.sampled_from([2, 4]))
+    matrices = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(sorted(HEAD_RANGE)))
+        low, high = HEAD_RANGE[kind]
+        head = low + (high - low) * draw(st.floats(0.0, 1.0))
+        tail = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+        scale = draw(st.floats(0.6, 1.4))
+        rho = rotated(spectrum_of(kind, dim, head, tail), draw(st.integers(0, 2**32 - 1)))
+        matrices.append(scale * rho)
+    return np.stack(matrices)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(stack=spectrum_stacks(), max_iter=st.sampled_from([1, 2, 100]))
+def test_purify_matches_the_matrix_iteration(stack, max_iter):
+    # pure and near-pure states, mixed ones, a dominant eigenvalue below 1/2,
+    # eigenvalues outside the basin, traces off 1: the same counts, flags and
+    # states as iterating the full matrices
+    assert_matches_oracle(stack, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("shots", [8192, 16])
+def test_purify_matches_the_matrix_iteration_on_tomographies(shots):
+    rng = np.random.default_rng(71)
+    theta = rng.uniform(-np.pi, np.pi, size=(3, 200))
+    noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=72)
+    detail = tomography_2q_detail(ansatz_entangled(*theta), noise, shots,
+                                  ReadoutCalibration.exact_from_noise(noise))
+    reports = assert_matches_oracle(detail.rho)
+    flagged = sum(not r.converged for r in reports)
+    assert flagged == 0 if shots == 8192 else flagged > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mcweeny_rejects_non_finite_entries(bad):
+    rho = (np.eye(4) / 4.0).astype(complex)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or inf"):
+        mcweeny_purify(rho)
+    stack = np.stack([depolarized_pure(0.1, seed=57)[0], rho, np.eye(4) / 4.0])
+    with pytest.raises(ValueError, match="NaN or inf"):
+        _purify(stack)
 
 
 def test_mcweeny_input_validation():
