@@ -3,7 +3,11 @@
 Gates are RotY(theta) = exp(-i theta Y / 2) and CNOT, each applied as its
 full-register matrix. Qubit 0 is the most significant bit of a basis index.
 Statevectors may span any number of qubits; density matrices span the two
-qubits of the ansatz circuits.
+qubits of the ansatz circuits. There the depolarizer after each CNOT acts on
+the whole register, rho -> (1-p) rho + p I/4, a channel that commutes with
+every unitary, so after c CNOTs rho = (1-p)^c |psi><psi| + (1 - (1-p)^c) I/4
+with psi the noiseless final state. That closed form holds only because the
+gate's pair is the whole register; on more qubits a pair channel is needed.
 
 A measurement takes a batch of Pauli words and reads the whole register for
 each of them: the record is an integer tally array, one row per word and one
@@ -21,6 +25,9 @@ circuits of one gate layout: each gate is one (k, 2^n, 2^n) stack, states
 evolve as (k, 2^n) and density matrices as (k, 4, 4). The measurement
 functions take the same leading batch axis and make one draw over all k x W
 rows, which consumes the stream exactly as k draws in batch order would.
+A density matrix's Born rows are one product vec(rho) @ T with a cached
+(d^2, W d) table T[(i, j), (w, a)] = U_w[a, i] conj(U_w[a, j]), U_w the basis
+change of word w.
 """
 
 from __future__ import annotations
@@ -269,7 +276,7 @@ def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> Co
     if state.ndim not in (1, 2):
         raise ValueError(f"state of shape {state.shape} is neither one state nor a stack")
     words = _checked_words(words, shots, state.shape[-1], noise)
-    U, _ = _basis_changes(words, state.shape[-1])
+    U = _basis_changes(words, state.shape[-1])
     return _sample(np.abs((U @ state[..., None, :, None])[..., 0]) ** 2, words, shots, noise)
 
 
@@ -278,9 +285,15 @@ def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix of shape {rho.shape} is not square")
     words = _checked_words(words, shots, rho.shape[-1], noise)
-    U, U_conj = _basis_changes(words, rho.shape[-1])
-    # Born rows diag(U rho U^dagger), one per word
-    return _sample(((U @ rho[..., None, :, :]) * U_conj).sum(axis=-1).real, words, shots, noise)
+    return _sample(_born_rows(rho, words), words, shots, noise)
+
+
+def _born_rows(rho: np.ndarray, words: tuple[str, ...]) -> np.ndarray:
+    """diag(U_w rho U_w^dagger) of every word w: (..., d, d) -> (..., W, d)."""
+    dim = rho.shape[-1]
+    # one vector-matrix product per matrix, so a stack's rows equal its members' rows bit for bit
+    rows = rho.reshape(rho.shape[:-2] + (1, dim * dim)) @ _born_table(words, dim)
+    return rows.real.reshape(rho.shape[:-2] + (len(words), dim))
 
 
 def counts_expectation(counts: Counts) -> np.ndarray:
@@ -290,15 +303,22 @@ def counts_expectation(counts: Counts) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _basis_changes(words: tuple[str, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked full-register unitaries sending each word's measured axes to Z, and their conjugates."""
+def _basis_changes(words: tuple[str, ...], dim: int) -> np.ndarray:
+    """Stacked full-register unitaries sending each word's measured axes to Z: (W, d, d)."""
     identity = np.eye(2, dtype=complex)
     U = np.reshape([reduce(np.kron, [MEAS_ROTATION.get(label, identity) for label in word])
                     for word in words], (len(words), dim, dim))
-    U_conj = U.conj()
-    for array in (U, U_conj):
-        array.setflags(write=False)
-    return U, U_conj
+    U.setflags(write=False)
+    return U
+
+
+@lru_cache(maxsize=64)
+def _born_table(words: tuple[str, ...], dim: int) -> np.ndarray:
+    """T[(i, j), (w, a)] = U_w[a, i] conj(U_w[a, j]), so vec(rho) @ T lists every word's Born row."""
+    U = _basis_changes(words, dim)
+    table = np.einsum("wai,waj->ijwa", U, U.conj()).reshape(dim * dim, len(words) * dim)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -349,25 +369,20 @@ def _gate_stacks(circuit: Circuit) -> list[np.ndarray]:
 
 
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Two-qubit density-matrix evolution from |00> with depolarization after each CNOT.
+    """Two-qubit density matrix from |00> with depolarization after each CNOT.
 
-    On two qubits the CNOT's pair is the whole register, so the pair channel
-    is rho -> (1-p) rho + p Tr(rho) I/4. Returns (4, 4), or (k, 4, 4) for a
-    batch of k.
+    On two qubits the CNOT's pair is the whole register, so the channel
+    rho -> (1-p) rho + p I/4 commutes with every gate and the noisy state is
+    (1-p)^c |psi><psi| + (1 - (1-p)^c) I/4 after c CNOTs, psi the noiseless
+    final state. This closed form holds only for a depolarizer that covers
+    the whole register. Returns (4, 4), or (k, 4, 4) for a batch of k.
     """
     if circuit.qubit_count != 2:
         raise ValueError("density simulation is implemented for 2-qubit circuits, "
                          f"got {circuit.qubit_count} qubits")
-    p = noise.p_dep
-    rho = np.zeros((circuit.batch_size or 1, 4, 4), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    for gate, U in zip(circuit.gates, _gate_stacks(circuit)):
-        # RotY and CNOT are real, so U^dagger = U^T
-        rho = U @ rho @ U.transpose(0, 2, 1)
-        if gate[0] == "cx":
-            trace = rho.trace(axis1=1, axis2=2)[:, None, None]
-            rho = (1.0 - p) * rho + (p * trace / 4.0) * np.eye(4)
-    return rho[0] if circuit.batch_size is None else rho
+    keep = (1.0 - noise.p_dep) ** sum(gate[0] == "cx" for gate in circuit.gates)
+    psi = apply_circuit(circuit, zero_state(2))
+    return keep * (psi[..., :, None] * psi[..., None, :].conj()) + ((1.0 - keep) / 4.0) * np.eye(4)
 
 
 def calibrate_readout(noise: NoiseModel, qubit: int, shots: int) -> tuple[float, float]:

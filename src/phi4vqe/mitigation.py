@@ -171,6 +171,10 @@ def _purify(rho: np.ndarray, eps_n: float = 1e-4,
             raise ValueError(f"trace {t} outside the tolerated window [0.5, 1.5]")
     rho = rho / trace[:, None, None]
     w, v = np.linalg.eigh(rho)
+    largest = np.abs(w).max()
+    if largest > np.sqrt(np.finfo(float).max / rho.shape[1]):
+        raise ValueError(f"density matrix eigenvalue of size {largest:.3g} "
+                         "overflows the purity Tr(rho^2)")
     initial_purity = (w * w).sum(axis=1)
     basin = (w[:, -1] >= 0.5) & (w[:, -1] < PURIFY_BASIN[1]) & (w[:, 0] > PURIFY_BASIN[0])
     iterations = np.zeros(len(w), dtype=int)

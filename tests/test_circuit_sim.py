@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phi4vqe.circuit_sim import (
     Circuit,
@@ -17,6 +18,9 @@ from phi4vqe.circuit_sim import (
     measure_pauli,
     measure_pauli_density,
     simulate_density,
+    _basis_changes,
+    _born_rows,
+    _gate_stacks,
     zero_state,
 )
 from phi4vqe.qubit_encoding import PauliSum, encode_matrix, pauli_word_matrix
@@ -421,6 +425,59 @@ def test_simulate_density_matches_pauli_twirl_reference():
             rho = depolarize(rho)
     got = simulate_density(ansatz_entangled(theta0, theta1, theta2), NoiseModel.uniform(2, p_dep=p))
     assert np.max(np.abs(got - rho)) < 1e-12
+
+
+def gate_by_gate_density(circuit, noise):
+    """The density evolution before the closed form: each gate as U rho U^T, and
+    rho -> (1-p) rho + p Tr(rho) I/4 after every CNOT. Returns (k, 4, 4)."""
+    p = noise.p_dep
+    rho = np.zeros((circuit.batch_size or 1, 4, 4), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    for gate, U in zip(circuit.gates, _gate_stacks(circuit)):
+        rho = U @ rho @ U.transpose(0, 2, 1)
+        if gate[0] == "cx":
+            trace = rho.trace(axis1=1, axis2=2)[:, None, None]
+            rho = (1.0 - p) * rho + (p * trace / 4.0) * np.eye(4)
+    return rho
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ansatz=st.sampled_from([ansatz_product, ansatz_entangled]),
+       batch=st.sampled_from([None, 1, 2, 5, 10]),
+       p_dep=st.floats(0.0, 0.99),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_density_matches_the_gate_by_gate_evolution(ansatz, batch, p_dep, seed):
+    n_angles = 2 if ansatz is ansatz_product else 3
+    angles = np.random.default_rng(seed).uniform(-7.0, 7.0, size=(n_angles, batch or 1))
+    circuit = ansatz(*(angles if batch else angles[:, 0]))
+    noise = NoiseModel.uniform(2, p_dep=p_dep)
+    got = simulate_density(circuit, noise)
+    assert got.shape == ((batch, 4, 4) if batch else (4, 4))
+    assert np.max(np.abs(got - gate_by_gate_density(circuit, noise))) < 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n_qubits=st.sampled_from([1, 2, 3]),
+       batch=st.sampled_from([(), (1,), (3,)]),
+       word_count=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_born_table_rows_match_the_rotated_diagonals(n_qubits, batch, word_count, seed):
+    # random Hermitian inputs of unit Frobenius norm at d = 2, 4, 8 against the
+    # per-word product diag(U rho U^dagger) = ((U @ rho) * conj(U)).sum(-1)
+    rng = np.random.default_rng(seed)
+    dim = 2**n_qubits
+    words = tuple("".join(rng.choice(list("IXYZ"), size=n_qubits)) for _ in range(word_count))
+    a = rng.normal(size=batch + (dim, dim)) + 1j * rng.normal(size=batch + (dim, dim))
+    rho = a + np.swapaxes(a.conj(), -1, -2)
+    rho /= np.linalg.norm(rho, axis=(-2, -1), keepdims=True)
+    U = _basis_changes(words, dim)
+    expected = ((U @ rho[..., None, :, :]) * U.conj()).sum(axis=-1).real
+    got = _born_rows(rho, words)
+    assert got.shape == batch + (word_count, dim)
+    assert np.max(np.abs(got - expected)) < 1e-15
+    # a stack's rows are its members' rows bit for bit
+    for member, rows in zip(rho.reshape((-1, dim, dim)), got.reshape((-1, word_count, dim))):
+        assert np.array_equal(_born_rows(member, words), rows)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 3])

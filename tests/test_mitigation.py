@@ -425,6 +425,21 @@ def test_mcweeny_rejects_non_finite_entries(bad):
         _purify(stack)
 
 
+def test_mcweeny_rejects_eigenvalues_whose_squares_overflow():
+    # finite, Hermitian and trace 1, but Tr(rho^2) exceeds the largest float
+    rho = (np.eye(4) / 4.0).astype(complex)
+    rho[0, 1] = rho[1, 0] = 1e200
+    with pytest.raises(ValueError, match="overflows the purity"):
+        mcweeny_purify(rho)
+    with pytest.raises(ValueError, match="overflows the purity"):
+        _purify(np.stack([depolarized_pure(0.1, seed=57)[0], rho]))
+    # large but representable: flagged and returned as given, with a finite purity
+    rho[0, 1] = rho[1, 0] = 1e150
+    out, report = mcweeny_purify(rho)
+    assert not report.converged and np.isfinite(report.initial_purity)
+    assert np.array_equal(out, rho)
+
+
 def test_mcweeny_input_validation():
     with pytest.raises(ValueError):
         mcweeny_purify(np.eye(4) * 0.5)  # trace 2
