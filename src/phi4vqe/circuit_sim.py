@@ -1,7 +1,8 @@
 """Minimal gate-model simulator for the two variational ansatz circuits.
 
-Gates are RotY(theta) = exp(-i theta Y / 2) and CNOT, each applied as its
-full-register matrix. Qubit 0 is the most significant bit of a basis index.
+Gates are RotY(theta) = exp(-i theta Y / 2), applied to the state as
+cos(theta/2) psi + sin(theta/2) G psi with G = -iY on its qubit, and CNOT, a
+basis permutation. Qubit 0 is the most significant bit of a basis index.
 Statevectors may span any number of qubits; density matrices span the two
 qubits of the ansatz circuits. There the depolarizer after each CNOT acts on
 the whole register, rho -> (1-p) rho + p I/4, a channel that commutes with
@@ -21,7 +22,7 @@ Expectations are products of the tallies with a word x outcome table
 experiment's NoiseModel, so runs are bit-reproducible.
 
 A circuit whose RotY angles are 1-D arrays of length k is a batch of k
-circuits of one gate layout: each gate is one (k, 2^n, 2^n) stack, states
+circuits of one gate layout: every gate acts on all k states at once, states
 evolve as (k, 2^n) and density matrices as (k, 4, 4). The measurement
 functions take the same leading batch axis and make one draw over all k x W
 rows, which consumes the stream exactly as k draws in batch order would.
@@ -63,6 +64,11 @@ S_DAG = np.array([[1, 0], [0, -1j]], dtype=complex)
 MEAS_ROTATION = {"X": HADAMARD, "Y": HADAMARD @ S_DAG}
 
 
+def _int_in(value, low, high) -> bool:
+    """An integer in [low, high) that is not a bool: numpy integers count, floats do not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate program; gates are ("ry", qubit, angle) or ("cx", control, target).
@@ -76,20 +82,18 @@ class Circuit:
     batch_size: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        n = self.qubit_count
+        if not _int_in(n, 1, math.inf):
+            raise ValueError(f"qubit_count must be an integer >= 1, got {n!r}")
         angles = []
         for gate in self.gates:
-            kind = gate[0]
-            if kind == "ry":
-                _, q, theta = gate
-                if not 0 <= q < self.qubit_count:
-                    raise ValueError(f"qubit {q} out of range")
-                angles.append(theta)
-            elif kind == "cx":
-                _, c, t = gate
-                if not (0 <= c < self.qubit_count and 0 <= t < self.qubit_count and c != t):
-                    raise ValueError(f"bad cx qubits ({c}, {t})")
-            else:
+            kind, a, b = gate
+            if kind not in ("ry", "cx"):
                 raise ValueError(f"unknown gate {kind!r}")
+            if not (_int_in(a, 0, n) and (kind == "ry" or (_int_in(b, 0, n) and a != b))):
+                raise ValueError(f"gate {gate!r} needs distinct integer qubits in [0, {n})")
+            if kind == "ry":
+                angles.append(b)
         shapes = {np.shape(theta) for theta in angles}
         if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
             raise ValueError("angles must be all numbers or all 1-D arrays of one length")
@@ -174,10 +178,17 @@ def apply_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     n = circuit.qubit_count
     if initial.shape != (2**n,):
         raise ValueError(f"state dimension {initial.shape} does not match {n} qubits")
-    state = np.tile(initial.astype(complex), (circuit.batch_size or 1, 1))[..., None]
-    for U in _gate_stacks(circuit):
-        state = U @ state
-    return state[0, :, 0] if circuit.batch_size is None else state[..., 0]
+    k = circuit.batch_size or 1
+    state = np.tile(initial.astype(complex), (k, 1))
+    half = np.array([g[2] for g in circuit.gates if g[0] == "ry"], dtype=float).reshape(-1, k, 1) / 2
+    rotations = zip(np.cos(half), np.sin(half))
+    for kind, a, b in circuit.gates:
+        if kind == "ry":
+            cos, sin = next(rotations)
+            state = cos * state + sin * (state @ _ry_generator(a, n).T)
+        else:
+            state = state @ _full_cx(a, b, n)  # a symmetric permutation: U psi = psi @ U
+    return state[0] if circuit.batch_size is None else state
 
 
 def ansatz_product(theta0, theta1) -> Circuit:
@@ -247,6 +258,10 @@ def outcome_table(words: tuple[str, ...], p_minus: tuple[float, ...],
     return table
 
 
+# overflow or inf - inf in Born rows leaves non-finite rows, which _sample rejects before the draw
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
 def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str, ...]:
     """Check a measurement request on a 2^n-dimensional state; return the words."""
     if shots < 1:
@@ -266,11 +281,17 @@ def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str,
 def _sample(probs: np.ndarray, words: tuple[str, ...], shots: int, noise: NoiseModel) -> Counts:
     """One multinomial draw over every row of C @ probs, probs of shape (..., W, 2^n)."""
     probs = np.maximum(probs @ _confusion(noise.p10, noise.p01).T, 0.0)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    totals = probs.sum(axis=-1, keepdims=True)
+    if totals.size and not 0 < totals.min() <= totals.max() < np.inf:  # NaN fails every comparison
+        bad = ~((totals > 0) & (totals < np.inf)).all(axis=(-2, -1))
+        where = f"batch row {np.flatnonzero(bad)[0]}" if bad.ndim else "the state"
+        raise ValueError(f"the Born rows of {where} are non-finite or lack a positive total")
+    probs /= totals
     tallies = noise.rng.multinomial(shots, probs.reshape(-1, probs.shape[-1]))
     return Counts(words=words, tallies=tallies.reshape(probs.shape), shots=shots)
 
 
+@_QUIET
 def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
     """Sample every Pauli word of the batch on a pure state (2^n,) or a stack of them (k, 2^n)."""
     if state.ndim not in (1, 2):
@@ -280,6 +301,7 @@ def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> Co
     return _sample(np.abs((U @ state[..., None, :, None])[..., 0]) ** 2, words, shots, noise)
 
 
+@_QUIET
 def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
     """Sampling path for mixed states, (2^n, 2^n) or (k, 2^n, 2^n); mirrors measure_pauli."""
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
@@ -332,40 +354,14 @@ def _full_cx(c: int, t: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _ry_generators(qubits: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The register identity I and -iY on each listed qubit, G: (len(qubits), 1, 2^n, 2^n).
-
-    RotY(theta) on qubit q is cos(theta/2) I + sin(theta/2) G_q.
-    """
+def _ry_generator(q: int, n: int) -> np.ndarray:
+    """G = -iY on qubit q of n, a signed permutation: RotY(theta) on q is cos(theta/2) I + sin(theta/2) G."""
     index = np.arange(2**n)
-    G = np.zeros((len(qubits), 1, 2**n, 2**n), dtype=complex)
-    for i, q in enumerate(qubits):
-        bit = 1 << (n - 1 - q)
-        low = index[(index & bit) == 0]
-        G[i, 0, low, low | bit] = -1.0
-        G[i, 0, low | bit, low] = 1.0
-    identity = np.eye(2**n)
-    for array in (identity, G):
-        array.setflags(write=False)
-    return identity, G
-
-
-def _gate_stacks(circuit: Circuit) -> list[np.ndarray]:
-    """Full-register matrix stacks of every gate: (k, 2^n, 2^n) per RotY, (1, 2^n, 2^n) per CNOT.
-
-    k is the batch size, 1 for an unbatched circuit.
-    """
-    n = circuit.qubit_count
-    rotations = [gate for gate in circuit.gates if gate[0] == "ry"]
-    # per-angle math.cos/math.sin: the numpy ufuncs can differ from them in the last bit
-    half = (np.array([gate[2] for gate in rotations], dtype=float) / 2.0).ravel().tolist()
-    shape = (len(rotations), circuit.batch_size or 1, 1, 1)
-    cos = np.reshape([math.cos(h) for h in half], shape)
-    sin = np.reshape([math.sin(h) for h in half], shape)
-    identity, generators = _ry_generators(tuple(gate[1] for gate in rotations), n)
-    stacks = iter(cos * identity + sin * generators)
-    return [next(stacks) if gate[0] == "ry" else _full_cx(gate[1], gate[2], n)[None]
-            for gate in circuit.gates]
+    bit = 1 << (n - 1 - q)
+    G = np.zeros((2**n, 2**n), dtype=complex)
+    G[index ^ bit, index] = np.where(index & bit, -1.0, 1.0)
+    G.setflags(write=False)
+    return G
 
 
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:

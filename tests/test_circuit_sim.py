@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -20,7 +21,6 @@ from phi4vqe.circuit_sim import (
     simulate_density,
     _basis_changes,
     _born_rows,
-    _gate_stacks,
     zero_state,
 )
 from phi4vqe.qubit_encoding import PauliSum, encode_matrix, pauli_word_matrix
@@ -29,6 +29,33 @@ from phi4vqe.qubit_encoding import PauliSum, encode_matrix, pauli_word_matrix
 def random_state(n_qubits, rng):
     v = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
     return v / np.linalg.norm(v)
+
+
+def ry_matrix(theta, q, n):
+    """RotY(theta) on qubit q of n: the 2x2 rotation kron'd with identities (qubit 0 leftmost)."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    factors = [np.array([[c, -s], [s, c]]) if i == q else np.eye(2) for i in range(n)]
+    return functools.reduce(np.kron, factors)
+
+
+def cx_matrix(c, t, n):
+    """CNOT as an explicit basis permutation: |x> -> |x with bit t flipped if bit c is set>."""
+    U = np.zeros((2**n, 2**n))
+    for x in range(2**n):
+        bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
+        bits[t] ^= bits[c]
+        U[int("".join(map(str, bits)), 2), x] = 1.0
+    return U
+
+
+def gate_matrices(circuit):
+    """Every gate's full-register matrix, stacked over the batch: (k, 2^n, 2^n), k = 1 if unbatched."""
+    n, k = circuit.qubit_count, circuit.batch_size or 1
+    for gate in circuit.gates:
+        if gate[0] == "ry":
+            yield np.stack([ry_matrix(theta, gate[1], n) for theta in np.broadcast_to(gate[2], (k,))])
+        else:
+            yield cx_matrix(gate[1], gate[2], n)[None]
 
 
 # ---------------------------------------------------------------- gates
@@ -100,6 +127,61 @@ def test_circuit_validation():
         Circuit(2, (("ry", 2, 1.0),))
     with pytest.raises(ValueError):
         Circuit(2, (("cx", 1, 1),))
+
+
+@pytest.mark.parametrize("qubit_count,gates,match", [
+    (2, (("ry", 0.5, 1.0),), r"gate \('ry', 0.5, 1.0\) needs distinct integer qubits"),
+    (2, (("cx", 0.0, 1),), r"gate \('cx', 0.0, 1\) needs distinct integer qubits"),
+    (2, (("ry", True, 1.0),), r"gate \('ry', True, 1.0\) needs distinct integer qubits"),
+    (2, (("cx", 0, 1), ("cx", 1, np.int64(1))), r"gate \('cx', 1, np.int64\(1\)\) needs distinct"),
+    (2.0, (("ry", 0, 1.0),), "qubit_count must be an integer >= 1, got 2.0"),
+    (True, (("ry", 0, 1.0),), "qubit_count must be an integer >= 1, got True"),
+    (0, (), "qubit_count must be an integer >= 1, got 0"),
+], ids=["float-ry-qubit", "float-cx-control", "bool-qubit", "repeated-numpy-qubit",
+        "float-count", "bool-count", "zero-count"])
+def test_circuit_rejects_malformed_qubit_labels(qubit_count, gates, match):
+    with pytest.raises(ValueError, match=match):
+        Circuit(qubit_count, gates)
+
+
+def test_circuit_accepts_numpy_integer_labels():
+    gates = (("ry", 0, 0.4), ("cx", 0, 1), ("ry", 1, -1.1))
+    numpy_gates = (("ry", np.int64(0), 0.4), ("cx", np.int32(0), np.int64(1)), ("ry", np.uint8(1), -1.1))
+    assert np.array_equal(apply_circuit(Circuit(np.int64(2), numpy_gates), zero_state(2)),
+                          apply_circuit(Circuit(2, gates), zero_state(2)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_qubits=st.integers(1, 4),
+       batch=st.sampled_from([None, 1, 3]),
+       gate_count=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_circuit_matches_the_product_of_gate_matrices(n_qubits, batch, gate_count, seed):
+    # random RotY/CNOT layouts on up to 4 qubits from a random complex state,
+    # against the gates' kron/permutation matrices built above
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(gate_count):
+        if n_qubits == 1 or rng.random() < 0.6:
+            theta = rng.uniform(-7.0, 7.0, size=batch) if batch else float(rng.uniform(-7.0, 7.0))
+            gates.append(("ry", int(rng.integers(n_qubits)), theta))
+        else:
+            c, t = rng.choice(n_qubits, size=2, replace=False)
+            gates.append(("cx", int(c), int(t)))
+    circuit = Circuit(n_qubits, tuple(gates))
+    initial = random_state(n_qubits, rng)
+    expected = np.tile(initial, (circuit.batch_size or 1, 1))
+    for U in gate_matrices(circuit):
+        expected = np.einsum("kij,kj->ki", U, expected)
+    got = apply_circuit(circuit, initial)
+    dim = 2**n_qubits
+    assert got.shape == ((circuit.batch_size, dim) if circuit.batch_size else (dim,))
+    assert got.dtype == complex
+    assert np.max(np.abs(got - expected.reshape(got.shape))) < 1e-12
+    # every batch row is its own single-circuit run, bit for bit
+    for row in range(circuit.batch_size or 0):
+        single = tuple(g[:2] + (g[2][row],) if g[0] == "ry" else g for g in gates)
+        assert np.array_equal(apply_circuit(Circuit(n_qubits, single), initial), got[row])
 
 
 # ---------------------------------------------------------------- ansatz circuits
@@ -369,6 +451,36 @@ def test_measure_pauli_density_rejects_non_square_matrix():
         measure_pauli_density(np.eye(4, 3), ("ZZ",), 10, NoiseModel.noiseless(2))
 
 
+@pytest.mark.parametrize("readout", [0.0, 0.05], ids=["noiseless", "readout"])
+@pytest.mark.parametrize("measure,state", [
+    (measure_pauli_density, np.zeros((4, 4))),
+    (measure_pauli_density, -np.eye(4) / 4.0),
+    (measure_pauli_density, np.full((4, 4), 1e308)),
+    (measure_pauli_density, np.full((4, 4), np.nan)),
+    (measure_pauli, np.zeros(4, dtype=complex)),
+    (measure_pauli, np.full(4, np.nan, dtype=complex)),
+], ids=["zero-matrix", "trace-minus-one", "huge-matrix", "nan-matrix", "zero-vector", "nan-vector"])
+def test_sampler_rejects_states_without_a_born_distribution(measure, state, readout):
+    # raised before any RuntimeWarning (an error under this suite's filter) and before the draw
+    noise = NoiseModel.uniform(2, readout=readout, seed=4)
+    before = noise.rng.bit_generator.state
+    with pytest.raises(ValueError, match="Born rows of the state are non-finite or lack a positive total"):
+        measure(state, ("ZZ", "XY"), 100, noise)
+    assert noise.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("measure", ["pure", "density"])
+def test_sampler_names_the_bad_batch_row(measure):
+    state = apply_circuit(ansatz_entangled(0.5, 0.2, 0.9), zero_state(2))
+    states = np.stack([state, state, np.zeros(4)])
+    if measure == "pure":
+        run = measure_pauli
+    else:
+        states, run = states[:, :, None] * states[:, None, :].conj(), measure_pauli_density
+    with pytest.raises(ValueError, match="Born rows of batch row 2 are non-finite"):
+        run(states, ("ZZ",), 100, NoiseModel.noiseless(2))
+
+
 # ---------------------------------------------------------------- density matrices
 
 def test_simulate_density_pure_when_noiseless():
@@ -433,7 +545,7 @@ def gate_by_gate_density(circuit, noise):
     p = noise.p_dep
     rho = np.zeros((circuit.batch_size or 1, 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0
-    for gate, U in zip(circuit.gates, _gate_stacks(circuit)):
+    for gate, U in zip(circuit.gates, gate_matrices(circuit)):
         rho = U @ rho @ U.transpose(0, 2, 1)
         if gate[0] == "cx":
             trace = rho.trace(axis1=1, axis2=2)[:, None, None]
