@@ -1,8 +1,10 @@
 """Minimal gate-model simulator for the two variational ansatz circuits.
 
-Gates are RotY(theta) = exp(-i theta Y / 2), applied to the state as
-cos(theta/2) psi + sin(theta/2) G psi with G = -iY on its qubit, and CNOT, a
-basis permutation. Qubit 0 is the most significant bit of a basis index.
+Gates act on the amplitudes and build no matrix, so a gate on a (k, 2^n) state
+costs O(k 2^n) time and memory. RotY(theta) = exp(-i theta Y / 2) is
+cos(theta/2) psi + sin(theta/2) G psi, where G = -iY swaps and signs each
+amplitude pair that differs in the gate's qubit; CNOT is a gather by a cached
+index permutation. Qubit 0 is the most significant bit of a basis index.
 Statevectors may span any number of qubits; density matrices span the two
 qubits of the ansatz circuits. There the depolarizer after each CNOT acts on
 the whole register, rho -> (1-p) rho + p I/4, a channel that commutes with
@@ -62,6 +64,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 S_DAG = np.array([[1, 0], [0, -1j]], dtype=complex)
 # Basis change sending the measured axis to Z: X -> H, Y -> H S_dag (S_dag first).
 MEAS_ROTATION = {"X": HADAMARD, "Y": HADAMARD @ S_DAG}
+_RY_SIGNS = np.array([[-1.0], [1.0]])  # G = -iY maps an amplitude pair (a0, a1) of its qubit to (-a1, a0)
 
 
 def _int_in(value, low, high) -> bool:
@@ -178,16 +181,19 @@ def apply_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     n = circuit.qubit_count
     if initial.shape != (2**n,):
         raise ValueError(f"state dimension {initial.shape} does not match {n} qubits")
+    if not 0 < np.abs(initial).max() < np.inf:  # NaN fails every comparison
+        raise ValueError("initial state must be finite and not the zero vector")
     k = circuit.batch_size or 1
     state = np.tile(initial.astype(complex), (k, 1))
-    half = np.array([g[2] for g in circuit.gates if g[0] == "ry"], dtype=float).reshape(-1, k, 1) / 2
-    rotations = zip(np.cos(half), np.sin(half))
+    half = np.array([g[2] for g in circuit.gates if g[0] == "ry"], dtype=float).reshape(-1, k, 1, 1, 1) / 2
+    rotations = zip(np.cos(half), np.sin(half) * _RY_SIGNS)
     for kind, a, b in circuit.gates:
         if kind == "ry":
-            cos, sin = next(rotations)
-            state = cos * state + sin * (state @ _ry_generator(a, n).T)
+            cos, signed_sin = next(rotations)
+            pairs = state.reshape(k, 2**a, 2, -1)
+            state = (cos * pairs + signed_sin * pairs[:, :, ::-1]).reshape(k, -1)
         else:
-            state = state @ _full_cx(a, b, n)  # a symmetric permutation: U psi = psi @ U
+            state = state.take(_cx_permutation(a, b, n), axis=1)
     return state[0] if circuit.batch_size is None else state
 
 
@@ -220,6 +226,8 @@ def expectation_exact(state: np.ndarray, H: PauliSum) -> float | np.ndarray:
     n = H.qubit_count
     if state.shape[-1:] != (2**n,) or state.ndim > 2:
         raise ValueError("state and operator qubit counts differ")
+    if not np.isfinite(state).all():
+        raise ValueError("state has NaN or inf entries")
     states = np.atleast_2d(state)
     images = (H.to_matrix() @ states[..., None])[..., 0]
     # one vdot per row: a batched reduction can differ from vdot in the last bit
@@ -344,24 +352,12 @@ def _born_table(words: tuple[str, ...], dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _full_cx(c: int, t: int, n: int) -> np.ndarray:
-    """CNOT as a permutation of the identity: row i is e_j, j = i with bit t flipped if bit c is set."""
+def _cx_permutation(c: int, t: int, n: int) -> np.ndarray:
+    """CNOT as an amplitude gather: entry x is x with bit t flipped if bit c is set."""
     index = np.arange(2**n)
-    flip = ((index >> (n - 1 - c)) & 1) << (n - 1 - t)
-    U = np.eye(2**n, dtype=complex)[index ^ flip]
-    U.setflags(write=False)
-    return U
-
-
-@lru_cache(maxsize=64)
-def _ry_generator(q: int, n: int) -> np.ndarray:
-    """G = -iY on qubit q of n, a signed permutation: RotY(theta) on q is cos(theta/2) I + sin(theta/2) G."""
-    index = np.arange(2**n)
-    bit = 1 << (n - 1 - q)
-    G = np.zeros((2**n, 2**n), dtype=complex)
-    G[index ^ bit, index] = np.where(index & bit, -1.0, 1.0)
-    G.setflags(write=False)
-    return G
+    perm = index ^ (((index >> (n - 1 - c)) & 1) << (n - 1 - t))
+    perm.setflags(write=False)
+    return perm
 
 
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:

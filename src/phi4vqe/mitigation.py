@@ -112,6 +112,9 @@ def ro_correct(weights: np.ndarray, words: tuple[str, ...], cal: ReadoutCalibrat
     if weights.shape[-2:] != (len(words), 2**n) or any(len(w) != n for w in words):
         raise ValueError(f"weights of shape {weights.shape} do not match "
                          f"{len(words)} words on {n} qubits")
+    if not set("".join(words)) <= set("IXYZ"):
+        bad = next(w for w in words if not set(w) <= set("IXYZ"))
+        raise ValueError(f"word {bad!r} has a label outside IXYZ")
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise ValueError("outcome weights must be finite and >= 0")
     total = weights.sum(axis=-1)
@@ -215,7 +218,7 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
     returned unmodified (trace-normalized).
     """
     if rho.ndim != 2:
-        raise ValueError("density matrix must be square")
+        raise ValueError(f"mcweeny_purify takes one (d, d) density matrix, got shape {rho.shape}")
     purified, reports = _purify(rho[None], eps_n, max_iter)
     return purified[0], reports[0]
 

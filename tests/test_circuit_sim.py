@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,13 +153,14 @@ def test_circuit_accepts_numpy_integer_labels():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(n_qubits=st.integers(1, 4),
+@given(n_qubits=st.integers(1, 6),
        batch=st.sampled_from([None, 1, 3]),
        gate_count=st.integers(0, 12),
        seed=st.integers(0, 2**32 - 1))
 def test_apply_circuit_matches_the_product_of_gate_matrices(n_qubits, batch, gate_count, seed):
-    # random RotY/CNOT layouts on up to 4 qubits from a random complex state,
-    # against the gates' kron/permutation matrices built above
+    # random RotY/CNOT layouts on up to 6 qubits (so gates also act on inner
+    # qubits) from a random complex state, against the gates' kron/permutation
+    # matrices built above
     rng = np.random.default_rng(seed)
     gates = []
     for _ in range(gate_count):
@@ -182,6 +184,34 @@ def test_apply_circuit_matches_the_product_of_gate_matrices(n_qubits, batch, gat
     for row in range(circuit.batch_size or 0):
         single = tuple(g[:2] + (g[2][row],) if g[0] == "ry" else g for g in gates)
         assert np.array_equal(apply_circuit(Circuit(n_qubits, single), initial), got[row])
+
+
+def test_apply_circuit_builds_no_register_sized_matrix():
+    # a RotY layer and a CNOT chain on 10 qubits: one 2^10 x 2^10 complex matrix is 16.8 MB,
+    # the state 16 kB
+    n = 10
+    layer = tuple(("ry", q, 0.1 * (q + 1)) for q in range(n))
+    circuit = Circuit(n, layer + tuple(("cx", q, q + 1) for q in range(n - 1)))
+    tracemalloc.start()
+    try:
+        state = apply_circuit(circuit, zero_state(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("initial", [np.array([np.nan, 0.0]), np.array([1.0, np.inf]), np.zeros(2)],
+                         ids=["nan", "inf", "zero"])
+def test_apply_circuit_rejects_bad_initial_states(initial):
+    with pytest.raises(ValueError, match="initial state must be finite and not the zero vector"):
+        apply_circuit(Circuit(1, (("ry", 0, 0.3),)), initial)
+
+
+def test_apply_circuit_accepts_unnormalized_initial_states():
+    state = apply_circuit(Circuit(1, (("ry", 0, math.pi),)), np.array([2.0, 0.0]))
+    assert np.allclose(state, [0.0, 2.0], atol=1e-15)
 
 
 # ---------------------------------------------------------------- ansatz circuits
@@ -249,6 +279,17 @@ def test_expectation_matches_dense_contraction():
     H = encode_matrix(M)
     dense = float(np.real(state.conj() @ M @ state))
     assert expectation_exact(state, H) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_expectation_exact_rejects_non_finite_states(bad, stacked):
+    state = zero_state(2)
+    state[3] = bad
+    if stacked:
+        state = np.stack([zero_state(2), state])
+    with pytest.raises(ValueError, match="state has NaN or inf entries"):
+        expectation_exact(state, PauliSum(((1.0, "ZI"),), 2))
 
 
 # ---------------------------------------------------------------- sampling

@@ -133,6 +133,15 @@ def test_ro_correct_rejects_negative_or_non_finite_weights(weights):
         ro_correct([weights], ("Z",), cal)
 
 
+@pytest.mark.parametrize("words,bad", [(("QQ",), "QQ"), (("ZZ", "ZQ"), "ZQ"), (("zz",), "zz")],
+                         ids=["QQ", "second-word", "lower-case"])
+def test_ro_correct_rejects_labels_outside_ixyz(words, bad):
+    # an unknown label used to be read as Z
+    cal = ReadoutCalibration(rates=((0.02, 0.03), (0.01, 0.04)))
+    with pytest.raises(ValueError, match=f"word '{bad}' has a label outside IXYZ"):
+        ro_correct([[10, 0, 0, 0]] * len(words), words, cal)
+
+
 def test_ro_correct_rejects_empty_counts():
     cal = ReadoutCalibration(rates=((0.01, 0.02),))
     with pytest.raises(ValueError, match="empty counts"):
@@ -448,6 +457,11 @@ def test_mcweeny_input_validation():
     bad[0, 1] = 0.1
     with pytest.raises(ValueError):
         mcweeny_purify(bad)
+
+
+def test_mcweeny_purify_takes_one_matrix_not_a_stack():
+    with pytest.raises(ValueError, match=r"takes one \(d, d\) density matrix, got shape \(1, 4, 4\)"):
+        mcweeny_purify(np.eye(4)[None] / 4.0)
 
 
 def test_mcweeny_renormalizes_trace():
