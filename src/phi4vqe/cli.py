@@ -263,6 +263,9 @@ def check_config(command: str, given: dict) -> tuple[dict, list[str]]:
     if "fits" in cfg:
         errors += [f"fits[{i}].lambda_grid: needs at least 4 points to fit"
                    for i, fit in enumerate(cfg["fits"]) if len(fit["lambda_grid"]) < 4]
+        errors += [f"fits[{i}].lambda_grid: a coupling repeats"
+                   for i, fit in enumerate(cfg["fits"])
+                   if len(set(fit["lambda_grid"])) < len(fit["lambda_grid"])]
     if command == "vqe":
         n_max, L = cfg["model"]["n_max"], cfg["model"]["L"]
         if n_max % 2 or (n_max // 2)**L != 4:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .lattice_model import ModelParams, momentum_grid
 
@@ -286,6 +285,10 @@ def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
     delta_m on the physical branch. Raises ValueError when the bracket shows
     no sign change; an error inside mass_gap reaches the caller unchanged.
     """
+    # scipy.optimize is most of the package's import time and only this
+    # solver and critical_exponent_fit use it, so it loads on first use
+    from scipy.optimize import brentq
+
     if not target_m_sq > 0:
         raise ValueError(f"target_m_sq must be > 0, got {target_m_sq}")
     lo = -abs(params.m0_sq) - params.m_sq - params.lam
@@ -333,13 +336,29 @@ def critical_exponent_fit(
 
     The window points are the ones nearest the critical coupling when the gap
     data approaches lambda_c from above. Seeds (A, lambda_c, nu) from a linear
-    pre-fit with nu = 1; lambda_c is constrained below the window.
+    pre-fit with nu = 1; lambda_c is constrained below the window. Points with
+    gap <= 0 are dropped. Raises ValueError when window is not an integer >= 4,
+    when a coupling or a gap is NaN or inf, or when a coupling repeats.
     """
+    # see solve_counterterm: scipy.optimize loads on first use
+    from scipy.optimize import least_squares
+
+    if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 4:
+        raise ValueError(f"window must be an integer >= 4, got {window!r}")
+    seen = set()
+    for lam, gap in points:
+        if not math.isfinite(lam):
+            raise ValueError(f"coupling must be finite, got {lam!r}")
+        if not math.isfinite(gap):
+            raise ValueError(f"gap at coupling {lam!r} must be finite, got {gap!r}")
+        if lam in seen:
+            raise ValueError(f"coupling {lam!r} repeats")
+        seen.add(lam)
     usable = [(lam, gap) for lam, gap in points if gap > 0]
     if len(usable) < 4:
         raise ValueError(f"need at least 4 points with gap > 0, got {len(usable)}")
     usable.sort(key=lambda p: p[1])
-    selected = sorted(usable[: max(window, 4)])
+    selected = sorted(usable[:window])
     lams = np.array([p[0] for p in selected])
     gaps = np.array([p[1] for p in selected])
     if np.ptp(gaps) < 1e-14:

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -238,14 +241,27 @@ def test_critical_fit_benchmark_window(tmp_path):
 
 
 def test_critical_flat_data_exits_two(tmp_path, capsys):
+    # one mode with two levels: phi^2 and phi^4 are multiples of the identity,
+    # so the gap is the same at every coupling
     cfg = {
-        "model": {"L": 2, "m_sq": 1.0, "n_max": 4},
-        "fits": [{"m0_sq": 1.0, "lambda_grid": [3.0, 3.0, 3.0, 3.0]}],
+        "model": {"L": 1, "m_sq": 1.0, "n_max": 2},
+        "fits": [{"m0_sq": 1.0, "lambda_grid": [3.0, 4.0, 5.0, 6.0]}],
         "fit_window": 4,
     }
     code, _ = run(tmp_path, "critical", cfg)
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_critical_rejects_repeated_fit_coupling(tmp_path, capsys):
+    cfg = {
+        "model": {"L": 2, "m_sq": 1.0, "n_max": 8},
+        "fits": [{"m0_sq": -1.5, "lambda_grid": [3.5, 4.0, 4.0, 4.5, 5.0, 5.5]}],
+    }
+    code, out = run(tmp_path, "critical", cfg)
+    assert code == 1
+    assert "fits[0].lambda_grid: a coupling repeats" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_critical_rejects_short_fit_grid(tmp_path, capsys):
@@ -489,6 +505,46 @@ def test_threads_flag_is_gone(tmp_path):
         main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
               "--threads", "2"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- cold start
+
+COLD_START = """
+import json, sys
+import phi4vqe
+import phi4vqe.cli as cli
+
+def run(command):
+    path = sys.argv[1] + "/" + command + ".json"
+    assert cli.main([command, "--config", path, "--out", path + ".out"]) == 0, command
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+run("spectrum")
+run("vqe")
+before = loaded()
+run("counterterm")
+print(json.dumps({"before": before, "after": loaded()}))
+"""
+
+
+def test_scipy_loads_only_for_the_root_solvers(tmp_path):
+    # spectrum and exact vqe run on numpy alone; scipy.optimize enters the
+    # process with the first counterterm root
+    roots = {"roots": {"L": 2, "m_sq": 1.0, "n_max": 4, "target_m_sq": 1.0,
+                       "lambda_values": [6.0], "sweep_points": 3}}
+    for command, cfg in (("spectrum", spectrum_cfg()), ("vqe", vqe_cfg()),
+                         ("counterterm", roots)):
+        (tmp_path / f"{command}.json").write_text(json.dumps(cfg))
+    src = str(Path(vqe.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout)
+    assert modules["before"] == []
+    assert "scipy.optimize" in modules["after"]
 
 
 # ---------------------------------------------------------------- README drift

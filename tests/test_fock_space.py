@@ -594,6 +594,35 @@ def test_critical_exponent_fit_rejects_flat_data():
         critical_exponent_fit(points, window=6)
 
 
+# gap = 0.3 (lambda - 5) at lambda = 5.5 ... 9.0
+LINEAR_POINTS = [(5.5 + 0.5 * i, 0.3 * (0.5 + 0.5 * i)) for i in range(8)]
+
+
+@pytest.mark.parametrize("window", [0, -3, True, 2.5])
+def test_critical_exponent_fit_rejects_bad_window(window):
+    with pytest.raises(ValueError, match=r"window must be an integer >= 4"):
+        critical_exponent_fit(LINEAR_POINTS, window=window)
+
+
+@pytest.mark.parametrize("point, message", [
+    ((7.0, math.inf), r"gap at coupling 7\.0 must be finite, got inf"),
+    ((7.0, math.nan), r"gap at coupling 7\.0 must be finite, got nan"),
+    ((math.nan, 0.6), r"coupling must be finite, got nan"),
+    ((math.inf, 0.6), r"coupling must be finite, got inf"),
+    ((6.5, 0.6), r"coupling 6\.5 repeats"),
+], ids=["inf-gap", "nan-gap", "nan-coupling", "inf-coupling", "repeated-coupling"])
+def test_critical_exponent_fit_rejects_bad_points(point, message):
+    points = list(LINEAR_POINTS)
+    points[3] = point  # in place of (7.0, 0.6)
+    with pytest.raises(ValueError, match=message):
+        critical_exponent_fit(points, window=6)
+
+
+def test_critical_exponent_fit_still_drops_non_positive_gaps():
+    fit = critical_exponent_fit(LINEAR_POINTS + [(4.0, 0.0), (4.5, -0.2)], window=6)
+    assert fit == critical_exponent_fit(LINEAR_POINTS, window=6)
+
+
 def test_gap_linearity_in_coupling():
     # linear fit of gap(lambda) over [4, 14] at bare mass -1.5; the exact curve
     # keeps genuine curvature, so this documents how close to linear it gets
