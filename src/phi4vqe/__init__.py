@@ -49,7 +49,6 @@ from .lattice_model import (
 from .mitigation import (
     PurificationReport,
     ReadoutCalibration,
-    TomographyResult,
     energy_from_state,
     mcweeny_purify,
     ro_correct,

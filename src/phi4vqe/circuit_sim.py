@@ -72,6 +72,12 @@ def _int_in(value, low, high) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high
 
 
+def _check_shots(name: str, shots) -> None:
+    """Reject a shot count outside [1, 2**63 - 1], the counts a multinomial draw accepts."""
+    if not _int_in(shots, 1, 2**63):
+        raise ValueError(f"{name} must be an integer in [1, 2**63 - 1], got {shots!r}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate program; gates are ("ry", qubit, angle) or ("cx", control, target).
@@ -272,8 +278,7 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str, ...]:
     """Check a measurement request on a 2^n-dimensional state; return the words."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots("shots", shots)
     n = dim.bit_length() - 1
     if n < 1 or dim != 2**n:
         raise ValueError(f"state dimension {dim} is not a power of two >= 2")

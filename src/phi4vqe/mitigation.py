@@ -21,7 +21,6 @@ from .circuit_sim import (
     Circuit,
     NoiseModel,
     calibrate_readout,
-    counts_expectation,
     measure_pauli_density,
     outcome_table,
     simulate_density,
@@ -31,7 +30,6 @@ from .qubit_encoding import PauliSum, pauli_word_matrix
 __all__ = [
     "ReadoutCalibration",
     "PurificationReport",
-    "TomographyResult",
     "ro_correct",
     "tomography_2q_detail",
     "mcweeny_purify",
@@ -86,17 +84,6 @@ class PurificationReport:
     final_purity: float
 
 
-@dataclass(frozen=True)
-class TomographyResult:
-    """Corrected and uncorrected reconstructions built from the same tallies.
-
-    Each is (4, 4) for one circuit or (k, 4, 4) for a batch.
-    """
-
-    rho: np.ndarray
-    rho_raw: np.ndarray
-
-
 def ro_correct(weights: np.ndarray, words: tuple[str, ...], cal: ReadoutCalibration) -> np.ndarray:
     """Readout-corrected <P> of every word from its register outcome weights.
 
@@ -131,20 +118,22 @@ _TOMO_TABLE = np.stack([pauli_word_matrix(w).ravel() for w in _TOMO_WORDS])
 
 
 def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
-                         cal: ReadoutCalibration) -> TomographyResult:
-    """Full two-qubit state tomography with and without readout correction.
+                         *cals: ReadoutCalibration) -> tuple[np.ndarray, ...]:
+    """Full two-qubit state tomography, one reconstruction per readout calibration.
 
     The 15 non-identity words are sampled from the noisy density matrix of
-    the circuit, or of every circuit of a batch, in one draw; the corrected
-    and raw estimates come from the same tallies so the two reconstructions
-    differ only by the correction stage.
+    the circuit, or of every circuit of a batch, in one draw; every
+    calibration corrects the same tallies, so the reconstructions differ only
+    by the correction stage. Zero flip rates give the raw estimate. Each
+    state is (4, 4) for one circuit or (k, 4, 4) for a batch.
     """
+    if not cals:
+        raise ValueError("tomography_2q_detail needs at least one readout calibration in cals")
     counts = measure_pauli_density(simulate_density(circuit, noise), _TOMO_WORDS[1:], shots, noise)
-    # corrected and raw <P> of the 15 words, then <II> = 1 in front
-    values = np.stack((ro_correct(counts.tallies, counts.words, cal), counts_expectation(counts)))
-    values = np.concatenate((np.ones(values.shape[:-1] + (1,)), values), axis=-1)
-    rho, rho_raw = _reconstruct(values)
-    return TomographyResult(rho=rho, rho_raw=rho_raw)
+    ones = np.ones(counts.tallies.shape[:-2] + (1,))
+    # <II> = 1 in front of the 15 corrected <P>
+    return tuple(_reconstruct(np.concatenate((ones, ro_correct(counts.tallies, counts.words, cal)), axis=-1))
+                 for cal in cals)
 
 
 def _reconstruct(values: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .circuit_sim import (
     NoiseModel,
+    _check_shots,
     ansatz_entangled,
     ansatz_product,
     apply_circuit,
@@ -78,6 +79,8 @@ SWEEPS = 6
 EXACT_TOL = 1e-12
 EXACT_MAX_SWEEPS = 100
 REEVALUATIONS = 10
+# zero flip rates: readout correction with them is the raw tomography estimate
+_RAW = ReadoutCalibration(((0.0, 0.0),) * 2)
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,7 @@ class BackendSpec:
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind != "exact":
-            if self.shots < 1:
-                raise ValueError("sampling backends need shots >= 1")
+            _check_shots("shots", self.shots)
             if self.noise is None:
                 raise ValueError(f"backend kind {self.kind!r} needs a noise model (noiseless is fine for plain sampling)")
         if self.kind == "sampled" and self.noise is not None:
@@ -104,8 +106,7 @@ class BackendSpec:
                 raise ValueError("kind 'sampled' is ideal shot sampling; use 'noisy_mitigated' for nonzero noise")
         if self.kind == "exact" and self.noise is not None:
             raise ValueError("exact backend takes no noise model")
-        if self.calibration_shots < 1:
-            raise ValueError("calibration_shots must be >= 1")
+        _check_shots("calibration_shots", self.calibration_shots)
 
     @classmethod
     def exact(cls) -> "BackendSpec":
@@ -248,13 +249,6 @@ def _coordinate_sweeps(fun, starts, max_sweeps: int,
     return theta, energy, ~np.isin(np.arange(len(theta)), active)
 
 
-def _calibration(backend: BackendSpec) -> ReadoutCalibration:
-    """Sampled readout calibration when correcting; else the true rates, which cost no draw."""
-    if backend.readout_correction:
-        return ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
-    return ReadoutCalibration.exact_from_noise(backend.noise)
-
-
 def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
                      cal: ReadoutCalibration | None = None,
                      purification_log: list | None = None) -> float | np.ndarray:
@@ -265,13 +259,14 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
     purification reports as k calls in row order. The sampled backend
     measures the Hamiltonian's words on the statevector. Every noisy
     evaluation is one two-qubit tomography of the depolarized state (all 15
-    non-identity words, drawn for the whole batch at once); the energy is
-    Tr(rho H) over the readout-corrected reconstruction, or the raw one when
-    correction is off, purified first when the ansatz is entangled and
+    non-identity words, drawn for the whole batch at once) and one
+    reconstruction: readout-corrected with ``cal``, or with zero flip rates
+    (the raw estimate) when correction is off, whatever ``cal`` says. The
+    energy is Tr(rho H), purified first when the ansatz is entangled and
     purification is on. Tr(rho H) weighs only the Hamiltonian's own words,
     so without purification it equals the word-by-word estimate. ``cal`` is
-    measured on the fly when needed but not supplied (optimize() measures it
-    once and reuses it).
+    measured on the fly when correcting but not supplied (optimize()
+    measures it once and reuses it).
     """
     _require_two_qubit(sector)
     theta = np.asarray(theta, dtype=float)
@@ -292,9 +287,11 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
         energies = H.coefficient("I" * H.qubit_count).real + np.array(
             [coeffs @ row for row in counts_expectation(counts)])
     else:
-        detail = tomography_2q_detail(circuit, backend.noise, backend.shots,
-                                      _calibration(backend) if cal is None else cal)
-        rho = detail.rho if backend.readout_correction else detail.rho_raw
+        if not backend.readout_correction:
+            cal = _RAW
+        elif cal is None:
+            cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
+        (rho,) = tomography_2q_detail(circuit, backend.noise, backend.shots, cal)
         if theta.shape[-1] == 3 and backend.purification:
             rho, reports = _purify(rho)
             if purification_log is not None:
@@ -337,7 +334,7 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
 
     cal = None
     if backend.kind == "noisy_mitigated" and backend.readout_correction:
-        cal = _calibration(backend)
+        cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
 
     history: list[float] = []
 
@@ -404,18 +401,22 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
                           seed=None) -> MitigationComparison:
     """One tomography pass at fixed parameters, scored against the ideal value.
 
-    The corrected and raw reconstructions come from the same counts, so the
-    comparison is free of sampling luck between the two pipelines.
+    The mitigated energy is full mitigation whatever the backend's switches:
+    correction with a freshly sampled readout calibration, then purification.
+    The raw one is the same tomography at zero flip rates. Both come from
+    the same counts, so the comparison is free of sampling luck between the
+    two pipelines.
     """
     _require_two_qubit(sector)
     if backend.kind != "noisy_mitigated":
         raise ValueError("mitigation comparison needs the noisy_mitigated backend")
     backend = _reseeded(backend, seed)
     circuit = _build_circuit(np.asarray(theta, dtype=float))
-    detail = tomography_2q_detail(circuit, backend.noise, backend.shots, _calibration(backend))
-    rho, report = mcweeny_purify(detail.rho)
+    cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
+    rho, rho_raw = tomography_2q_detail(circuit, backend.noise, backend.shots, cal, _RAW)
+    rho, report = mcweeny_purify(rho)
     e_mitigated = energy_from_state(rho, sector.pauli)
-    e_raw = energy_from_state(detail.rho_raw, sector.pauli)
+    e_raw = energy_from_state(rho_raw, sector.pauli)
     e_exact = expectation_exact(apply_circuit(circuit, zero_state(2)), sector.pauli)
     return MitigationComparison(e_exact=e_exact, e_mitigated=e_mitigated,
                                 e_raw=e_raw, report=report)

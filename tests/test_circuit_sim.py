@@ -405,6 +405,23 @@ def test_measure_pauli_rejects_bad_requests(words, noise, match):
         measure_pauli(zero_state(2), words, 10, noise)
 
 
+@pytest.mark.parametrize("shots", [2.5, True, 2**70], ids=["float", "bool", "2**70"])
+@pytest.mark.parametrize("measure", [
+    lambda shots: measure_pauli(zero_state(2), ("ZZ",), shots, NoiseModel.noiseless(2)),
+    lambda shots: measure_pauli_density(np.eye(4) / 4.0, ("ZZ",), shots, NoiseModel.noiseless(2)),
+    lambda shots: calibrate_readout(NoiseModel.uniform(2, readout=0.03), 0, shots),
+], ids=["measure_pauli", "measure_pauli_density", "calibrate_readout"])
+def test_measurements_reject_shot_counts_that_are_not_integers_in_range(measure, shots):
+    # 2.5 used to fail late on the tallies' total, True to draw one shot, 2**70 to overflow
+    with pytest.raises(ValueError, match=r"^shots must be an integer in \[1, 2\*\*63 - 1\]"):
+        measure(shots)
+
+
+def test_measurements_take_numpy_integer_shot_counts():
+    counts = measure_pauli(zero_state(2), ("ZZ",), np.int64(16), NoiseModel.noiseless(2))
+    assert counts.tallies.tolist() == [[16, 0, 0, 0]]
+
+
 def test_counts_total_must_match_shots():
     with pytest.raises(ValueError):
         Counts(words=("Z",), tallies=np.array([[3, 0]]), shots=4)

@@ -9,6 +9,8 @@ from phi4vqe.circuit_sim import (
     NoiseModel,
     ansatz_entangled,
     apply_circuit,
+    counts_expectation,
+    measure_pauli_density,
     simulate_density,
     zero_state,
 )
@@ -23,6 +25,9 @@ from phi4vqe.mitigation import (
     tomography_2q_detail,
 )
 from phi4vqe.qubit_encoding import PauliSum, pauli_word_matrix
+
+# readout correction with zero flip rates is the raw estimate
+ZERO_RATES = ReadoutCalibration(((0.0, 0.0),) * 2)
 
 
 def flip_channel(true_probs, rates):
@@ -114,6 +119,23 @@ def test_ro_correct_inverts_exact_channel_for_every_word(rates, weights):
     assert np.max(np.abs(got - truth)) < 1e-10
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(batch=st.sampled_from([None, 1, 3, 12]), shots=st.sampled_from([1, 4, 64, 8192]),
+       rates=st.tuples(*[st.tuples(st.floats(0.0, 0.45), st.floats(0.0, 0.45))] * 2),
+       p_dep=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_ro_correct_at_zero_rates_is_the_raw_estimator_bit_for_bit(batch, shots, rates, p_dep, seed):
+    # the raw tomography state is the corrected one at zero flip rates, so
+    # there is one estimator; tallies drawn under random readout channels
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-np.pi, np.pi, size=3 if batch is None else (3, batch))
+    noise = NoiseModel(p10=tuple(p10 for _, p10 in rates), p01=tuple(p01 for p01, _ in rates),
+                       p_dep=p_dep, seed=seed)
+    counts = measure_pauli_density(simulate_density(ansatz_entangled(*theta), noise),
+                                   TWO_QUBIT_WORDS, shots, noise)
+    assert np.array_equal(ro_correct(counts.tallies, counts.words, ZERO_RATES),
+                          counts_expectation(counts))
+
+
 @pytest.mark.parametrize("weights,words", [
     ([[0.5, 0.5]], ("ZZ",)),
     ([[0.5, 0.5, 0.0, 0.0]], ("ZZ", "XX")),
@@ -177,7 +199,7 @@ def test_tomography_reconstructs_pure_state():
     circuit = ansatz_entangled(0.9, -0.3, 1.2)
     noise = NoiseModel.noiseless(2, seed=41)
     cal = ReadoutCalibration.exact_from_noise(noise)
-    rho = tomography_2q_detail(circuit, noise, 40_000, cal).rho
+    (rho,) = tomography_2q_detail(circuit, noise, 40_000, cal)
     psi = apply_circuit(circuit, zero_state(2))
     assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -188,7 +210,7 @@ def test_tomography_sees_depolarization():
     circuit = ansatz_entangled(0.9, -0.3, 1.2)
     noise = NoiseModel.uniform(2, p_dep=0.1, seed=42)
     cal = ReadoutCalibration.exact_from_noise(noise)
-    rho_hat = tomography_2q_detail(circuit, noise, 60_000, cal).rho
+    (rho_hat,) = tomography_2q_detail(circuit, noise, 60_000, cal)
     rho = simulate_density(circuit, noise)
     assert abs(np.real(np.trace(rho_hat @ rho_hat)) - np.real(np.trace(rho @ rho))) < 0.05
 
@@ -197,15 +219,53 @@ def test_tomography_detail_correction_beats_raw():
     circuit = ansatz_entangled(1.1, 0.4, 0.8)
     noise = NoiseModel.uniform(2, readout=0.05, p_dep=0.02, seed=43)
     cal = ReadoutCalibration.exact_from_noise(noise)
-    detail = tomography_2q_detail(circuit, noise, 50_000, cal)
+    rho_hat, rho_raw = tomography_2q_detail(circuit, noise, 50_000, cal, ZERO_RATES)
     rho = simulate_density(circuit, noise)
     truth = float(np.real(np.trace(rho @ pauli_word_matrix("ZZ"))))
     zz = PauliSum(terms=((1.0, "ZZ"),), qubit_count=2)
-    corrected = energy_from_state(detail.rho, zz)
-    raw = energy_from_state(detail.rho_raw, zz)
+    corrected = energy_from_state(rho_hat, zz)
+    raw = energy_from_state(rho_raw, zz)
     assert abs(corrected - truth) < abs(raw - truth)
-    for estimate in (detail.rho, detail.rho_raw):
+    for estimate in (rho_hat, rho_raw):
         assert np.real(np.trace(estimate)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("batch", [None, 4], ids=["one", "batch"])
+def test_tomography_makes_one_draw_for_every_calibration(record_draws, batch):
+    # each state equals, bit for bit, the state of a one-calibration call on an
+    # identically seeded stream: calibrations only read the shared tallies
+    theta = (1.1, 0.4, 0.8) if batch is None else np.linspace(-2.0, 2.0, 3 * batch).reshape(3, batch)
+    cal = ReadoutCalibration(rates=((0.04, 0.02), (0.03, 0.05)))
+
+    def noise():
+        return NoiseModel(p10=(0.02, 0.05), p01=(0.04, 0.03), p_dep=0.02, seed=61)
+
+    shared = noise()
+    calls = record_draws(shared)
+    both = tomography_2q_detail(ansatz_entangled(*theta), shared, 2048, cal, ZERO_RATES)
+    assert calls == ["multinomial"]
+    alone = [tomography_2q_detail(ansatz_entangled(*theta), noise(), 2048, c)
+             for c in (cal, ZERO_RATES)]
+    assert len(both) == 2
+    for state, (single,) in zip(both, alone):
+        assert state.shape == ((4, 4) if batch is None else (batch, 4, 4))
+        assert np.array_equal(state, single)
+    assert not np.array_equal(*both)
+
+
+def test_tomography_rejects_an_empty_calibration_list(record_draws):
+    noise = NoiseModel.noiseless(2)
+    calls = record_draws(noise)
+    with pytest.raises(ValueError, match="at least one readout calibration in cals"):
+        tomography_2q_detail(ansatz_entangled(0.1, 0.2, 0.3), noise, 64)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shots", [2.5, True, 2**70], ids=["float", "bool", "2**70"])
+def test_tomography_rejects_shot_counts_that_are_not_integers_in_range(shots):
+    with pytest.raises(ValueError, match=r"^shots must be an integer in \[1, 2\*\*63 - 1\]"):
+        tomography_2q_detail(ansatz_entangled(0.1, 0.2, 0.3), NoiseModel.noiseless(2), shots,
+                             ZERO_RATES)
 
 
 # ---------------------------------------------------------------- purification
@@ -416,9 +476,9 @@ def test_purify_matches_the_matrix_iteration_on_tomographies(shots):
     rng = np.random.default_rng(71)
     theta = rng.uniform(-np.pi, np.pi, size=(3, 200))
     noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=72)
-    detail = tomography_2q_detail(ansatz_entangled(*theta), noise, shots,
+    (rho,) = tomography_2q_detail(ansatz_entangled(*theta), noise, shots,
                                   ReadoutCalibration.exact_from_noise(noise))
-    reports = assert_matches_oracle(detail.rho)
+    reports = assert_matches_oracle(rho)
     flagged = sum(not r.converged for r in reports)
     assert flagged == 0 if shots == 8192 else flagged > 0
 

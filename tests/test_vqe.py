@@ -43,6 +43,22 @@ def test_backend_spec_validation():
         BackendSpec(kind="qpu")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("shots", 2.5), ("shots", True), ("shots", 2**70),
+    ("calibration_shots", 1.5), ("calibration_shots", True), ("calibration_shots", 2**70),
+], ids=lambda v: "2**70" if v == 2**70 else None)
+def test_backend_spec_rejects_shot_counts_that_are_not_integers_in_range(field, value):
+    noise = NoiseModel.uniform(2, readout=0.03)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer in \\[1, 2\\*\\*63 - 1\\]"):
+        BackendSpec.noisy(noise, **{field: value})
+
+
+def test_backend_spec_takes_numpy_integer_shot_counts():
+    backend = BackendSpec.noisy(NoiseModel.noiseless(2), shots=np.int64(64),
+                                calibration_shots=np.uint32(2**31))
+    assert (backend.shots, backend.calibration_shots) == (64, 2**31)
+
+
 def test_backend_spec_constructors():
     assert BackendSpec.exact().kind == "exact"
     assert BackendSpec.sampled(shots=1024, seed=3).shots == 1024
@@ -383,3 +399,22 @@ def test_mitigation_comparison_orders_errors():
     comp = mitigation_comparison(ground, exact.parameters, backend, seed=[99])
     assert abs(comp.e_mitigated - comp.e_exact) < abs(comp.e_raw - comp.e_exact)
     assert comp.report.converged
+
+
+@pytest.mark.parametrize("switches", [
+    {}, {"readout_correction": False}, {"purification": False},
+    {"readout_correction": False, "purification": False},
+], ids=["full", "uncorrected", "unpurified", "bare"])
+def test_mitigation_comparison_always_corrects_with_a_sampled_calibration(record_draws, switches):
+    # 4 calibration draws (two preparations per qubit), then the one tomography
+    # draw; the comparison reads the same whatever the optimizer's switches
+    ground, _ = sectors(benchmark(6.0))
+    theta = (0.4, -0.2, 0.7)
+    noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=5)
+    backend = BackendSpec.noisy(noise, shots=1024, calibration_shots=4096, **switches)
+    calls = record_draws(backend.noise)
+    mitigation_comparison(ground, theta, backend)
+    assert calls == ["multinomial"] * 5
+    full = BackendSpec.noisy(noise, shots=1024, calibration_shots=4096)
+    assert (mitigation_comparison(ground, theta, backend, seed=[8])
+            == mitigation_comparison(ground, theta, full, seed=[8]))
