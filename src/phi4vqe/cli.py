@@ -69,6 +69,8 @@ def _json_safe(value):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):  # before int: bool is an int subclass
+        return bool(value)
     if isinstance(value, (float, np.floating)):
         v = float(value)
         return None if math.isnan(v) else v
@@ -465,6 +467,7 @@ def cmd_critical(cfg: dict, out_dir: Path, record: dict) -> None:
                 "residual": fit.residual,
                 "window": list(fit.window),
                 "slopes": list(fit.slopes),
+                "converged": fit.converged,
             })
         _write_json(out_dir / "fits.json", fits_payload)
         record["outputs"].append("fits.json")

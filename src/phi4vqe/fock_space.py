@@ -63,6 +63,12 @@ DEGENERACY_TOL = 1e-12
 SECTOR_TOL = 1e-10
 # Absolute delta_m tolerance of the Brent root search in solve_counterterm.
 COUNTERTERM_TOL = 1e-8
+# critical_exponent_fit: smallest amplitude, and the iteration cap and relative
+# step tolerance of its Levenberg-Marquardt loop.
+FIT_MIN_AMPLITUDE = 1e-8
+FIT_MAXITER = 200
+FIT_TOL = 1e-15
+_EPS = 2.0**-52  # float64 machine epsilon
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,8 @@ class CriticalFit:
     """Power-law fit gap = A |lambda - lambda_c|^nu over a near-critical window.
 
     ``slopes`` holds the finite-difference series d(gap)/d(lambda) between
-    consecutive window points, ascending in lambda.
+    consecutive window points, ascending in lambda. ``converged`` is False
+    when the fit stopped at its iteration cap.
     """
 
     lambda_c: float
@@ -88,6 +95,7 @@ class CriticalFit:
     residual: float
     window: tuple[float, float]
     slopes: tuple[float, ...]
+    converged: bool
 
 
 def ladder_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,18 +285,63 @@ def mass_gap(params: ModelParams) -> float:
     return sector_spectrum(params).gap
 
 
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
+            maxiter: int = 100) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973), given fa = f(xa), fb = f(xb).
+
+    Follows the classic C brentq operation for operation, with its default
+    relative tolerance 4 eps, so it evaluates f at the same points and returns
+    the same root as that reference implementation. Raises ValueError when fa
+    and fb have the same sign or when maxiter iterations do not converge.
+    """
+    xpre, xcur, fpre, fcur = float(xa), float(xb), fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ValueError(f"Brent's method did not converge in {maxiter} iterations, "
+                     f"last point {xcur!r}")
+
+
 def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
     """Counter term delta_m at which the squared mass gap equals target_m_sq.
 
     Brent's method on delta_m over [-|m0_sq| - m_sq - lambda, m_sq + lambda],
     to COUNTERTERM_TOL; the gap is continuous and monotone increasing in
     delta_m on the physical branch. Raises ValueError when the bracket shows
-    no sign change; an error inside mass_gap reaches the caller unchanged.
+    no sign change or Brent's method does not converge; an error inside
+    mass_gap reaches the caller unchanged.
     """
-    # scipy.optimize is most of the package's import time and only this
-    # solver and critical_exponent_fit use it, so it loads on first use
-    from scipy.optimize import brentq
-
     if not target_m_sq > 0:
         raise ValueError(f"target_m_sq must be > 0, got {target_m_sq}")
     lo = -abs(params.m0_sq) - params.m_sq - params.lam
@@ -303,8 +356,7 @@ def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
             f"no sign change on delta_m bracket [{lo}, {hi}] "
             f"(f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g})"
         )
-    known = {lo: f_lo, hi: f_hi}  # brentq starts at both ends: reuse them
-    return brentq(lambda d: known[d] if d in known else excess(d), lo, hi, xtol=COUNTERTERM_TOL)
+    return _brentq(excess, lo, hi, f_lo, f_hi, xtol=COUNTERTERM_TOL)
 
 
 def critical_curve(
@@ -328,6 +380,54 @@ def critical_curve(
     return points
 
 
+def _power_law_fit(lams: np.ndarray, gaps: np.ndarray, start, lower, upper):
+    """Least-squares gap = A (lambda - lambda_c)^nu by variable projection.
+
+    For each (lambda_c, nu) the amplitude is the linear least-squares one, held
+    at FIT_MIN_AMPLITUDE or above (Golub & Pereyra 1973), so a damped
+    Gauss-Newton (Levenberg-Marquardt) loop with the analytic Jacobian of the
+    projected residuals runs over (lambda_c, nu) alone, from start (clipped
+    into [lower, upper]) and within those bounds. Returns (lambda_c, nu, amplitude, residuals, converged).
+    """
+    def project(theta):
+        lc, nu = theta
+        d = lams - lc
+        b = d**nu
+        bb = b @ b
+        amp = max(b @ gaps / bb, FIT_MIN_AMPLITUDE)
+        db = np.column_stack([-nu * b / d, b * np.log(d)])  # d b / d (lambda_c, nu)
+        jac = amp * db
+        if amp > FIT_MIN_AMPLITUDE:  # the amplitude moves with (lambda_c, nu)
+            jac += np.outer(b, (gaps - 2.0 * amp * b) @ db / bb)
+        return amp, amp * b - gaps, jac
+
+    theta = np.clip(np.asarray(start, dtype=float), lower, upper)
+    amp, res, jac = project(theta)
+    cost, damping = res @ res, 1e-3
+    for _ in range(FIT_MAXITER):
+        grad = jac.T @ res
+        # a parameter on a bound that the gradient pushes outward stays there
+        free = ~(((theta <= lower) & (grad > 0)) | ((theta >= upper) & (grad < 0)))
+        step = np.zeros(2)
+        if free.any():
+            normal = jac[:, free].T @ jac[:, free]
+            step[free] = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), -grad[free])
+        size = np.linalg.norm(step)
+        if size <= FIT_TOL * (FIT_TOL + np.linalg.norm(theta)):
+            return float(theta[0]), float(theta[1]), float(amp), res, True
+        trial = np.clip(theta + step, lower, upper)
+        amp_t, res_t, jac_t = project(trial)
+        # a step under sqrt(eps) relative moves the cost by less than its
+        # rounding, so it is taken on the Jacobian's word
+        cost_t = res_t @ res_t
+        if cost_t < cost or size <= math.sqrt(_EPS) * np.linalg.norm(theta):
+            theta, amp, res, jac, cost = trial, amp_t, res_t, jac_t, cost_t
+            damping /= 10.0
+        else:
+            damping *= 10.0
+    return float(theta[0]), float(theta[1]), float(amp), res, False
+
+
 def critical_exponent_fit(
     points: list[tuple[float, float]],
     window: int = 6,
@@ -335,14 +435,12 @@ def critical_exponent_fit(
     """Least-squares power-law fit over the `window` smallest-gap points.
 
     The window points are the ones nearest the critical coupling when the gap
-    data approaches lambda_c from above. Seeds (A, lambda_c, nu) from a linear
-    pre-fit with nu = 1; lambda_c is constrained below the window. Points with
-    gap <= 0 are dropped. Raises ValueError when window is not an integer >= 4,
-    when a coupling or a gap is NaN or inf, or when a coupling repeats.
+    data approaches lambda_c from above. Starts from lambda_c of a linear
+    pre-fit and nu = 1, and keeps lambda_c in [lambda_min - 20, lambda_min)
+    and nu in [0.05, 5] (see _power_law_fit). Points with gap <= 0 are
+    dropped. Raises ValueError when window is not an integer >= 4, when a
+    coupling or a gap is NaN or inf, or when a coupling repeats.
     """
-    # see solve_counterterm: scipy.optimize loads on first use
-    from scipy.optimize import least_squares
-
     if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 4:
         raise ValueError(f"window must be an integer >= 4, got {window!r}")
     seen = set()
@@ -369,24 +467,15 @@ def critical_exponent_fit(
         lc0 = min(-intercept / slope, lams[0] - 1e-3)
     else:
         lc0 = lams[0] - 1.0
-
-    def residuals(p: np.ndarray) -> np.ndarray:
-        amp, lc, nu = p
-        return amp * np.abs(lams - lc) ** nu - gaps
-
-    fit = least_squares(
-        residuals,
-        x0=[max(slope, 1e-3), lc0, 1.0],
-        bounds=([1e-8, lams[0] - 20.0, 0.05], [np.inf, lams[0] - 1e-9, 5.0]),
-    )
-    amp, lc, nu = fit.x
-    slopes = tuple(np.diff(gaps) / np.diff(lams))
-    residual = float(np.sqrt(np.mean(fit.fun**2)))
+    lc, nu, amp, res, converged = _power_law_fit(
+        lams, gaps, start=[lc0, 1.0],
+        lower=[lams[0] - 20.0, 0.05], upper=[lams[0] - 1e-9, 5.0])
     return CriticalFit(
-        lambda_c=float(lc),
-        nu=float(nu),
-        amplitude=float(amp),
-        residual=residual,
+        lambda_c=lc,
+        nu=nu,
+        amplitude=amp,
+        residual=float(np.sqrt(np.mean(res**2))),
         window=(float(lams[0]), float(lams[-1])),
-        slopes=slopes,
+        slopes=tuple(np.diff(gaps) / np.diff(lams)),
+        converged=converged,
     )

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from phi4vqe import qubit_encoding, vqe
+from phi4vqe import fock_space, qubit_encoding, vqe
 from phi4vqe.cli import CONFIG_SCHEMAS, check_config, main
 
 
@@ -238,6 +239,8 @@ def test_critical_fit_benchmark_window(tmp_path):
     assert 0.7 <= fits[0]["nu"] <= 1.3
     assert fits[0]["lambda_c"] < 3.5
     assert len(fits[0]["slopes"]) == 5
+    assert fits[0]["converged"] is True
+    assert json.loads((out / "record.json").read_text())["fits"] == fits
 
 
 def test_critical_flat_data_exits_two(tmp_path, capsys):
@@ -368,6 +371,32 @@ def test_vqe_noisy_point_builds_hamiltonian_once(tmp_path, monkeypatch):
     assert "mitigation" in json.loads((out / "record.json").read_text())["points"][0]
     assert len(builds) == 1
     assert len(encodes) == 2
+
+
+def test_vqe_record_writes_json_booleans(tmp_path):
+    backend = {"kind": "noisy_mitigated", "shots": 256, "calibration_shots": 1000,
+               "readout_correction": False}
+    code, out = run(tmp_path, "vqe", vqe_cfg(backend=backend))
+    assert code == 0
+    text = (out / "record.json").read_text()
+    record = json.loads(text)
+    assert record["config"]["backend"]["readout_correction"] is False
+    assert isinstance(record["points"][0]["within_one_sigma"], bool)
+    assert '"readout_correction": false' in text
+
+    code, out = run(tmp_path, "vqe", vqe_cfg())
+    assert code == 0
+    assert json.loads((out / "record.json").read_text())["points"][0]["within_tolerance"] is True
+
+
+def test_counterterm_root_that_does_not_converge_is_reported_not_fatal(tmp_path, monkeypatch):
+    monkeypatch.setattr(fock_space, "_brentq", functools.partial(fock_space._brentq, maxiter=2))
+    cfg = {"roots": {"L": 2, "m_sq": 1.0, "n_max": 4, "target_m_sq": 1.0,
+                     "lambda_values": [6.0], "sweep_points": 3}}
+    code, out = run(tmp_path, "counterterm", cfg)
+    assert code == 0
+    failure = json.loads((out / "record.json").read_text())["roots"][0]["failure"]
+    assert failure.startswith("Brent's method did not converge in 2 iterations")
 
 
 # ---------------------------------------------------------------- validation, field by field
@@ -514,37 +543,26 @@ import json, sys
 import phi4vqe
 import phi4vqe.cli as cli
 
-def run(command):
+for command in ("spectrum", "vqe", "counterterm", "critical"):
     path = sys.argv[1] + "/" + command + ".json"
     assert cli.main([command, "--config", path, "--out", path + ".out"]) == 0, command
-
-def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-run("spectrum")
-run("vqe")
-before = loaded()
-run("counterterm")
-print(json.dumps({"before": before, "after": loaded()}))
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
-def test_scipy_loads_only_for_the_root_solvers(tmp_path):
-    # spectrum and exact vqe run on numpy alone; scipy.optimize enters the
-    # process with the first counterterm root
+def test_no_command_loads_scipy(tmp_path):
+    # every command runs on numpy alone: the root solver and the critical fit too
     roots = {"roots": {"L": 2, "m_sq": 1.0, "n_max": 4, "target_m_sq": 1.0,
                        "lambda_values": [6.0], "sweep_points": 3}}
     for command, cfg in (("spectrum", spectrum_cfg()), ("vqe", vqe_cfg()),
-                         ("counterterm", roots)):
+                         ("counterterm", roots), ("critical", critical_cfg())):
         (tmp_path / f"{command}.json").write_text(json.dumps(cfg))
     src = str(Path(vqe.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    modules = json.loads(done.stdout)
-    assert modules["before"] == []
-    assert "scipy.optimize" in modules["after"]
+    assert json.loads(done.stdout) == []
 
 
 # ---------------------------------------------------------------- README drift

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq, least_squares
 
 from phi4vqe import fock_space
 from phi4vqe.lattice_model import ModelParams, momentum_grid
@@ -495,6 +497,91 @@ def test_solve_counterterm_matches_bisection(lam, n_max, target):
     assert abs(solve_counterterm(p, target) - bisect_counterterm(p, target)) <= 1e-8
 
 
+def traced_brentq(f, a, b, xtol):
+    """scipy.optimize.brentq's root and every point it evaluates f at, in order."""
+    points = []
+    root = brentq(lambda x: points.append(x) or f(x), a, b, xtol=xtol)
+    return root, points
+
+
+# f = sign (c1 (x - r) + c3 (x - r)^3 + c5 atan(k (x - r))): monotone, one root r
+BRENT_CASES = st.tuples(
+    st.floats(-10.0, 10.0), st.floats(1e-3, 10.0), st.floats(0.0, 10.0),
+    st.floats(0.0, 10.0), st.floats(0.1, 100.0), st.sampled_from([1.0, -1.0]),
+    st.floats(1e-3, 20.0), st.floats(1e-3, 20.0), st.booleans(),
+    st.floats(-14.0, -1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=BRENT_CASES)
+@example(case=(0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, False, -8.0))  # root at the midpoint
+@example(case=(1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, False, -8.0))  # f(b) = 0 (b = r)
+def test_brentq_port_matches_scipy_point_for_point(case):
+    r, c1, c3, c5, k, sign, below, above, swap, log_xtol = case
+
+    def f(x):
+        u = x - r
+        return sign * (c1 * u + c3 * u**3 + c5 * math.atan(k * u))
+
+    a, b = r - below, r + above
+    if swap:
+        a, b = b, a
+    points = []
+    root = fock_space._brentq(lambda x: points.append(x) or f(x), a, b, f(a), f(b),
+                              xtol=10.0**log_xtol)
+    want_root, want_points = traced_brentq(f, a, b, 10.0**log_xtol)
+    assert root == want_root
+    assert [a, b] + points == want_points
+
+
+def test_brentq_port_matches_scipy_on_a_tight_step_test():
+    # here one interpolated step lands within delta of the bound 3 |sbis| - delta
+    # (one case in about 19,000 random ones), so that bound must be ported exactly
+    c, r = -2.254418855196028, -2.6048102204038726
+
+    def f(x):
+        return math.exp(c * x) - math.exp(c * r)
+
+    a, b, xtol = -6.427461829578059, 2.818309662617497, 0.0010805230444066532
+    points = []
+    root = fock_space._brentq(lambda x: points.append(x) or f(x), a, b, f(a), f(b), xtol=xtol)
+    assert (root, [a, b] + points) == traced_brentq(f, a, b, xtol)
+
+
+@pytest.mark.parametrize("lam, n_max, target", ROOT_CASES)
+def test_solve_counterterm_evaluates_scipy_brentqs_points(monkeypatch, lam, n_max, target):
+    p = bench(lam=lam, n_max=n_max)
+    lo = -abs(p.m0_sq) - p.m_sq - p.lam
+    hi = p.m_sq + p.lam
+    want_root, want_points = traced_brentq(
+        lambda d: mass_gap(p.with_delta(d)) ** 2 - target, lo, hi, xtol=1e-8)
+    deltas = []
+    monkeypatch.setattr(fock_space, "mass_gap",
+                        lambda params: deltas.append(params.delta_m) or mass_gap(params))
+    assert solve_counterterm(p, target) == want_root
+    assert deltas == want_points
+
+
+def test_brentq_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
+        fock_space._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, xtol=1e-8)
+
+
+def test_brentq_raises_when_it_runs_out_of_iterations():
+    with pytest.raises(ValueError, match=r"^Brent's method did not converge in 2 iterations"):
+        fock_space._brentq(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0, xtol=1e-12, maxiter=2)
+
+
+def test_critical_curve_records_a_root_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(fock_space, "_brentq", functools.partial(fock_space._brentq, maxiter=2))
+    points = critical_curve([0.0, 2.5], target_gap_sq=0.25, base=bench(n_max=4))
+    assert [lam for lam, _, _ in points] == [0.0, 2.5]
+    assert all(math.isnan(m0) for _, m0, _ in points)
+    assert all(failure.startswith("Brent's method did not converge in 2 iterations")
+               for _, _, failure in points)
+
+
 @pytest.mark.parametrize("lam", [6.0, 10.0, 24.0])
 def test_solve_counterterm_needs_few_gap_evaluations(monkeypatch, lam):
     calls = []
@@ -621,6 +708,86 @@ def test_critical_exponent_fit_rejects_bad_points(point, message):
 def test_critical_exponent_fit_still_drops_non_positive_gaps():
     fit = critical_exponent_fit(LINEAR_POINTS + [(4.0, 0.0), (4.5, -0.2)], window=6)
     assert fit == critical_exponent_fit(LINEAR_POINTS, window=6)
+
+
+def fit_window(n_max, m0_sq):
+    grid = FIT_GRIDS[m0_sq]
+    gaps = [mass_gap(ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=m0_sq, lam=lam, n_max=n_max))
+            for lam in grid]
+    return list(zip(grid, gaps))
+
+
+# criterion-11 windows at m0_sq -1.5 and -2.5, and one between them
+FIT_GRIDS = {-1.5: [3.5, 4.0, 4.5, 5.0, 5.5, 6.0], -2.0: [6.0, 6.5, 7.0, 7.5, 8.0, 8.5],
+             -2.5: [9.0, 9.5, 10.0, 10.5, 11.0, 11.5]}
+
+
+def least_squares_fit(points, tight=False):
+    """scipy's bounded 3-parameter fit of A (lambda - lambda_c)^nu from the same start.
+
+    Default settings are the old critical_exponent_fit call; tight adds
+    ftol = xtol = gtol = 1e-15 and the analytic Jacobian.
+    """
+    lams, gaps = np.array(points).T
+    slope, intercept = np.polyfit(lams, gaps, 1)
+    lc0 = min(-intercept / slope, lams[0] - 1e-3)
+
+    def jac(p):
+        amp, lc, nu = p
+        b = (lams - lc) ** nu
+        return np.column_stack([b, -amp * nu * b / (lams - lc), amp * b * np.log(lams - lc)])
+
+    options = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15, jac=jac) if tight else {}
+    return least_squares(lambda p: p[0] * np.abs(lams - p[1]) ** p[2] - gaps,
+                         x0=[max(slope, 1e-3), lc0, 1.0],
+                         bounds=([1e-8, lams[0] - 20.0, 0.05], [np.inf, lams[0] - 1e-9, 5.0]),
+                         **options)
+
+
+@pytest.mark.parametrize("m0_sq", sorted(FIT_GRIDS))
+@pytest.mark.parametrize("n_max", range(6, 13))
+def test_critical_exponent_fit_matches_tight_least_squares(n_max, m0_sq):
+    # with its default finite-difference Jacobian, least_squares stops up to
+    # 1.8e-8 (relative) from the exact minimum of these windows, so the oracle
+    # gets the analytic one
+    points = fit_window(n_max, m0_sq)
+    fit = critical_exponent_fit(points, window=6)
+    amp, lc, nu = least_squares_fit(points, tight=True).x
+    assert fit.converged
+    assert fit.lambda_c == pytest.approx(lc, rel=1e-8)
+    assert fit.nu == pytest.approx(nu, rel=1e-8)
+    assert fit.amplitude == pytest.approx(amp, rel=1e-8)
+
+
+@pytest.mark.parametrize("m0_sq", [-1.5, -2.5])
+def test_critical_exponent_fit_converges_on_the_benchmark_windows(m0_sq):
+    assert critical_exponent_fit(fit_window(8, m0_sq), window=6).converged
+
+
+def test_critical_exponent_fit_finds_the_minimum_on_the_lambda_c_bound():
+    # at n_max 4 the least-squares minimum sits on lambda_c = 3.5 - 20, where
+    # least_squares with default settings stops short at its evaluation cap
+    points = fit_window(4, -1.5)
+    fit = critical_exponent_fit(points, window=6)
+    reference = least_squares_fit(points)
+    assert fit.converged
+    assert fit.lambda_c == 3.5 - 20.0
+    assert 6 * fit.residual**2 <= 2 * reference.cost
+
+
+def test_critical_exponent_fit_reports_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fock_space, "FIT_MAXITER", 1)
+    fit = critical_exponent_fit(fit_window(8, -1.5), window=6)
+    assert not fit.converged
+    assert math.isfinite(fit.lambda_c) and math.isfinite(fit.nu)
+
+
+def test_critical_exponent_fit_clips_a_start_below_the_lambda_c_bound():
+    # the linear pre-fit puts lambda_c at -25, below the bound 0 - 20
+    points = [(lam, 0.01 * (lam + 25.0)) for lam in (0.0, 1.0, 2.0, 3.0)]
+    fit = critical_exponent_fit(points, window=4)
+    assert fit.converged
+    assert fit.lambda_c == -20.0
 
 
 def test_gap_linearity_in_coupling():
