@@ -468,6 +468,7 @@ def cmd_critical(cfg: dict, out_dir: Path, record: dict) -> None:
                 "window": list(fit.window),
                 "slopes": list(fit.slopes),
                 "converged": fit.converged,
+                "at_bound": fit.at_bound,
             })
         _write_json(out_dir / "fits.json", fits_payload)
         record["outputs"].append("fits.json")

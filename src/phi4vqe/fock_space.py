@@ -1,9 +1,9 @@
 """Truncated-Fock operator algebra and the exact-diagonalization oracle.
 
-Each momentum mode keeps its lowest n_max oscillator levels. Ladder operators
-are truncated first; every composite operator is then a product of truncated
-real matrices on the n_max^L-dimensional product space, with mode 0 as the
-slowest tensor index.
+Each momentum mode keeps its lowest n_max oscillator levels; a basis state is
+an occupation label (n_0, ..., n_{L-1}), indexed with mode 0 as the slowest
+tensor index. Ladder operators are truncated first (ladder_ops), and every
+composite operator is a product of those truncated real operators.
 
 The Hamiltonian is real and linear in the two couplings the scans move,
 
@@ -15,17 +15,19 @@ turn the phases into momentum conservation:
 
     sum_x phi^2 = C_0,   sum_x phi^4 = (1/L) sum_q C_q C_{-q},   C_q = sum_k Phi_k Phi_{q-k}.
 
-These are identities between products of the truncated matrices, so H0, A and
-B are assembled in real arithmetic once per Fock basis (L, m_sq, n_max) and
-kept as read-only float64 matrices; every build is a weighted sum of the
-three, and spectra come from the real symmetric eigensolver.
-
 H conserves the field parity Z2 = sum_j n_j mod 2 and the total momentum
-P = sum_j j n_j mod L (in units of 2 pi / L) of an occupation basis state, so
-the three parts are also sliced once per basis into (Z2, P) sector blocks by
-sector_blocks, the one slicer (qubit_encoding.parity_blocks wraps it too);
-spectra and gaps diagonalize the blocks and merge their levels.
-"""
+P = sum_j j n_j mod L (in units of 2 pi / L) of a basis state, labelled by
+sector_indices. Phi_k maps sector (Z2, P) onto (1 - Z2, P - k) alone, so the
+identities above hold block by block: each Phi_k block is read off the
+occupation labels, and H0 (diagonal), A and B are products of those blocks,
+built in real arithmetic once per Fock basis (L, m_sq, n_max) and kept as
+read-only float64 blocks per (Z2, P) sector. No n_max^L matrix is formed:
+build_H(params, sector) is a weighted sum of one sector's three blocks, and
+spectra and gaps diagonalize every block with the real symmetric eigensolver
+and merge their levels. build_H and build_HI without a sector scatter the
+blocks into the n_max^L matrix, for small bases; sector_blocks slices such a
+matrix back (qubit_encoding.parity_blocks wraps it) and rejects one that
+couples two sectors."""
 
 from __future__ import annotations
 
@@ -86,7 +88,9 @@ class CriticalFit:
 
     ``slopes`` holds the finite-difference series d(gap)/d(lambda) between
     consecutive window points, ascending in lambda. ``converged`` is False
-    when the fit stopped at its iteration cap.
+    when the fit stopped at its iteration cap. ``at_bound`` names the
+    parameter that ended on one of its fit bounds, "lambda_c" before "nu", so
+    that the bound and not the data set it; None when neither did.
     """
 
     lambda_c: float
@@ -96,6 +100,7 @@ class CriticalFit:
     window: tuple[float, float]
     slopes: tuple[float, ...]
     converged: bool
+    at_bound: str | None
 
 
 def ladder_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,27 +134,6 @@ def embed(mode_op: np.ndarray, mode_index: int, params: ModelParams) -> np.ndarr
     for j in range(params.L):
         out = np.kron(out, mode_op if j == mode_index else eye)
     return out
-
-
-@lru_cache(maxsize=8)
-def _linear_parts(L: int, m_sq: float, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only float64 (H0, A, B) with H = H0 + delta_m A + lambda B, per Fock basis.
-
-    A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L), from the momentum-pair
-    fields Phi_k and C_q = sum_k Phi_k Phi_{q-k} (see the module docstring).
-    """
-    params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
-    omega = momentum_grid(params).frequencies
-    a, a_dag = ladder_ops(n_max)
-    Phi = [(embed(a, k, params) + embed(a_dag, -k % L, params)) / math.sqrt(2.0 * omega[k])
-           for k in range(L)]
-    C = [sum(Phi[k] @ Phi[(q - k) % L] for k in range(L)) for q in range(L)]
-    H0 = sum(w * embed(number_op(n_max), k, params) for k, w in enumerate(omega))
-    A = C[0] / 2.0
-    B = sum(C[q] @ C[-q % L] for q in range(L)) / (24.0 * L)
-    for part in (H0, A, B):
-        part.setflags(write=False)
-    return H0, A, B
 
 
 @lru_cache(maxsize=None)
@@ -199,34 +183,84 @@ def sector_blocks(M: np.ndarray, L: int, n_max: int,
 
 @lru_cache(maxsize=8)
 def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
-    """Read-only (H0, A, B) blocks per (Z2, P) sector, sliced once per Fock basis."""
-    sliced = [sector_blocks(part, L, n_max, name)
-              for name, part in zip(("H0", "A", "B"), _linear_parts(L, m_sq, n_max))]
-    return {label: tuple(blocks[label] for blocks in sliced) for label in sliced[0]}
+    """Read-only float64 (H0, A, B) blocks per (Z2, P) sector, built once per Fock basis.
+
+    H = H0 + delta_m A + lambda B. Phi_k maps sector (z, P) onto (1 - z, P - k)
+    alone, so each of its blocks is built from the occupation labels, and
+    C_q = sum_k Phi_k Phi_{q-k}, A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L)
+    are products of those blocks (see the module docstring); keyed in
+    sector_indices order.
+    """
+    params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
+    omega = momentum_grid(params).frequencies
+    sectors = sector_indices(L, n_max)  # all 2L of them: n_max >= 2 fills each
+    position = np.empty(n_max**L, dtype=np.intp)  # basis index -> row in its sector
+    for indices in sectors.values():
+        position[indices] = np.arange(indices.size)
+    occ = {s: np.array(np.unravel_index(indices, (n_max,) * L)) for s, indices in sectors.items()}
+    stride = n_max ** np.arange(L - 1, -1, -1)
+
+    def shift(s, k):  # the sector that Phi_k maps s onto
+        return 1 - s[0], (s[1] - k) % L
+
+    def field(k, s):
+        """Block of Phi_k = (a_k + a_dag_{-k}) / sqrt(2 omega_k) from sector s to shift(s, k)."""
+        n, indices = occ[s], sectors[s]
+        out = np.zeros((sectors[shift(s, k)].size, indices.size))
+        norm = math.sqrt(2.0 * omega[k])
+        down = np.flatnonzero(n[k] > 0)  # a_k
+        out[position[indices[down] - stride[k]], down] = np.sqrt(n[k, down]) / norm
+        up = np.flatnonzero(n[-k % L] < n_max - 1)  # a_dag_{-k}, truncated like ladder_ops
+        out[position[indices[up] + stride[-k % L]], up] = np.sqrt(n[-k % L, up] + 1) / norm
+        return out
+
+    Phi = {(k, s): field(k, s) for k in range(L) for s in sectors}
+    # C[q, s]: the block of C_q from sector s to (z, P - q)
+    C = {(q, s): sum(Phi[k, shift(s, q - k)] @ Phi[(q - k) % L, s] for k in range(L))
+         for q in range(L) for s in sectors}
+    del Phi  # B needs only the C blocks
+    parts = {}
+    for s in sectors:
+        H0 = np.diag(sum(w * n for w, n in zip(omega, occ[s])))
+        B = sum(C[q, (s[0], (s[1] + q) % L)] @ C[-q % L, s] for q in range(L)) / (24.0 * L)
+        parts[s] = (H0, C[0, s] / 2.0, B)
+        for part in parts[s]:
+            part.setflags(write=False)
+    return parts
+
+
+def _scatter(params: ModelParams, combine) -> np.ndarray:
+    """combine(H0, A, B) per (Z2, P) sector, scattered into a fresh n_max^L matrix."""
+    dim = params.n_max**params.L
+    out = np.zeros((dim, dim))
+    blocks = _sector_parts(params.L, params.m_sq, params.n_max)
+    for sector, indices in sector_indices(params.L, params.n_max).items():
+        out[np.ix_(indices, indices)] = combine(*blocks[sector])
+    return out
 
 
 def build_HI(params: ModelParams) -> np.ndarray:
-    """Interaction sum_x [ (delta_m / 2) phi(x)^2 + (lambda / 4!) phi(x)^4 ]."""
-    _, A, B = _linear_parts(params.L, params.m_sq, params.n_max)
-    return params.delta_m * A + params.lam * B
+    """Interaction sum_x [ (delta_m / 2) phi(x)^2 + (lambda / 4!) phi(x)^4 ] on n_max^L states."""
+    return _scatter(params, lambda H0, A, B: params.delta_m * A + params.lam * B)
 
 
 def build_H(params: ModelParams, sector: tuple[int, int] | None = None) -> np.ndarray:
     """H0 + delta_m A + lambda B as a fresh writeable float64 matrix.
 
     With a (Z2, P) sector label, only that sector's block, rows and columns in
-    the order of sector_indices; it is bit-equal to the same slice of the
-    full matrix.
+    the order of sector_indices. Without one, the n_max^L matrix those blocks
+    fill, zero between sectors; only small bases need it.
     """
+    def combine(H0, A, B):
+        return H0 + params.delta_m * A + params.lam * B
+
     if sector is None:
-        H0, A, B = _linear_parts(params.L, params.m_sq, params.n_max)
-    else:
-        blocks = _sector_parts(params.L, params.m_sq, params.n_max)
-        if sector not in blocks:
-            raise ValueError(f"no (Z2, P) sector {sector} at L={params.L}, "
-                             f"n_max={params.n_max}; sectors: {sorted(blocks)}")
-        H0, A, B = blocks[sector]
-    return H0 + params.delta_m * A + params.lam * B
+        return _scatter(params, combine)
+    blocks = _sector_parts(params.L, params.m_sq, params.n_max)
+    if sector not in blocks:
+        raise ValueError(f"no (Z2, P) sector {sector} at L={params.L}, "
+                         f"n_max={params.n_max}; sectors: {sorted(blocks)}")
+    return combine(*blocks[sector])
 
 
 def _require_finite_hermitian(H: np.ndarray, caller: str) -> None:
@@ -467,9 +501,11 @@ def critical_exponent_fit(
         lc0 = min(-intercept / slope, lams[0] - 1e-3)
     else:
         lc0 = lams[0] - 1.0
-    lc, nu, amp, res, converged = _power_law_fit(
-        lams, gaps, start=[lc0, 1.0],
-        lower=[lams[0] - 20.0, 0.05], upper=[lams[0] - 1e-9, 5.0])
+    lower, upper = [lams[0] - 20.0, 0.05], [lams[0] - 1e-9, 5.0]
+    lc, nu, amp, res, converged = _power_law_fit(lams, gaps, start=[lc0, 1.0],
+                                                 lower=lower, upper=upper)
+    on_bound = [name for name, value, lo, hi in zip(("lambda_c", "nu"), (lc, nu), lower, upper)
+                if value in (lo, hi)]
     return CriticalFit(
         lambda_c=lc,
         nu=nu,
@@ -478,4 +514,5 @@ def critical_exponent_fit(
         window=(float(lams[0]), float(lams[-1])),
         slopes=tuple(np.diff(gaps) / np.diff(lams)),
         converged=converged,
+        at_bound=on_bound[0] if on_bound else None,
     )

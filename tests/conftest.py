@@ -1,4 +1,33 @@
+import math
+
+import numpy as np
 import pytest
+
+from phi4vqe.fock_space import embed, ladder_ops, number_op
+from phi4vqe.lattice_model import ModelParams, momentum_grid
+
+
+def _dense_parts(L, m_sq, n_max):
+    """(H0, A, B) as n_max^L matrices from embed Kronecker products: the oracle of the sector build.
+
+    Phi_k = (a_k + a_dag_{-k}) / sqrt(2 omega_k), C_q = sum_k Phi_k Phi_{q-k},
+    A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L), products of the truncated
+    full-space matrices, so H = H0 + delta_m A + lambda B.
+    """
+    p = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
+    omega = momentum_grid(p).frequencies
+    a, a_dag = ladder_ops(n_max)
+    Phi = [(embed(a, k, p) + embed(a_dag, -k % L, p)) / math.sqrt(2.0 * omega[k])
+           for k in range(L)]
+    C = [sum(Phi[k] @ Phi[(q - k) % L] for k in range(L)) for q in range(L)]
+    H0 = sum(w * embed(number_op(n_max), k, p) for k, w in enumerate(omega))
+    return H0, C[0] / 2.0, sum(C[q] @ C[-q % L] for q in range(L)) / (24.0 * L)
+
+
+@pytest.fixture(scope="session")
+def dense_parts():
+    """_dense_parts, the dense Kronecker oracle of (H0, A, B)."""
+    return _dense_parts
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phi4vqe import fock_space, qubit_encoding, vqe
@@ -92,6 +93,17 @@ def test_spectrum_csv_cells_round_trip(tmp_path):
     record = json.loads((out / "record.json").read_text())
     _, rows = read_csv(out / "gaps.csv")
     assert float(rows[0][1]) == record["gaps"]["4"][0][1]
+
+
+def test_spectrum_at_three_sites_matches_the_dense_oracle(tmp_path, dense_parts):
+    cfg = spectrum_cfg(model={"L": 3, "m_sq": 1.0, "m0_sq": -1.5}, lambda_grid=[6.0],
+                       n_max_values=[8])
+    code, out = run(tmp_path, "spectrum", cfg)
+    assert code == 0
+    H0, A, B = dense_parts(3, 1.0, 8)
+    levels = np.linalg.eigvalsh(H0 - 2.5 * A + 6.0 * B)
+    _, rows = read_csv(out / "gaps.csv")
+    assert abs(float(rows[0][1]) - (levels[1] - levels[0])) < 1e-10
 
 
 def test_spectrum_rejects_double_mass_spec(tmp_path, capsys):
@@ -241,6 +253,23 @@ def test_critical_fit_benchmark_window(tmp_path):
     assert len(fits[0]["slopes"]) == 5
     assert fits[0]["converged"] is True
     assert json.loads((out / "record.json").read_text())["fits"] == fits
+
+
+def test_critical_fits_say_which_bound_set_the_answer(tmp_path):
+    # at n_max 4 the least-squares minimum sits on lambda_c = 3.5 - 20
+    fits = []
+    for n_max in (4, 8):
+        cfg = {
+            "model": {"L": 2, "m_sq": 1.0, "n_max": n_max},
+            "fits": [{"m0_sq": -1.5, "lambda_grid": [3.5, 4.0, 4.5, 5.0, 5.5, 6.0]}],
+        }
+        (tmp_path / str(n_max)).mkdir()
+        code, out = run(tmp_path / str(n_max), "critical", cfg)
+        assert code == 0
+        fits += json.loads((out / "fits.json").read_text())
+        assert json.loads((out / "record.json").read_text())["fits"] == fits[-1:]
+    assert [fit["at_bound"] for fit in fits] == ["lambda_c", None]
+    assert fits[0]["lambda_c"] == 3.5 - 20.0
 
 
 def test_critical_flat_data_exits_two(tmp_path, capsys):

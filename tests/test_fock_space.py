@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,11 +249,11 @@ def test_build_H_returns_fresh_arrays():
 
 
 def test_build_H_assembles_each_basis_once():
-    fock_space._linear_parts.cache_clear()
+    fock_space._sector_parts.cache_clear()
     p = bench(m_sq=1.37, n_max=6)
     for delta_m, lam in COUPLINGS:
         build_H(p.with_delta(delta_m).with_lam(lam))
-    info = fock_space._linear_parts.cache_info()
+    info = fock_space._sector_parts.cache_info()
     assert (info.misses, info.hits) == (1, len(COUPLINGS) - 1)
 
 
@@ -389,17 +390,11 @@ def test_build_H_rejects_unknown_sector():
         build_H(bench(n_max=4), (0, 2))
 
 
-def test_sector_blocks_reject_a_part_that_couples_sectors(monkeypatch):
-    zeros = np.zeros((4, 4))
-    B = zeros.copy()
+def test_sector_blocks_reject_a_part_that_couples_sectors():
+    B = np.zeros((4, 4))
     B[0, 1] = B[1, 0] = 1e-9  # (n0, n1) = (0, 0) and (0, 1) differ in Z2 and P
-    monkeypatch.setattr(fock_space, "_linear_parts", lambda L, m_sq, n_max: (zeros, zeros, B))
-    fock_space._sector_parts.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="B couples two"):
-            build_H(bench(n_max=2, m_sq=3.21), (0, 0))
-    finally:
-        fock_space._sector_parts.cache_clear()
+    with pytest.raises(ValueError, match="B couples two"):
+        sector_blocks(B, 2, 2, "B")
 
 
 def test_sector_blocks_name_the_matrix_that_couples_sectors():
@@ -438,6 +433,56 @@ def test_sector_blocks_reproduce_the_full_spectrum(basis, delta_m, lam):
         assert np.array_equal(build_H(p, sector), H[np.ix_(indices, indices)])
     dense = np.linalg.eigvalsh(H)
     assert np.max(np.abs(sector_spectrum(p).eigenvalues - dense)) < 1e-10
+
+
+def oracle_blocks(dense_parts, L, m_sq, n_max):
+    """The dense oracle sliced per (Z2, P) sector; sector_blocks checks nothing couples two sectors."""
+    sliced = [sector_blocks(part, L, n_max, name)
+              for name, part in zip(("H0", "A", "B"), dense_parts(L, m_sq, n_max))]
+    return {label: tuple(blocks[label] for blocks in sliced) for label in sliced[0]}
+
+
+# largest n_max per L with n_max^L <= 1296
+MAX_LEVELS = {1: 1296, 2: 36, 3: 10, 4: 6}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(basis=st.integers(1, 4).flatmap(
+           lambda L: st.tuples(st.just(L), st.integers(2, MAX_LEVELS[L]))),
+       m_sq=st.floats(0.05, 20.0))
+@example(basis=(4, 6), m_sq=1.0)
+@example(basis=(2, 36), m_sq=0.05)
+def test_sector_parts_match_the_dense_kronecker_build(dense_parts, basis, m_sq):
+    L, n_max = basis
+    want = oracle_blocks(dense_parts, L, m_sq, n_max)
+    got = fock_space._sector_parts(L, m_sq, n_max)
+    assert list(got) == list(want)
+    for label in want:
+        for name, ours, ref in zip(("H0", "A", "B"), got[label], want[label]):
+            scale = np.max(np.abs(ref), initial=1.0)
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * scale, (label, name)
+
+
+@pytest.mark.parametrize("m_sq", [1.0, 1.37])
+@pytest.mark.parametrize("L, n_max", [(1, 8), (2, 4)])
+def test_sector_parts_are_bit_equal_to_the_dense_build_at_the_vqe_shapes(dense_parts, L, n_max,
+                                                                         m_sq):
+    want = oracle_blocks(dense_parts, L, m_sq, n_max)
+    got = fock_space._sector_parts(L, m_sq, n_max)
+    assert all(np.array_equal(ours, ref)
+               for label in want for ours, ref in zip(got[label], want[label]))
+
+
+def test_sector_parts_build_without_a_full_space_matrix():
+    fock_space._sector_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        parts = fock_space._sector_parts(2, 1.0, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000  # one dense 576 x 576 matrix is 2.65 MB, and the old build held 8
+    assert all(part.shape[0] < 24**2 for blocks in parts.values() for part in blocks)
 
 
 # ---------------------------------------------------------------- counterterm roots
@@ -773,6 +818,34 @@ def test_critical_exponent_fit_finds_the_minimum_on_the_lambda_c_bound():
     assert fit.converged
     assert fit.lambda_c == 3.5 - 20.0
     assert 6 * fit.residual**2 <= 2 * reference.cost
+
+
+@pytest.mark.parametrize("m0_sq", sorted(FIT_GRIDS))
+def test_critical_exponent_fit_says_the_lambda_c_bound_set_its_answer(m0_sq):
+    fit = critical_exponent_fit(fit_window(4, m0_sq), window=6)
+    assert fit.lambda_c == FIT_GRIDS[m0_sq][0] - 20.0
+    assert fit.at_bound == "lambda_c"
+
+
+@pytest.mark.parametrize("m0_sq", [-1.5, -2.5])
+def test_critical_exponent_fit_on_the_benchmark_windows_is_off_its_bounds(m0_sq):
+    assert critical_exponent_fit(fit_window(8, m0_sq), window=6).at_bound is None
+
+
+def test_critical_exponent_fit_says_the_nu_bound_set_its_answer():
+    # gap = (lambda + 1)^0.02 over lambda 0..5: the exponent wants 0.02, below the bound 0.05
+    points = [(lam, (lam + 1.0) ** 0.02) for lam in range(6)]
+    fit = critical_exponent_fit(points, window=6)
+    assert fit.nu == 0.05
+    assert -20.0 < fit.lambda_c < -1e-9
+    assert fit.at_bound == "nu"
+
+
+def test_critical_exponent_fit_names_lambda_c_when_both_bounds_set_the_answer():
+    # gap = 0.01 (lambda + 1)^8: nu ends on 5 and lambda_c on its upper bound 0 - 1e-9
+    fit = critical_exponent_fit([(lam, 0.01 * (lam + 1.0) ** 8) for lam in range(6)], window=6)
+    assert (fit.lambda_c, fit.nu) == (-1e-9, 5.0)
+    assert fit.at_bound == "lambda_c"
 
 
 def test_critical_exponent_fit_reports_the_iteration_cap(monkeypatch):
