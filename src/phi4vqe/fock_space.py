@@ -19,12 +19,12 @@ H conserves the field parity Z2 = sum_j n_j mod 2 and the total momentum
 P = sum_j j n_j mod L (in units of 2 pi / L) of a basis state, labelled by
 sector_indices. Phi_k maps sector (Z2, P) onto (1 - Z2, P - k) alone, so the
 identities above hold block by block: each Phi_k block is read off the
-occupation labels, and H0 (diagonal), A and B are products of those blocks,
-built in real arithmetic once per Fock basis (L, m_sq, n_max) and kept as
-read-only float64 blocks per (Z2, P) sector. No n_max^L matrix is formed:
-build_H(params, sector) is a weighted sum of one sector's three blocks, and
-spectra and gaps diagonalize every block with the real symmetric eigensolver
-and merge their levels. build_H and build_HI without a sector scatter the
+occupation labels, and A and B are products of those blocks, built in real
+arithmetic once per Fock basis (L, m_sq, n_max), one C_q block at a time, and
+kept as read-only float64 blocks per (Z2, P) sector beside the diagonal of H0.
+No n_max^L matrix is formed: build_H(params, sector) is a weighted sum of one
+sector's parts, and spectra and gaps diagonalize every block with the real
+symmetric eigensolver and merge their levels. build_H and build_HI without a sector scatter the
 blocks into the n_max^L matrix, for small bases; sector_blocks slices such a
 matrix back (qubit_encoding.parity_blocks wraps it) and rejects one that
 couples two sectors."""
@@ -183,13 +183,17 @@ def sector_blocks(M: np.ndarray, L: int, n_max: int,
 
 @lru_cache(maxsize=8)
 def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
-    """Read-only float64 (H0, A, B) blocks per (Z2, P) sector, built once per Fock basis.
+    """Read-only float64 (h0, A, B) per (Z2, P) sector, built once per Fock basis.
 
-    H = H0 + delta_m A + lambda B. Phi_k maps sector (z, P) onto (1 - z, P - k)
-    alone, so each of its blocks is built from the occupation labels, and
-    C_q = sum_k Phi_k Phi_{q-k}, A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L)
-    are products of those blocks (see the module docstring); keyed in
-    sector_indices order.
+    H = diag(h0) + delta_m A + lambda B: H0 is diagonal, so it is kept as the
+    vector h0. Phi_k maps sector (z, P) onto (1 - z, P - k) alone, so each of
+    its blocks is read off the occupation labels. C_q = sum_k Phi_k Phi_{q-k},
+    A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L) are products of those blocks
+    (see the module docstring); keyed in sector_indices order. The build holds
+    one C_q block at a time: M_q, the block of C_q into sector s, gives A[s] =
+    M_0 / 2 and the term M_q M_q^T of B[s], since C_{-q} = C_q^T. At L <= 2 that
+    transpose equals a separately built C_{-q} block bit for bit; at L >= 3 it
+    sums the k terms in another order, so it may differ in the last bit.
     """
     params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
     omega = momentum_grid(params).frequencies
@@ -203,45 +207,72 @@ def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tupl
     def shift(s, k):  # the sector that Phi_k maps s onto
         return 1 - s[0], (s[1] - k) % L
 
-    def field(k, s):
-        """Block of Phi_k = (a_k + a_dag_{-k}) / sqrt(2 omega_k) from sector s to shift(s, k)."""
+    def entries(k, s):
+        """Flat positions and values of Phi_k = (a_k + a_dag_{-k}) / sqrt(2 omega_k) from s to shift(s, k)."""
         n, indices = occ[s], sectors[s]
-        out = np.zeros((sectors[shift(s, k)].size, indices.size))
         norm = math.sqrt(2.0 * omega[k])
         down = np.flatnonzero(n[k] > 0)  # a_k
-        out[position[indices[down] - stride[k]], down] = np.sqrt(n[k, down]) / norm
         up = np.flatnonzero(n[-k % L] < n_max - 1)  # a_dag_{-k}, truncated like ladder_ops
-        out[position[indices[up] + stride[-k % L]], up] = np.sqrt(n[-k % L, up] + 1) / norm
-        return out
+        rows = np.concatenate((position[indices[down] - stride[k]],
+                               position[indices[up] + stride[-k % L]]))
+        values = np.concatenate((np.sqrt(n[k, down]) / norm, np.sqrt(n[-k % L, up] + 1) / norm))
+        return rows * indices.size + np.concatenate((down, up)), values
 
-    Phi = {(k, s): field(k, s) for k in range(L) for s in sectors}
-    # C[q, s]: the block of C_q from sector s to (z, P - q)
-    C = {(q, s): sum(Phi[k, shift(s, q - k)] @ Phi[(q - k) % L, s] for k in range(L))
-         for q in range(L) for s in sectors}
-    del Phi  # B needs only the C blocks
+    sparse = {(k, s): entries(k, s) for k in range(L) for s in sectors}
+
+    def field(k, s):
+        """The dense block of Phi_k from sector s to shift(s, k)."""
+        out = np.zeros(sectors[shift(s, k)].size * sectors[s].size)
+        flat, values = sparse[k, s]
+        out[flat] = values
+        return out.reshape(-1, sectors[s].size)
+
+    def product(q, k, source):  # the k term of C_q from source
+        return field(k, shift(source, q - k)) @ field((q - k) % L, source)
+
+    # Phi entries are >= 0, so a sum started from its first term equals one
+    # started from 0 bit for bit; k and q run in ascending order, summed in place
     parts = {}
     for s in sectors:
-        H0 = np.diag(sum(w * n for w, n in zip(omega, occ[s])))
-        B = sum(C[q, (s[0], (s[1] + q) % L)] @ C[-q % L, s] for q in range(L)) / (24.0 * L)
-        parts[s] = (H0, C[0, s] / 2.0, B)
+        for q in range(L):
+            source = s[0], (s[1] + q) % L
+            M = product(q, 0, source)  # the block of C_q from source into s
+            for k in range(1, L):
+                M += product(q, k, source)
+            if q == 0:
+                A, B = M / 2.0, M @ np.ascontiguousarray(M.T)
+            else:
+                B += M @ np.ascontiguousarray(M.T)
+            del M
+        B /= 24.0 * L
+        parts[s] = (sum(w * n for w, n in zip(omega, occ[s])), A, B)
         for part in parts[s]:
             part.setflags(write=False)
     return parts
 
 
+def _weighted(parts: tuple[np.ndarray, ...], params: ModelParams) -> np.ndarray:
+    """diag(h0) + delta_m A + lambda B of one sector's parts, as a fresh matrix."""
+    h0, A, B = parts
+    out = params.delta_m * A
+    out.reshape(-1)[::h0.size + 1] += h0  # the diagonal, as a strided view
+    out += params.lam * B
+    return out
+
+
 def _scatter(params: ModelParams, combine) -> np.ndarray:
-    """combine(H0, A, B) per (Z2, P) sector, scattered into a fresh n_max^L matrix."""
+    """combine(parts) per (Z2, P) sector, scattered into a fresh n_max^L matrix."""
     dim = params.n_max**params.L
     out = np.zeros((dim, dim))
     blocks = _sector_parts(params.L, params.m_sq, params.n_max)
     for sector, indices in sector_indices(params.L, params.n_max).items():
-        out[np.ix_(indices, indices)] = combine(*blocks[sector])
+        out[np.ix_(indices, indices)] = combine(blocks[sector])
     return out
 
 
 def build_HI(params: ModelParams) -> np.ndarray:
     """Interaction sum_x [ (delta_m / 2) phi(x)^2 + (lambda / 4!) phi(x)^4 ] on n_max^L states."""
-    return _scatter(params, lambda H0, A, B: params.delta_m * A + params.lam * B)
+    return _scatter(params, lambda parts: params.delta_m * parts[1] + params.lam * parts[2])
 
 
 def build_H(params: ModelParams, sector: tuple[int, int] | None = None) -> np.ndarray:
@@ -251,16 +282,13 @@ def build_H(params: ModelParams, sector: tuple[int, int] | None = None) -> np.nd
     the order of sector_indices. Without one, the n_max^L matrix those blocks
     fill, zero between sectors; only small bases need it.
     """
-    def combine(H0, A, B):
-        return H0 + params.delta_m * A + params.lam * B
-
     if sector is None:
-        return _scatter(params, combine)
+        return _scatter(params, lambda parts: _weighted(parts, params))
     blocks = _sector_parts(params.L, params.m_sq, params.n_max)
     if sector not in blocks:
         raise ValueError(f"no (Z2, P) sector {sector} at L={params.L}, "
                          f"n_max={params.n_max}; sectors: {sorted(blocks)}")
-    return combine(*blocks[sector])
+    return _weighted(blocks[sector], params)
 
 
 def _require_finite_hermitian(H: np.ndarray, caller: str) -> None:

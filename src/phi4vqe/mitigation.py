@@ -148,9 +148,13 @@ def _trace(rho: np.ndarray) -> np.ndarray:
 
 
 def _purify(rho: np.ndarray, eps_n: float = 1e-4,
-            max_iter: int = 100) -> tuple[np.ndarray, list[PurificationReport]]:
+            max_iter: int = 100) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """mcweeny_purify on a (k, d, d) stack: one eigh, w <- w^2 (3 - 2w) / sum on each
-    row of eigenvalues until its own test holds, and one rebuild V diag(w) V^dagger."""
+    row of eigenvalues until its own test holds, and one rebuild V diag(w) V^dagger.
+
+    Returns the purified stack and the per-row arrays (iterations,
+    initial_purity, final_purity, converged); _reports turns them into
+    PurificationReports for a caller that keeps them."""
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValueError("density matrix must be square")
     if not np.isfinite(rho).all():
@@ -184,12 +188,16 @@ def _purify(rho: np.ndarray, eps_n: float = 1e-4,
     stepped = iterations > 0
     rho[stepped] = (v[stepped] * w[stepped, None, :]) @ np.swapaxes(v[stepped].conj(), 1, 2)
     final_purity = (w * w).sum(axis=1)
-    return rho, [
-        PurificationReport(iterations=int(i), non_idempotency=float(p1 - 1.0),
-                           converged=bool(inside and abs(p1 - 1.0) < eps_n),
-                           initial_purity=float(p0), final_purity=float(p1))
-        for i, p0, p1, inside in zip(iterations, initial_purity, final_purity, basin)
-    ]
+    converged = basin & (np.abs(final_purity - 1.0) < eps_n)
+    return rho, (iterations, initial_purity, final_purity, converged)
+
+
+def _reports(stats: tuple[np.ndarray, ...]) -> list[PurificationReport]:
+    """One PurificationReport per row of _purify's per-row arrays."""
+    return [PurificationReport(iterations=int(i), non_idempotency=float(p1 - 1.0),
+                               converged=bool(ok), initial_purity=float(p0),
+                               final_purity=float(p1))
+            for i, p0, p1, ok in zip(*stats)]
 
 
 def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
@@ -208,8 +216,8 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
     """
     if rho.ndim != 2:
         raise ValueError(f"mcweeny_purify takes one (d, d) density matrix, got shape {rho.shape}")
-    purified, reports = _purify(rho[None], eps_n, max_iter)
-    return purified[0], reports[0]
+    purified, stats = _purify(rho[None], eps_n, max_iter)
+    return purified[0], _reports(stats)[0]
 
 
 def energy_from_state(rho: np.ndarray, H: PauliSum) -> float | np.ndarray:

@@ -37,6 +37,7 @@ from .mitigation import (
     PurificationReport,
     ReadoutCalibration,
     _purify,
+    _reports,
     energy_from_state,
     mcweeny_purify,
     tomography_2q_detail,
@@ -293,9 +294,9 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
             cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
         (rho,) = tomography_2q_detail(circuit, backend.noise, backend.shots, cal)
         if theta.shape[-1] == 3 and backend.purification:
-            rho, reports = _purify(rho)
+            rho, stats = _purify(rho)
             if purification_log is not None:
-                purification_log.extend(reports)
+                purification_log.extend(_reports(stats))
         energies = energy_from_state(rho, H)
     return float(energies[0]) if theta.ndim == 1 else energies
 

@@ -436,10 +436,20 @@ def test_sector_blocks_reproduce_the_full_spectrum(basis, delta_m, lam):
 
 
 def oracle_blocks(dense_parts, L, m_sq, n_max):
-    """The dense oracle sliced per (Z2, P) sector; sector_blocks checks nothing couples two sectors."""
+    """The dense oracle sliced per (Z2, P) sector, its H0 block read as the diagonal h0.
+
+    sector_blocks checks that nothing couples two sectors, and every H0 block
+    is checked to have no off-diagonal entry, so h0 holds all of it.
+    """
     sliced = [sector_blocks(part, L, n_max, name)
               for name, part in zip(("H0", "A", "B"), dense_parts(L, m_sq, n_max))]
-    return {label: tuple(blocks[label] for blocks in sliced) for label in sliced[0]}
+    out = {}
+    for label in sliced[0]:
+        H0, A, B = (blocks[label] for blocks in sliced)
+        h0 = np.diag(H0)
+        assert not np.any(H0 - np.diag(h0)), label
+        out[label] = (h0, A, B)
+    return out
 
 
 # largest n_max per L with n_max^L <= 1296
@@ -458,13 +468,13 @@ def test_sector_parts_match_the_dense_kronecker_build(dense_parts, basis, m_sq):
     got = fock_space._sector_parts(L, m_sq, n_max)
     assert list(got) == list(want)
     for label in want:
-        for name, ours, ref in zip(("H0", "A", "B"), got[label], want[label]):
+        for name, ours, ref in zip(("h0", "A", "B"), got[label], want[label]):
             scale = np.max(np.abs(ref), initial=1.0)
             assert np.max(np.abs(ours - ref)) <= 1e-12 * scale, (label, name)
 
 
 @pytest.mark.parametrize("m_sq", [1.0, 1.37])
-@pytest.mark.parametrize("L, n_max", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("L, n_max", [(1, 8), (2, 4), (2, 8), (2, 16)])
 def test_sector_parts_are_bit_equal_to_the_dense_build_at_the_vqe_shapes(dense_parts, L, n_max,
                                                                          m_sq):
     want = oracle_blocks(dense_parts, L, m_sq, n_max)
@@ -473,16 +483,20 @@ def test_sector_parts_are_bit_equal_to_the_dense_build_at_the_vqe_shapes(dense_p
                for label in want for ours, ref in zip(got[label], want[label]))
 
 
-def test_sector_parts_build_without_a_full_space_matrix():
+@pytest.mark.parametrize("L, n_max, bound", [
+    (2, 24, 2_500_000),  # one dense 576 x 576 matrix is 2.65 MB; the parts keep 1.33 MB
+    (4, 6, 6_000_000),  # the parts keep 3.37 MB; all L x 2L C_q blocks at once take 13.9 MB
+])
+def test_sector_parts_build_without_a_full_space_matrix(L, n_max, bound):
     fock_space._sector_parts.cache_clear()
     tracemalloc.start()
     try:
-        parts = fock_space._sector_parts(2, 1.0, 24)
+        parts = fock_space._sector_parts(L, 1.0, n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000  # one dense 576 x 576 matrix is 2.65 MB, and the old build held 8
-    assert all(part.shape[0] < 24**2 for blocks in parts.values() for part in blocks)
+    assert peak < bound
+    assert all(part.shape[0] < n_max**L for blocks in parts.values() for part in blocks)
 
 
 # ---------------------------------------------------------------- counterterm roots

@@ -19,6 +19,7 @@ from phi4vqe.mitigation import (
     PurificationReport,
     ReadoutCalibration,
     _purify,
+    _reports,
     energy_from_state,
     mcweeny_purify,
     ro_correct,
@@ -353,7 +354,8 @@ def test_purify_core_gives_every_matrix_its_own_report(max_iter):
         rotated((0.45, 0.3, 0.15, 0.1), seed=63),
         rotated((1.2, 0.3, -0.5, 0.0), seed=64),
     ])
-    out, reports = _purify(batch, max_iter=max_iter)
+    out, stats = _purify(batch, max_iter=max_iter)
+    reports = _reports(stats)
     for rho, got, report in zip(batch, out, reports):
         want, want_report = mcweeny_purify(rho, max_iter=max_iter)
         assert report == want_report
@@ -415,7 +417,8 @@ def iterative_purify(rho, eps_n=1e-4, max_iter=100):
 
 
 def assert_matches_oracle(stack, max_iter=100, tol=1e-12):
-    got, reports = _purify(stack, max_iter=max_iter)
+    got, stats = _purify(stack, max_iter=max_iter)
+    reports = _reports(stats)
     want, want_reports = iterative_purify(stack, max_iter=max_iter)
     for report, want_report in zip(reports, want_reports, strict=True):
         assert report.iterations == want_report.iterations

@@ -147,6 +147,22 @@ def test_batched_objective_equals_scalar_calls(kind, n_params, shots, seed, data
         assert batched.noise.rng.bit_generator.state == scalar.noise.rng.bit_generator.state
 
 
+def test_energy_objective_builds_purification_reports_only_for_a_log(monkeypatch):
+    ground, _ = sectors(benchmark(6.0))
+    theta = np.tile((0.3, -0.5, 0.8), (4, 1))
+    logged = []
+    want = energy_objective(theta, ground, batch_backend("noisy", 256, 5),
+                            purification_log=logged)
+    assert len(logged) == 4
+
+    def no_reports(stats):
+        raise AssertionError("reports built for a caller that drops them")
+
+    monkeypatch.setattr(vqe, "_reports", no_reports)
+    got = energy_objective(theta, ground, batch_backend("noisy", 256, 5))
+    assert [e.hex() for e in got.tolist()] == [e.hex() for e in want.tolist()]
+
+
 def test_energy_objective_rejects_a_theta_of_rank_three():
     ground, _ = sectors(benchmark(6.0))
     with pytest.raises(ValueError, match="neither one angle set nor a stack"):
