@@ -82,7 +82,7 @@ def _check_shots(name: str, shots) -> None:
 class Circuit:
     """Ordered gate program; gates are ("ry", qubit, angle) or ("cx", control, target).
 
-    Angles are all numbers, or all 1-D arrays of one length k: then the
+    Angles are all numbers, or all 1-D arrays of one length k >= 1: then the
     circuit is a batch of k circuits and ``batch_size`` is k (None otherwise).
     """
 
@@ -109,7 +109,10 @@ class Circuit:
         if not np.isfinite(np.array(angles, dtype=float)).all():
             raise ValueError(f"non-finite angle among {angles}")
         if shapes and shapes != {()}:
-            object.__setattr__(self, "batch_size", shapes.pop()[0])
+            (k,) = shapes.pop()
+            if k == 0:
+                raise ValueError("a batch of circuits needs angle arrays of length >= 1, got 0")
+            object.__setattr__(self, "batch_size", k)
 
 
 @dataclass(eq=False)

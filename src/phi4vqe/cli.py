@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -34,8 +35,8 @@ from .lattice_model import (
     counterterm_continuum,
     counterterm_first_order,
 )
-from .vqe import (BackendSpec, benchmark_sectors, mass_gap_vqe, mitigation_comparison,
-                  sector_minima)
+from .vqe import (BACKEND_KINDS, BackendSpec, benchmark_sectors, mass_gap_vqe,
+                  mitigation_comparison, sector_minima)
 
 SCHEMA = "phi4vqe/1"
 ENERGY_UNIT = "lattice units"
@@ -56,12 +57,14 @@ def _cell(value):
     return value
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
+def _write_csv(out_dir: Path, record: dict, name: str, header: list[str], rows) -> None:
+    """Write out_dir / name and list it in the record's outputs."""
+    with open(out_dir / name, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+    record["outputs"].append(name)
 
 
 def _json_safe(value):
@@ -148,7 +151,7 @@ MODEL = {
 }
 RATES = Field(ListOf(_in_range(0, 1), length=2), OPTIONAL)
 BACKEND = {
-    "kind": _one_of("exact", "sampled", "noisy_mitigated"),
+    "kind": _one_of(*BACKEND_KINDS),
     "shots": Field(SHOTS, 8192),
     "calibration_shots": Field(SHOTS, 100_000),
     "p_dep": Field(_in_range(0, 1), 0.02),
@@ -331,22 +334,20 @@ def cmd_spectrum(cfg: dict, out_dir: Path, record: dict) -> None:
 
     gap_header = ["lambda"] + [f"gap_nmax{n} ({ENERGY_UNIT})" for n in n_max_values]
     gap_rows = [[lam] + [by_point[(n, lam)][0] for n in n_max_values] for lam in lambda_grid]
-    _write_csv(out_dir / "gaps.csv", gap_header, gap_rows)
+    _write_csv(out_dir, record, "gaps.csv", gap_header, gap_rows)
 
     eig_rows = []
     for n_max in n_max_values:
         for lam in lambda_grid:
             for level, energy in enumerate(by_point[(n_max, lam)][2]):
                 eig_rows.append([lam, n_max, level, energy])
-    _write_csv(out_dir / "eigenvalues.csv",
+    _write_csv(out_dir, record, "eigenvalues.csv",
                ["lambda", "n_max", "level", f"energy ({ENERGY_UNIT})"], eig_rows)
 
-    record["outputs"] += ["gaps.csv", "eigenvalues.csv"]
     record["gaps"] = {str(n): [[lam, by_point[(n, lam)][0]] for lam in lambda_grid]
                       for n in n_max_values}
     record["degenerate_points"] = [[n, lam] for n in n_max_values for lam in lambda_grid
                                    if by_point[(n, lam)][1]]
-    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- counterterm
@@ -369,8 +370,7 @@ def cmd_counterterm(cfg: dict, out_dir: Path, record: dict) -> None:
         ]
         rows = [[lam] + [delta_curve(m_sq, L, lam) for m_sq, L in columns]
                 for lam in lambda_grid]
-        _write_csv(out_dir / "firstorder.csv", header, rows)
-        record["outputs"].append("firstorder.csv")
+        _write_csv(out_dir, record, "firstorder.csv", header, rows)
 
     if "roots" in cfg:
         roots_cfg = cfg["roots"]
@@ -397,26 +397,22 @@ def cmd_counterterm(cfg: dict, out_dir: Path, record: dict) -> None:
         solved = [solve_point(lam) for lam in lambda_values]
 
         root_rows = [[lam, root, gap] for lam, (root, gap, _, _) in zip(lambda_values, solved)]
-        _write_csv(out_dir / "roots.csv",
+        _write_csv(out_dir, record, "roots.csv",
                    ["lambda", f"delta_m_root ({ENERGY_UNIT})", f"gap_at_root ({ENERGY_UNIT})"],
                    root_rows)
-        record["outputs"].append("roots.csv")
 
         sweep_rows = []
         for lam, (_, _, sweep, _) in zip(lambda_values, solved):
             for delta, gap in sweep:
                 sweep_rows.append([lam, delta, gap])
-        _write_csv(out_dir / "sweep.csv",
+        _write_csv(out_dir, record, "sweep.csv",
                    ["lambda", f"delta_m ({ENERGY_UNIT})", f"gap ({ENERGY_UNIT})"],
                    sweep_rows)
-        record["outputs"].append("sweep.csv")
 
         record["roots"] = [
             {"lambda": lam, "delta_m_root": root, "gap_at_root": gap, "failure": failure}
             for lam, (root, gap, _, failure) in zip(lambda_values, solved)
         ]
-
-    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- critical
@@ -434,8 +430,7 @@ def cmd_critical(cfg: dict, out_dir: Path, record: dict) -> None:
         rows = []
         for i, lam in enumerate(lambda_grid):
             rows.append([lam] + [points[i][1] for points in curve_results])
-        _write_csv(out_dir / "curve.csv", header, rows)
-        record["outputs"].append("curve.csv")
+        _write_csv(out_dir, record, "curve.csv", header, rows)
         record["curves"] = {
             repr(float(t)): [[lam, m0] for lam, m0, _ in points]
             for t, points in zip(targets, curve_results)
@@ -457,24 +452,11 @@ def cmd_critical(cfg: dict, out_dir: Path, record: dict) -> None:
                                                n_max=model["n_max"])
                 gaps.append(mass_gap(params))
             fit = critical_exponent_fit(list(zip(grid, gaps)), window=cfg["fit_window"])
-            fits_payload.append({
-                "m0_sq": entry["m0_sq"],
-                "lambda_grid": grid,
-                "gaps": gaps,
-                "lambda_c": fit.lambda_c,
-                "nu": fit.nu,
-                "amplitude": fit.amplitude,
-                "residual": fit.residual,
-                "window": list(fit.window),
-                "slopes": list(fit.slopes),
-                "converged": fit.converged,
-                "at_bound": fit.at_bound,
-            })
+            fits_payload.append(dict(dataclasses.asdict(fit), m0_sq=entry["m0_sq"],
+                                     lambda_grid=grid, gaps=gaps))
         _write_json(out_dir / "fits.json", fits_payload)
         record["outputs"].append("fits.json")
         record["fits"] = fits_payload
-
-    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- vqe
@@ -485,6 +467,7 @@ def cmd_vqe(cfg: dict, out_dir: Path, record: dict) -> None:
     backend = _backend_from_config(cfg["backend"])
     noisy = backend.kind == "noisy_mitigated"
     stochastic = backend.kind != "exact"
+    verdict_key = "within_one_sigma" if stochastic else "within_tolerance"
 
     def run_point(index: int, lam: float, name: str):
         params = _model_params(model, lam, model["n_max"])
@@ -514,10 +497,8 @@ def cmd_vqe(cfg: dict, out_dir: Path, record: dict) -> None:
                 "excited": len(estimate.excited.history),
             },
         }
-        if stochastic:
-            entry["within_one_sigma"] = bool(abs(estimate.gap - gap_exact) <= estimate.gap_err)
-        else:
-            entry["within_tolerance"] = bool(abs(estimate.gap - gap_exact) <= 1e-6)
+        tolerance = estimate.gap_err if stochastic else 1e-6
+        entry[verdict_key] = bool(abs(estimate.gap - gap_exact) <= tolerance)
         if noisy:
             entry["calibration"] = {
                 "ground": estimate.ground.calibration,
@@ -548,36 +529,21 @@ def cmd_vqe(cfg: dict, out_dir: Path, record: dict) -> None:
     points = [(float(lam), name) for lam in cfg["lambda_grid"] for name in cfg["ansatz"]]
     entries = [run_point(index, lam, name) for index, (lam, name) in enumerate(points)]
 
-    header = [
-        "lambda", "ansatz",
-        f"e0 ({ENERGY_UNIT})", "e0_err", f"e1 ({ENERGY_UNIT})", "e1_err",
-        f"gap ({ENERGY_UNIT})", "gap_err",
-        f"e0_exact ({ENERGY_UNIT})", f"e1_exact ({ENERGY_UNIT})",
-        f"gap_exact ({ENERGY_UNIT})", "verdict",
-        f"gap_raw ({ENERGY_UNIT})",
-    ]
-    rows = []
-    for entry in entries:
-        verdict = entry.get("within_one_sigma", entry.get("within_tolerance"))
-        rows.append([
-            entry["lambda"], entry["ansatz"],
-            entry["e0"], entry["e0_err"], entry["e1"], entry["e1_err"],
-            entry["gap"], entry["gap_err"],
-            entry["e0_exact"], entry["e1_exact"], entry["gap_exact"],
-            "pass" if verdict else "fail",
-            entry.get("gap_raw"),
-        ])
-    _write_csv(out_dir / "benchmark.csv", header, rows)
+    columns = ("lambda", "ansatz", "e0", "e0_err", "e1", "e1_err", "gap", "gap_err",
+               "e0_exact", "e1_exact", "gap_exact", verdict_key, "gap_raw")
+    unitless = ("lambda", "ansatz", "e0_err", "e1_err", "gap_err")
+    header = [c if c in unitless else "verdict" if c == verdict_key else f"{c} ({ENERGY_UNIT})"
+              for c in columns]
+    rows = [[("pass" if entry[c] else "fail") if c == verdict_key else entry.get(c)
+             for c in columns] for entry in entries]
+    _write_csv(out_dir, record, "benchmark.csv", header, rows)
 
-    verdict_key = "within_one_sigma" if stochastic else "within_tolerance"
-    record["outputs"] += ["benchmark.csv"]
     record["points"] = entries
     record["verdict"] = {
         "criterion": verdict_key,
         "points_passing": sum(1 for e in entries if e[verdict_key]),
         "points_total": len(entries),
     }
-    _write_json(out_dir / "record.json", record)
 
 
 # ---------------------------------------------------------------- entry point
@@ -634,6 +600,7 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    _write_json(out_dir / "record.json", record)
     return 0
 
 

@@ -18,7 +18,7 @@ turn the phases into momentum conservation:
 H conserves the field parity Z2 = sum_j n_j mod 2 and the total momentum
 P = sum_j j n_j mod L (in units of 2 pi / L) of a basis state, labelled by
 sector_indices. Phi_k maps sector (Z2, P) onto (1 - Z2, P - k) alone, so the
-identities above hold block by block: each Phi_k block is read off the
+identities above hold block by block: each Phi_k block is filled from the
 occupation labels, and A and B are products of those blocks, built in real
 arithmetic once per Fock basis (L, m_sq, n_max), one C_q block at a time, and
 kept as read-only float64 blocks per (Z2, P) sector beside the diagonal of H0.
@@ -187,13 +187,16 @@ def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tupl
 
     H = diag(h0) + delta_m A + lambda B: H0 is diagonal, so it is kept as the
     vector h0. Phi_k maps sector (z, P) onto (1 - z, P - k) alone, so each of
-    its blocks is read off the occupation labels. C_q = sum_k Phi_k Phi_{q-k},
-    A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L) are products of those blocks
-    (see the module docstring); keyed in sector_indices order. The build holds
-    one C_q block at a time: M_q, the block of C_q into sector s, gives A[s] =
-    M_0 / 2 and the term M_q M_q^T of B[s], since C_{-q} = C_q^T. At L <= 2 that
-    transpose equals a separately built C_{-q} block bit for bit; at L >= 3 it
-    sums the k terms in another order, so it may differ in the last bit.
+    its blocks is filled straight from the source sector's occupation labels.
+    C_q = sum_k Phi_k Phi_{q-k}, A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L)
+    are @ products of those blocks (see the module docstring); keyed in
+    sector_indices order. The build holds one C_q block at a time: M_q, the
+    block of C_q into sector s, gives A[s] = M_0 / 2 and the term M_q M_q^T of
+    B[s], since C_{-q} = C_q^T; at L >= 3 that transpose sums the k terms in
+    another order than C_{-q} itself, so it may differ in the last bit. The vqe
+    outputs at (L, n_max) = (1, 8) and (2, 4) rest on the rounding of @:
+    OpenBLAS's dgemm fuses multiply-adds, so sums of separately rounded
+    products differ from it in the last bit.
     """
     params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
     omega = momentum_grid(params).frequencies
@@ -201,52 +204,38 @@ def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tupl
     position = np.empty(n_max**L, dtype=np.intp)  # basis index -> row in its sector
     for indices in sectors.values():
         position[indices] = np.arange(indices.size)
-    occ = {s: np.array(np.unravel_index(indices, (n_max,) * L)) for s, indices in sectors.items()}
     stride = n_max ** np.arange(L - 1, -1, -1)
 
-    def shift(s, k):  # the sector that Phi_k maps s onto
-        return 1 - s[0], (s[1] - k) % L
-
-    def entries(k, s):
-        """Flat positions and values of Phi_k = (a_k + a_dag_{-k}) / sqrt(2 omega_k) from s to shift(s, k)."""
-        n, indices = occ[s], sectors[s]
+    def field(k, z, p):
+        """The dense block of Phi_k = (a_k + a_dag_{-k}) / sqrt(2 omega_k) from (z, p) to (1 - z, p - k)."""
+        indices = sectors[z, p]
+        n = np.unravel_index(indices, (n_max,) * L)
         norm = math.sqrt(2.0 * omega[k])
+        out = np.zeros((sectors[1 - z, (p - k) % L].size, indices.size))
         down = np.flatnonzero(n[k] > 0)  # a_k
+        out[position[indices[down] - stride[k]], down] = np.sqrt(n[k][down]) / norm
         up = np.flatnonzero(n[-k % L] < n_max - 1)  # a_dag_{-k}, truncated like ladder_ops
-        rows = np.concatenate((position[indices[down] - stride[k]],
-                               position[indices[up] + stride[-k % L]]))
-        values = np.concatenate((np.sqrt(n[k, down]) / norm, np.sqrt(n[-k % L, up] + 1) / norm))
-        return rows * indices.size + np.concatenate((down, up)), values
-
-    sparse = {(k, s): entries(k, s) for k in range(L) for s in sectors}
-
-    def field(k, s):
-        """The dense block of Phi_k from sector s to shift(s, k)."""
-        out = np.zeros(sectors[shift(s, k)].size * sectors[s].size)
-        flat, values = sparse[k, s]
-        out[flat] = values
-        return out.reshape(-1, sectors[s].size)
-
-    def product(q, k, source):  # the k term of C_q from source
-        return field(k, shift(source, q - k)) @ field((q - k) % L, source)
+        out[position[indices[up] + stride[-k % L]], up] = np.sqrt(n[-k % L][up] + 1) / norm
+        return out
 
     # Phi entries are >= 0, so a sum started from its first term equals one
     # started from 0 bit for bit; k and q run in ascending order, summed in place
     parts = {}
-    for s in sectors:
+    for z, p in sectors:
         for q in range(L):
-            source = s[0], (s[1] + q) % L
-            M = product(q, 0, source)  # the block of C_q from source into s
+            # the block of C_q from (z, p + q) into (z, p), its k term Phi_k Phi_{q-k}
+            M = field(0, 1 - z, p) @ field(q, z, (p + q) % L)
             for k in range(1, L):
-                M += product(q, k, source)
+                M += field(k, 1 - z, (p + k) % L) @ field((q - k) % L, z, (p + q) % L)
             if q == 0:
                 A, B = M / 2.0, M @ np.ascontiguousarray(M.T)
             else:
                 B += M @ np.ascontiguousarray(M.T)
             del M
         B /= 24.0 * L
-        parts[s] = (sum(w * n for w, n in zip(omega, occ[s])), A, B)
-        for part in parts[s]:
+        h0 = sum(w * n for w, n in zip(omega, np.unravel_index(sectors[z, p], (n_max,) * L)))
+        parts[z, p] = (h0, A, B)
+        for part in parts[z, p]:
             part.setflags(write=False)
     return parts
 
@@ -404,8 +393,8 @@ def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
     no sign change or Brent's method does not converge; an error inside
     mass_gap reaches the caller unchanged.
     """
-    if not target_m_sq > 0:
-        raise ValueError(f"target_m_sq must be > 0, got {target_m_sq}")
+    if not (math.isfinite(target_m_sq) and target_m_sq > 0):
+        raise ValueError(f"target_m_sq must be a finite number > 0, got {target_m_sq}")
     lo = -abs(params.m0_sq) - params.m_sq - params.lam
     hi = params.m_sq + params.lam
 

@@ -496,6 +496,11 @@ def test_circuit_rejects_inconsistent_batch_angles(angles):
         ansatz_product(*angles)
 
 
+def test_circuit_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="length >= 1, got 0"):
+        ansatz_entangled(np.empty(0), np.empty(0), np.empty(0))
+
+
 @pytest.mark.parametrize("length", [3, 5])
 def test_measure_pauli_rejects_non_power_of_two_state(length):
     state = np.zeros(length, dtype=complex)

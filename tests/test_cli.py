@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phi4vqe import fock_space, qubit_encoding, vqe
+from phi4vqe import cli, fock_space, qubit_encoding, vqe
 from phi4vqe.cli import CONFIG_SCHEMAS, check_config, main
 
 
@@ -252,6 +253,8 @@ def test_critical_fit_benchmark_window(tmp_path):
     assert fits[0]["lambda_c"] < 3.5
     assert len(fits[0]["slopes"]) == 5
     assert fits[0]["converged"] is True
+    fields = {field.name for field in dataclasses.fields(fock_space.CriticalFit)}
+    assert set(fits[0]) == fields | {"m0_sq", "lambda_grid", "gaps"}
     assert json.loads((out / "record.json").read_text())["fits"] == fits
 
 
@@ -426,6 +429,41 @@ def test_counterterm_root_that_does_not_converge_is_reported_not_fatal(tmp_path,
     assert code == 0
     failure = json.loads((out / "record.json").read_text())["roots"][0]["failure"]
     assert failure.startswith("Brent's method did not converge in 2 iterations")
+
+
+# ---------------------------------------------------------------- the outputs list
+
+@pytest.mark.parametrize("command,cfg", [
+    ("spectrum", spectrum_cfg()),
+    ("counterterm", {
+        "firstorder": {"m_sq_values": [1.0], "L_values": [2], "lambda_grid": [0.0]},
+        "roots": {"L": 2, "m_sq": 1.0, "n_max": 4, "target_m_sq": 10_000.0,
+                  "lambda_values": [0.0], "sweep_points": 3},
+    }),
+    ("critical", {
+        "model": {"L": 2, "m_sq": 1.0, "n_max": 4},
+        "curves": {"target_gap_sq_values": [10_000.0], "lambda_grid": [0.0]},
+        "fits": [{"m0_sq": -1.5, "lambda_grid": [3.5, 4.0, 4.5, 5.0]}],
+    }),
+    ("vqe", vqe_cfg()),
+], ids=["spectrum", "counterterm", "critical", "vqe"])
+def test_record_lists_the_files_written_before_it_in_write_order(tmp_path, monkeypatch,
+                                                                 command, cfg):
+    # the counterterm root and the critical curve point fail their bracket
+    written = []
+
+    def recording_open(path, mode="r", **kwargs):
+        if "w" in mode:
+            written.append(Path(path).name)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    code, out = run(tmp_path, command, cfg)
+    assert code == 0
+    record = json.loads((out / "record.json").read_text())
+    assert written[-1] == "record.json"
+    assert record["outputs"] == written[:-1]
+    assert sorted(os.listdir(out)) == sorted(written)
 
 
 # ---------------------------------------------------------------- validation, field by field

@@ -671,6 +671,12 @@ def test_solve_counterterm_bracket_failure_names_both_ends():
         solve_counterterm(bench(lam=0.0, n_max=4), target_m_sq=100.0)
 
 
+@pytest.mark.parametrize("target", [0.0, -1.0, math.inf, math.nan])
+def test_solve_counterterm_rejects_a_target_that_is_not_finite_and_positive(target):
+    with pytest.raises(ValueError, match=r"^target_m_sq must be a finite number > 0, got"):
+        solve_counterterm(bench(lam=6.0, n_max=4), target_m_sq=target)
+
+
 def test_solve_counterterm_passes_a_gap_error_through(monkeypatch):
     # the bracket is [-8, 7]: its ends evaluate normally, any interior point fails
     def failing_gap(params):

@@ -417,6 +417,13 @@ def test_mitigation_comparison_orders_errors():
     assert comp.report.converged
 
 
+def test_mitigation_comparison_rejects_an_empty_parameter_batch():
+    ground, _ = sectors(benchmark(6.0))
+    backend = BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
+    with pytest.raises(ValueError, match="length >= 1, got 0"):
+        mitigation_comparison(ground, np.empty((0, 3)), backend, seed=[1])
+
+
 @pytest.mark.parametrize("switches", [
     {}, {"readout_correction": False}, {"purification": False},
     {"readout_correction": False, "purification": False},
