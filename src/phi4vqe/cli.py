@@ -35,7 +35,7 @@ from .lattice_model import (
     counterterm_continuum,
     counterterm_first_order,
 )
-from .vqe import (BACKEND_KINDS, BackendSpec, benchmark_sectors, mass_gap_vqe,
+from .vqe import (ANSATZE, BACKEND_KINDS, BackendSpec, benchmark_sectors, mass_gap_vqe,
                   mitigation_comparison, sector_minima)
 
 SCHEMA = "phi4vqe/1"
@@ -203,7 +203,7 @@ CONFIG_SCHEMAS = {
         COMMON,
         model=dict(MODEL, n_max=N_MAX),
         lambda_grid=COUPLINGS,
-        ansatz=Field(ListOf(_one_of("product", "entangled"), scalar_ok=True), "entangled"),
+        ansatz=Field(ListOf(_one_of(*ANSATZE), scalar_ok=True), "entangled"),
         backend=Field(BACKEND, {"kind": "exact"}),
     ),
 }
@@ -592,7 +592,11 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"out_dir: {exc}", file=sys.stderr)
+        return 1
     record = {"schema": SCHEMA, "command": args.command, "config": raw, "seed": cfg["seed"],
               "outputs": []}
     try:

@@ -225,5 +225,7 @@ def energy_from_state(rho: np.ndarray, H: PauliSum) -> float | np.ndarray:
     dim = 2**H.qubit_count
     if rho.shape[-2:] != (dim, dim) or rho.ndim > 3:
         raise ValueError(f"state dimension {rho.shape} does not match operator on {H.qubit_count} qubits")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has NaN or inf entries")
     values = _trace(rho @ H.to_matrix()).real
     return float(values) if rho.ndim == 2 else values

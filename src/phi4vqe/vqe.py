@@ -1,7 +1,7 @@
 """Hybrid variational loop over the symmetry-sector Hamiltonians.
 
 Energies are minimized by coordinate sweeps (sequential minimal optimization,
-Nakanishi, Fujii & Todo, arXiv:1903.12166) over one of two ansatz families:
+Nakanishi, Fujii & Todo, arXiv:1903.12166) over one of the ANSATZE families:
 two local RotY rotations (product) or the same plus one controlled rotation
 (entangled). Backends: exact statevector expectations, finite-shot sampling,
 or a noisy two-qubit tomography per evaluation with readout correction and
@@ -45,6 +45,7 @@ from .mitigation import (
 from .qubit_encoding import SectorHamiltonian, parity_blocks
 
 __all__ = [
+    "ANSATZE",
     "BackendSpec",
     "VqeResult",
     "GapEstimate",
@@ -59,20 +60,17 @@ __all__ = [
 
 BACKEND_KINDS = ("exact", "sampled", "noisy_mitigated")
 
-# fixed restart corners; the entangled set was chosen so that every target
-# state in the ansatz manifold is reached from at least one corner
-RESTARTS_PRODUCT = (
-    (0.0, 0.0),
-    (0.0, math.pi / 2),
-    (math.pi / 2, 0.0),
-    (math.pi / 2, math.pi / 2),
-)
-RESTARTS_ENTANGLED = (
-    (0.0, 0.0, 0.0),
-    (0.0, math.pi / 2, math.pi / 2),
-    (math.pi / 2, 0.0, math.pi / 2),
-    (math.pi / 2, math.pi / 2, 0.0),
-)
+# name -> (circuit builder, fixed restart corners, slice samples per angle,
+# each a key of _OFFSETS). The entangled corners were chosen so that every
+# target state in the ansatz manifold is reached from at least one corner.
+# Each ansatz has its own parameter count, so the count names it.
+ANSATZE = {
+    "product": (ansatz_product, ((0.0, 0.0), (0.0, math.pi / 2), (math.pi / 2, 0.0),
+                                 (math.pi / 2, math.pi / 2)), (3, 3)),
+    "entangled": (ansatz_entangled, ((0.0, 0.0, 0.0), (0.0, math.pi / 2, math.pi / 2),
+                                     (math.pi / 2, 0.0, math.pi / 2),
+                                     (math.pi / 2, math.pi / 2, 0.0)), (3, 3, 5)),
+}
 
 # sweeps per corner on the stochastic backends, so their evaluation count
 # follows from the config alone; the exact backend sweeps to a tolerance
@@ -102,6 +100,9 @@ class BackendSpec:
             _check_shots("shots", self.shots)
             if self.noise is None:
                 raise ValueError(f"backend kind {self.kind!r} needs a noise model (noiseless is fine for plain sampling)")
+            if self.noise.n_qubits != 2:
+                raise ValueError(f"noise model covers {self.noise.n_qubits} qubits; "
+                                 "the ansatz circuits act on 2")
         if self.kind == "sampled" and self.noise is not None:
             if any(self.noise.p10) or any(self.noise.p01) or self.noise.p_dep:
                 raise ValueError("kind 'sampled' is ideal shot sampling; use 'noisy_mitigated' for nonzero noise")
@@ -162,13 +163,12 @@ class GapEstimate:
 
 
 def _build_circuit(theta: np.ndarray):
-    """The ansatz circuit of one angle set, or the batch of a (k, 2|3) stack of them."""
-    if theta.shape[-1] == 2:
-        return ansatz_product(*theta.T)
-    if theta.shape[-1] == 3:
-        return ansatz_entangled(*theta.T)
-    raise ValueError(f"parameter count {theta.shape[-1]} matches no ansatz "
-                     "(2 for product, 3 for entangled)")
+    """The ANSATZE circuit of one angle set, or the batch of a (k, d) stack of them."""
+    for circuit, _, sample_counts in ANSATZE.values():
+        if len(sample_counts) == theta.shape[-1]:
+            return circuit(*theta.T)
+    counts = ", ".join(f"{len(per_angle)} for {name}" for name, (_, _, per_angle) in ANSATZE.items())
+    raise ValueError(f"parameter count {theta.shape[-1]} matches no ansatz ({counts})")
 
 
 def _require_two_qubit(sector: SectorHamiltonian) -> None:
@@ -194,7 +194,6 @@ def _fourier_rows(n: int) -> np.ndarray:
 
 _OFFSETS = {3: 2.0 * np.pi * np.arange(3) / 3, 5: 4.0 * np.pi * np.arange(5) / 5}
 _FIT = {n: _fourier_rows(n) for n in _OFFSETS}
-_SAMPLES_PER_ANGLE = (3, 3, 5)
 # coarse argmin grid over v in [-pi, pi) for the theta2 slice, refined by Newton steps
 _COARSE_V = np.pi * (np.arange(16) / 8.0 - 1.0)
 _COARSE_BASIS = np.array([f(j * _COARSE_V) for j in (1, 2) for f in (np.cos, np.sin)])
@@ -223,9 +222,10 @@ def _slice_minimum(values: np.ndarray) -> tuple[float, float]:
     return 2.0 * v, value
 
 
-def _coordinate_sweeps(fun, starts, max_sweeps: int,
+def _coordinate_sweeps(fun, starts, sample_counts: tuple[int, ...], max_sweeps: int,
                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Move each angle of every corner in ``starts`` (r, d) in turn to its slice minimum.
+    """Move each angle of every corner in ``starts`` (r, d) in turn to its slice minimum,
+    fitted through ``sample_counts[i]`` samples at _OFFSETS for angle i.
 
     The corners advance in lockstep: each slice of every active corner is one
     call of ``fun``. A corner stops once a sweep lowers its fitted energy by
@@ -238,7 +238,7 @@ def _coordinate_sweeps(fun, starts, max_sweeps: int,
     active = np.arange(len(theta))
     for _ in range(max_sweeps):
         previous = energy[active]
-        for i, n in enumerate(_SAMPLES_PER_ANGLE[:len(unit)]):
+        for i, n in enumerate(sample_counts):
             probes = theta[active, None] + _OFFSETS[n][:, None] * unit[i]
             values = fun(probes.reshape(-1, len(unit))).reshape(len(active), n)
             for corner, samples in zip(active, values):
@@ -263,11 +263,11 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
     non-identity words, drawn for the whole batch at once) and one
     reconstruction: readout-corrected with ``cal``, or with zero flip rates
     (the raw estimate) when correction is off, whatever ``cal`` says. The
-    energy is Tr(rho H), purified first when the ansatz is entangled and
-    purification is on. Tr(rho H) weighs only the Hamiltonian's own words,
-    so without purification it equals the word-by-word estimate. ``cal`` is
-    measured on the fly when correcting but not supplied (optimize()
-    measures it once and reuses it).
+    energy is Tr(rho H), purified first when purification is on and the
+    circuit has a CNOT, the only gate the depolarizer follows. Tr(rho H)
+    weighs only the Hamiltonian's own words, so without purification it
+    equals the word-by-word estimate. ``cal`` is measured on the fly when
+    correcting but not supplied (optimize() measures it once and reuses it).
     """
     _require_two_qubit(sector)
     theta = np.asarray(theta, dtype=float)
@@ -293,7 +293,7 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
         elif cal is None:
             cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
         (rho,) = tomography_2q_detail(circuit, backend.noise, backend.shots, cal)
-        if theta.shape[-1] == 3 and backend.purification:
+        if backend.purification and any(gate[0] == "cx" for gate in circuit.gates):
             rho, stats = _purify(rho)
             if purification_log is not None:
                 purification_log.extend(_reports(stats))
@@ -328,9 +328,9 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
     identical results bit for bit.
     """
     _require_two_qubit(sector)
-    starts = {"product": RESTARTS_PRODUCT, "entangled": RESTARTS_ENTANGLED}.get(ansatz)
-    if starts is None:
+    if ansatz not in ANSATZE:
         raise ValueError(f"unknown ansatz {ansatz!r}")
+    _, starts, sample_counts = ANSATZE[ansatz]
     backend = _reseeded(backend, seed)
 
     cal = None
@@ -346,7 +346,7 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
 
     exact = backend.kind == "exact"
     budget = (EXACT_MAX_SWEEPS, EXACT_TOL) if exact else (SWEEPS, -math.inf)
-    thetas, energies, settled = _coordinate_sweeps(fun, starts, *budget)
+    thetas, energies, settled = _coordinate_sweeps(fun, starts, sample_counts, *budget)
     best = min(range(len(starts)), key=energies.__getitem__)
     best_x = thetas[best]
 
@@ -413,6 +413,9 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
         raise ValueError("mitigation comparison needs the noisy_mitigated backend")
     backend = _reseeded(backend, seed)
     circuit = _build_circuit(np.asarray(theta, dtype=float))
+    if circuit.batch_size is not None:
+        raise ValueError(f"mitigation comparison takes one angle set, got theta of shape "
+                         f"{np.shape(theta)}")
     cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
     rho, rho_raw = tomography_2q_detail(circuit, backend.noise, backend.shots, cal, _RAW)
     rho, report = mcweeny_purify(rho)

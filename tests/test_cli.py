@@ -352,6 +352,22 @@ def test_vqe_rejects_unknown_backend(tmp_path, capsys):
     assert "backend" in capsys.readouterr().err
 
 
+def test_vqe_rejects_unknown_ansatz_naming_every_table_entry(tmp_path, capsys):
+    code, out = run(tmp_path, "vqe", vqe_cfg(ansatz=["entangled", "ladder"]))
+    assert code == 1
+    assert capsys.readouterr().err == "ansatz[1]: must be one of product, entangled\n"
+    assert not out.exists()
+
+
+def test_out_dir_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "out").write_text("a file in the way")
+    code, out = run(tmp_path, "vqe", vqe_cfg())
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("out_dir: ") and "Traceback" not in err
+    assert out.read_text() == "a file in the way"  # so no record.json was written in it
+
+
 def test_vqe_rejects_wrong_truncation(tmp_path, capsys):
     cfg = vqe_cfg()
     cfg["model"]["n_max"] = 6

@@ -551,3 +551,13 @@ def test_energy_from_state_dimension_mismatch():
     H = PauliSum(terms=((1.0, "ZI"),), qubit_count=2)
     with pytest.raises(ValueError):
         energy_from_state(np.eye(2) / 2.0, H)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+def test_energy_from_state_rejects_non_finite_entries(bad, shape):
+    H = PauliSum(terms=((1.0, "ZI"),), qubit_count=2)
+    rho = np.broadcast_to(np.eye(4) / 4.0, shape).astype(complex)
+    rho[..., 1, 2] = bad
+    with pytest.raises(ValueError, match="^density matrix has NaN or inf entries$"):
+        energy_from_state(rho, H)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H
 from phi4vqe.qubit_encoding import parity_blocks
-from phi4vqe.circuit_sim import NoiseModel
+from phi4vqe.circuit_sim import Circuit, NoiseModel
 from phi4vqe.mitigation import ReadoutCalibration
 from phi4vqe import vqe
 from phi4vqe.vqe import (
@@ -51,6 +52,16 @@ def test_backend_spec_rejects_shot_counts_that_are_not_integers_in_range(field, 
     noise = NoiseModel.uniform(2, readout=0.03)
     with pytest.raises(ValueError, match=f"^{field} must be an integer in \\[1, 2\\*\\*63 - 1\\]"):
         BackendSpec.noisy(noise, **{field: value})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BackendSpec.noisy(NoiseModel.uniform(3, readout=0.03, p_dep=0.02)),
+    lambda: BackendSpec(kind="sampled", noise=NoiseModel.noiseless(3)),
+    lambda: BackendSpec(kind="sampled", noise=NoiseModel.noiseless(1)),
+], ids=["noisy-3", "sampled-3", "sampled-1"])
+def test_backend_spec_rejects_a_noise_model_off_two_qubits(make):
+    with pytest.raises(ValueError, match=r"^noise model covers \d qubits; the ansatz circuits act on 2$"):
+        make()
 
 
 def test_backend_spec_takes_numpy_integer_shot_counts():
@@ -141,8 +152,8 @@ def test_batched_objective_equals_scalar_calls(kind, n_params, shots, seed, data
     assert energies.shape == (k,) and all(type(e) is float for e in singles)
     assert [e.hex() for e in energies.tolist()] == [e.hex() for e in singles]
     assert batch_log == scalar_log
-    if kind.startswith("noisy") and kind != "noisy-unpurified" and n_params == 3:
-        assert len(batch_log) == k
+    if kind.startswith("noisy") and kind != "noisy-unpurified":
+        assert len(batch_log) == (k if n_params == 3 else 0)  # only CNOT circuits are purified
     if kind != "exact":
         assert batched.noise.rng.bit_generator.state == scalar.noise.rng.bit_generator.state
 
@@ -177,7 +188,8 @@ def test_energy_objective_rejects_an_empty_stack():
 
 def test_energy_objective_rejects_wrong_parameter_count():
     ground, _ = sectors(benchmark(6.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^parameter count 4 matches no ansatz "
+                                         r"\(2 for product, 3 for entangled\)$"):
         energy_objective((0.1, 0.2, 0.3, 0.4), ground, BackendSpec.exact())
 
 
@@ -194,14 +206,16 @@ def test_optimize_exact_entangled_reaches_block_minimum():
 
 
 @pytest.mark.parametrize("lam", [2.0, 4.0, 6.0, 8.21, 10.0, 12.0, 14.0])
-def test_slice_fit_reproduces_exact_energy(lam):
+@pytest.mark.parametrize("ansatz", vqe.ANSATZE)
+def test_slice_fit_reproduces_exact_energy(lam, ansatz):
     # 3 samples fix a theta0/theta1 slice and 5 a theta2 slice (frequencies
     # 1/2 and 1): the fitted series matches the objective at 20 other angles
+    _, _, per_angle = vqe.ANSATZE[ansatz]
     rng = np.random.default_rng([10, int(100 * lam)])
     backend = BackendSpec.exact()
     for sector in sectors(benchmark(lam)):
-        theta = rng.uniform(-math.pi, math.pi, size=3)
-        for i, n in enumerate(vqe._SAMPLES_PER_ANGLE):
+        theta = rng.uniform(-math.pi, math.pi, size=len(per_angle))
+        for i, n in enumerate(per_angle):
             offsets = vqe._OFFSETS[n]
             period = n * offsets[1]
 
@@ -230,7 +244,7 @@ def test_optimize_exact_entangled_gap_matches_oracle_to_1e10(lam):
     assert abs(estimate.gap - sector_minima(params)[2]) < 1e-10
 
 
-def serial_sweeps(fun, start, max_sweeps, tol):
+def serial_sweeps(fun, start, per_angle, max_sweeps, tol):
     """Reference oracle: the coordinate sweeps of one corner, slice after slice."""
     theta = np.array(start, dtype=float)
     unit = np.eye(len(theta))
@@ -238,7 +252,7 @@ def serial_sweeps(fun, start, max_sweeps, tol):
     for _ in range(max_sweeps):
         previous = energy
         for i in range(len(theta)):
-            offsets = vqe._OFFSETS[vqe._SAMPLES_PER_ANGLE[i]]
+            offsets = vqe._OFFSETS[per_angle[i]]
             step, energy = vqe._slice_minimum(fun(theta + offsets[:, None] * unit[i]))
             theta[i] += step
         if previous - energy < tol:
@@ -247,11 +261,11 @@ def serial_sweeps(fun, start, max_sweeps, tol):
 
 
 @pytest.mark.parametrize("lam", [0.0, 6.0, 14.0])
-@pytest.mark.parametrize("ansatz,starts", [("product", vqe.RESTARTS_PRODUCT),
-                                           ("entangled", vqe.RESTARTS_ENTANGLED)])
-def test_lockstep_sweeps_match_the_serial_oracle_bit_for_bit(lam, ansatz, starts):
+@pytest.mark.parametrize("ansatz", vqe.ANSATZE)
+def test_lockstep_sweeps_match_the_serial_oracle_bit_for_bit(lam, ansatz):
     # the corners advance together, one batch per slice, yet each does exactly
     # the sweeps it does alone; a settled corner is no longer evaluated
+    _, starts, per_angle = vqe.ANSATZE[ansatz]
     backend = BackendSpec.exact()
     for sector in sectors(benchmark(lam)):
         rows = []
@@ -263,11 +277,12 @@ def test_lockstep_sweeps_match_the_serial_oracle_bit_for_bit(lam, ansatz, starts
         oracle, corner_calls = [], []
         for start in starts:
             before = len(rows)
-            oracle.append(serial_sweeps(fun, start, vqe.EXACT_MAX_SWEEPS, vqe.EXACT_TOL))
+            oracle.append(serial_sweeps(fun, start, per_angle, vqe.EXACT_MAX_SWEEPS,
+                                        vqe.EXACT_TOL))
             corner_calls.append(len(rows) - before)
         oracle_rows, oracle_calls = sum(rows), len(rows)
         thetas, energies, settled = vqe._coordinate_sweeps(
-            fun, starts, vqe.EXACT_MAX_SWEEPS, vqe.EXACT_TOL)
+            fun, starts, per_angle, vqe.EXACT_MAX_SWEEPS, vqe.EXACT_TOL)
         assert sum(rows) == 2 * oracle_rows
         assert len(rows) - oracle_calls == max(corner_calls)  # one batch per slice
         assert thetas.tobytes() == np.array([run[0] for run in oracle]).tobytes()
@@ -301,6 +316,21 @@ def test_optimize_free_theory_vacuum():
     ground, _ = sectors(benchmark(0.0).with_delta(0.0))
     result = optimize(ground, "product", BackendSpec.exact())
     assert result.energy == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("ansatz", vqe.ANSATZE)
+def test_ansatz_table_entries_agree_on_their_parameter_count(ansatz):
+    # the builder takes one angle per corner coordinate, every angle has a
+    # slice sample count with fitting offsets, and no other entry shares the
+    # parameter count that energy_objective finds the circuit by
+    build, corners, per_angle = vqe.ANSATZE[ansatz]
+    d = len(corners[0])
+    assert {len(corner) for corner in corners} == {d}
+    assert len(inspect.signature(build).parameters) == d
+    assert isinstance(build(*np.zeros(d)), Circuit)
+    assert len(per_angle) == d
+    assert set(per_angle) <= set(vqe._OFFSETS)
+    assert [len(entry[2]) for entry in vqe.ANSATZE.values()].count(d) == 1
 
 
 def test_optimize_rejects_unknown_ansatz():
@@ -378,13 +408,12 @@ def test_optimize_sampled_is_deterministic_per_seed():
     BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02), shots=1024,
                       calibration_shots=10_000),
 ], ids=["sampled", "noisy"])
-@pytest.mark.parametrize("ansatz,starts", [("product", vqe.RESTARTS_PRODUCT),
-                                           ("entangled", vqe.RESTARTS_ENTANGLED)])
-def test_optimize_stochastic_evaluation_count_is_fixed_by_config(backend, ansatz, starts):
+@pytest.mark.parametrize("ansatz", vqe.ANSATZE)
+def test_optimize_stochastic_evaluation_count_is_fixed_by_config(backend, ansatz):
+    _, starts, per_angle = vqe.ANSATZE[ansatz]
     ground, _ = sectors(benchmark(6.0))
     lengths = {len(optimize(ground, ansatz, backend, seed=[seed]).history) for seed in (1, 2)}
-    per_sweep = sum(vqe._SAMPLES_PER_ANGLE[:len(starts[0])])
-    assert lengths == {len(starts) * vqe.SWEEPS * per_sweep}
+    assert lengths == {len(starts) * vqe.SWEEPS * sum(per_angle)}
 
 
 def test_optimize_sampled_lands_near_minimum():
@@ -422,6 +451,17 @@ def test_mitigation_comparison_rejects_an_empty_parameter_batch():
     backend = BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
     with pytest.raises(ValueError, match="length >= 1, got 0"):
         mitigation_comparison(ground, np.empty((0, 3)), backend, seed=[1])
+
+
+@pytest.mark.parametrize("theta", [np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((2, 2))])
+def test_mitigation_comparison_rejects_a_parameter_batch_before_any_draw(record_draws, theta):
+    ground, _ = sectors(benchmark(6.0))
+    backend = BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
+    calls = record_draws(backend.noise)
+    with pytest.raises(ValueError, match=r"^mitigation comparison takes one angle set, got theta "
+                                         rf"of shape \({len(theta)}, {theta.shape[1]}\)$"):
+        mitigation_comparison(ground, theta, backend)
+    assert calls == []
 
 
 @pytest.mark.parametrize("switches", [
