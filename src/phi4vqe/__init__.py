@@ -10,7 +10,6 @@ experiments).
 
 from .circuit_sim import (
     Circuit,
-    Counts,
     NoiseModel,
     ansatz_entangled,
     ansatz_product,

@@ -13,15 +13,18 @@ with psi the noiseless final state. That closed form holds only because the
 gate's pair is the whole register; on more qubits a pair channel is needed.
 
 A measurement takes a batch of Pauli words and reads the whole register for
-each of them: the record is an integer tally array, one row per word and one
-column per register outcome x (qubit 0 the most significant bit of x). The
-whole batch is one multinomial draw over the readout-convolved distributions
-C @ p, p a word's Born distribution after rotating its measured axes to Z
-and C the tensored per-qubit confusion matrix, which has the same law as
-sampling shots one at a time and flipping each read bit independently.
-Expectations are products of the tallies with a word x outcome table
-(outcome_table). All draws come from the one seeded stream owned by the
-experiment's NoiseModel, so runs are bit-reproducible.
+each of them: it returns an integer tally array, one row per word and one
+column per register outcome x (qubit 0 the most significant bit of x), and
+every row sums to the shot count. The whole batch is one multinomial draw
+over the readout-convolved distributions C @ p, p a word's Born
+distribution after rotating its measured axes to Z and C the tensored
+per-qubit confusion matrix, which has the same law as sampling shots one at
+a time and flipping each read bit independently. A word's value is the mean
+of its row of a word x outcome table (outcome_table) under its tallies: at
+zero flip rates the raw estimate (counts_expectation), at a calibration's
+rates the readout-corrected one (mitigation.ro_correct). All draws come
+from the one seeded stream owned by the experiment's NoiseModel, so runs
+are bit-reproducible.
 
 A circuit whose RotY angles are 1-D arrays of length k is a batch of k
 circuits of one gate layout: every gate acts on all k states at once, states
@@ -46,7 +49,6 @@ from .qubit_encoding import PauliSum
 __all__ = [
     "Circuit",
     "NoiseModel",
-    "Counts",
     "zero_state",
     "apply_circuit",
     "ansatz_product",
@@ -158,27 +160,6 @@ class NoiseModel:
                    p_dep=p_dep, seed=seed)
 
 
-@dataclass(frozen=True)
-class Counts:
-    """Tallies of a measured batch of Pauli words on an n-qubit register.
-
-    ``tallies[..., i, x]`` is the number of shots of ``words[i]`` that read
-    register outcome x, with one leading axis per batch of states; every row
-    sums to ``shots``.
-    """
-
-    words: tuple[str, ...]
-    tallies: np.ndarray
-    shots: int
-
-    def __post_init__(self) -> None:
-        rows, dim = self.tallies.shape[-2:]
-        if rows != len(self.words) or any(2 ** len(w) != dim for w in self.words):
-            raise ValueError(f"tallies of shape {self.tallies.shape} do not match words {self.words}")
-        if (self.tallies.sum(axis=-1) != self.shots).any():
-            raise ValueError("counts do not sum to the declared shot total")
-
-
 def zero_state(n_qubits: int) -> np.ndarray:
     state = np.zeros(2**n_qubits, dtype=complex)
     state[0] = 1.0
@@ -260,15 +241,16 @@ def _outcome_bits(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def outcome_table(words: tuple[str, ...], p_minus: tuple[float, ...],
-                  p_plus: tuple[float, ...]) -> np.ndarray:
-    """Word x outcome table of prod_q ((-1)^{x_q} - p_minus[q]) / (1 - p_plus[q]).
+def outcome_table(words: tuple[str, ...], rates: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """Word x outcome table of prod_q ((-1)^{x_q} - (p01 - p10)) / (1 - (p01 + p10)).
 
-    The product runs over each word's measured (non-identity) qubits. Zero
+    rates[q] = (p01, p10) = (p(0|1), p(1|0)) of qubit q, and the product runs
+    over each word's measured (non-identity) qubits. Each factor inverts the
+    qubit's independent bit-flip channel in the infinite-shot limit; zero
     rates give the eigenvalue signs prod_q (-1)^{x_q} of the raw estimator.
     """
-    factors = ((1.0 - 2.0 * _outcome_bits(len(p_minus)) - np.array(p_minus)[:, None])
-               / (1.0 - np.array(p_plus))[:, None])
+    p01, p10 = np.array(rates, dtype=float).reshape(-1, 2).T[:, :, None]
+    factors = (1.0 - 2.0 * _outcome_bits(len(rates)) - (p01 - p10)) / (1.0 - (p01 + p10))
     measured = np.array([[label != "I" for label in w] for w in words], dtype=bool)
     table = np.where(measured.reshape(len(words), -1, 1), factors, 1.0).prod(axis=1)
     table.setflags(write=False)
@@ -294,7 +276,7 @@ def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str,
     return words
 
 
-def _sample(probs: np.ndarray, words: tuple[str, ...], shots: int, noise: NoiseModel) -> Counts:
+def _sample(probs: np.ndarray, shots: int, noise: NoiseModel) -> np.ndarray:
     """One multinomial draw over every row of C @ probs, probs of shape (..., W, 2^n)."""
     probs = np.maximum(probs @ _confusion(noise.p10, noise.p01).T, 0.0)
     totals = probs.sum(axis=-1, keepdims=True)
@@ -304,26 +286,26 @@ def _sample(probs: np.ndarray, words: tuple[str, ...], shots: int, noise: NoiseM
         raise ValueError(f"the Born rows of {where} are non-finite or lack a positive total")
     probs /= totals
     tallies = noise.rng.multinomial(shots, probs.reshape(-1, probs.shape[-1]))
-    return Counts(words=words, tallies=tallies.reshape(probs.shape), shots=shots)
+    return tallies.reshape(probs.shape)
 
 
 @_QUIET
-def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
+def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sample every Pauli word of the batch on a pure state (2^n,) or a stack of them (k, 2^n)."""
     if state.ndim not in (1, 2):
         raise ValueError(f"state of shape {state.shape} is neither one state nor a stack")
     words = _checked_words(words, shots, state.shape[-1], noise)
     U = _basis_changes(words, state.shape[-1])
-    return _sample(np.abs((U @ state[..., None, :, None])[..., 0]) ** 2, words, shots, noise)
+    return _sample(np.abs((U @ state[..., None, :, None])[..., 0]) ** 2, shots, noise)
 
 
 @_QUIET
-def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> Counts:
+def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sampling path for mixed states, (2^n, 2^n) or (k, 2^n, 2^n); mirrors measure_pauli."""
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix of shape {rho.shape} is not square")
     words = _checked_words(words, shots, rho.shape[-1], noise)
-    return _sample(_born_rows(rho, words), words, shots, noise)
+    return _sample(_born_rows(rho, words), shots, noise)
 
 
 def _born_rows(rho: np.ndarray, words: tuple[str, ...]) -> np.ndarray:
@@ -334,10 +316,32 @@ def _born_rows(rho: np.ndarray, words: tuple[str, ...]) -> np.ndarray:
     return rows.real.reshape(rho.shape[:-2] + (len(words), dim))
 
 
-def counts_expectation(counts: Counts) -> np.ndarray:
-    """Raw empirical <P> of every word: its tallies weighted by the eigenvalue signs."""
-    zeros = (0.0,) * int(math.log2(counts.tallies.shape[-1]))
-    return (outcome_table(counts.words, zeros, zeros) * counts.tallies).sum(axis=-1) / counts.shots
+def _word_values(weights, words, rates: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """<P> of every word: the mean of its outcome_table(words, rates) row under its weights.
+
+    ``weights[..., i, x]`` weighs register outcome x of words[i] on the
+    len(rates) >= 1 qubits, laid out as a measurement's tallies.
+    """
+    n, words = len(rates), tuple(words)
+    weights = np.asarray(weights, dtype=float)
+    if n < 1 or weights.shape[-2:] != (len(words), 2**n) or any(len(w) != n for w in words):
+        raise ValueError(f"weights of shape {weights.shape} do not match "
+                         f"{len(words)} words on {n} qubits")
+    if not set("".join(words)) <= set("IXYZ"):
+        bad = next(w for w in words if not set(w) <= set("IXYZ"))
+        raise ValueError(f"word {bad!r} has a label outside IXYZ")
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError("outcome weights must be finite and >= 0")
+    total = weights.sum(axis=-1)
+    if (total <= 0).any():
+        raise ValueError("empty counts")
+    return (outcome_table(words, rates) * weights).sum(axis=-1) / total
+
+
+def counts_expectation(tallies, words) -> np.ndarray:
+    """Raw empirical <P> of every word from its tallies (..., W, 2^n): the eigenvalue signs' mean."""
+    words = tuple(words)
+    return _word_values(tallies, words, ((0.0, 0.0),) * len(words[0] if words else ""))
 
 
 @lru_cache(maxsize=64)
@@ -390,6 +394,6 @@ def calibrate_readout(noise: NoiseModel, qubit: int, shots: int) -> tuple[float,
     n = noise.n_qubits
     excited = apply_circuit(Circuit(n, (("ry", qubit, math.pi),)), zero_state(n))
     bit = _outcome_bits(n)[qubit]
-    read0 = measure_pauli(zero_state(n), ("Z" * n,), shots, noise).tallies[0]
-    read1 = measure_pauli(excited, ("Z" * n,), shots, noise).tallies[0]
+    read0 = measure_pauli(zero_state(n), ("Z" * n,), shots, noise)[0]
+    read1 = measure_pauli(excited, ("Z" * n,), shots, noise)[0]
     return int(read1 @ (1 - bit)) / shots, int(read0 @ bit) / shots

@@ -601,10 +601,13 @@ def main(argv=None) -> int:
               "outputs": []}
     try:
         COMMANDS[args.command](cfg, out_dir, record)
+        _write_json(out_dir / "record.json", record)
+    except OSError as exc:
+        print(f"{exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    _write_json(out_dir / "record.json", record)
     return 0
 
 

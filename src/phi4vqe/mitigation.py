@@ -20,9 +20,9 @@ import numpy as np
 from .circuit_sim import (
     Circuit,
     NoiseModel,
+    _word_values,
     calibrate_readout,
     measure_pauli_density,
-    outcome_table,
     simulate_density,
 )
 from .qubit_encoding import PauliSum, pauli_word_matrix
@@ -54,15 +54,7 @@ class ReadoutCalibration:
             if not (0 <= p01 <= 1 and 0 <= p10 <= 1):
                 raise ValueError(f"qubit {q} rates must lie in [0, 1]")
             if 1.0 - (p01 + p10) <= 0:
-                raise ValueError(f"qubit {q}: 1 - p_plus = {1 - p01 - p10} <= 0, channel not invertible")
-
-    def p_minus(self, qubit: int) -> float:
-        p01, p10 = self.rates[qubit]
-        return p01 - p10
-
-    def p_plus(self, qubit: int) -> float:
-        p01, p10 = self.rates[qubit]
-        return p01 + p10
+                raise ValueError(f"qubit {q}: 1 - p01 - p10 = {1 - p01 - p10} <= 0, channel not invertible")
 
     @classmethod
     def exact_from_noise(cls, noise: NoiseModel) -> "ReadoutCalibration":
@@ -84,32 +76,16 @@ class PurificationReport:
     final_purity: float
 
 
-def ro_correct(weights: np.ndarray, words: tuple[str, ...], cal: ReadoutCalibration) -> np.ndarray:
+def ro_correct(weights, words: tuple[str, ...], cal: ReadoutCalibration) -> np.ndarray:
     """Readout-corrected <P> of every word from its register outcome weights.
 
-    ``weights[..., i, x]`` weighs outcome x of words[i], laid out as
-    Counts.tallies (leading axes for batches): sampled tallies, or an outcome
-    distribution for analytic-channel checks.
-    Each outcome contributes, per measured qubit q, the factor
-    ((-1)^{x_q} - p_q^-)/(1 - p_q^+), which inverts the independent bit-flip
-    channel exactly in the infinite-shot limit.
+    ``weights[..., i, x]`` weighs outcome x of words[i], laid out as a
+    measurement's tally array (leading axes for batches): sampled tallies, or
+    an outcome distribution for analytic-channel checks. The weights are
+    averaged over outcome_table(words, cal.rates), whose factor per measured
+    qubit inverts its bit-flip channel exactly in the infinite-shot limit.
     """
-    n = len(cal.rates)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[-2:] != (len(words), 2**n) or any(len(w) != n for w in words):
-        raise ValueError(f"weights of shape {weights.shape} do not match "
-                         f"{len(words)} words on {n} qubits")
-    if not set("".join(words)) <= set("IXYZ"):
-        bad = next(w for w in words if not set(w) <= set("IXYZ"))
-        raise ValueError(f"word {bad!r} has a label outside IXYZ")
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        raise ValueError("outcome weights must be finite and >= 0")
-    total = weights.sum(axis=-1)
-    if (total <= 0).any():
-        raise ValueError("empty counts")
-    table = outcome_table(tuple(words), tuple(cal.p_minus(q) for q in range(n)),
-                          tuple(cal.p_plus(q) for q in range(n)))
-    return (table * weights).sum(axis=-1) / total
+    return _word_values(weights, words, cal.rates)
 
 
 _TOMO_WORDS = tuple("".join(p) for p in product("IXYZ", repeat=2))
@@ -129,10 +105,10 @@ def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
     """
     if not cals:
         raise ValueError("tomography_2q_detail needs at least one readout calibration in cals")
-    counts = measure_pauli_density(simulate_density(circuit, noise), _TOMO_WORDS[1:], shots, noise)
-    ones = np.ones(counts.tallies.shape[:-2] + (1,))
+    tallies = measure_pauli_density(simulate_density(circuit, noise), _TOMO_WORDS[1:], shots, noise)
+    ones = np.ones(tallies.shape[:-2] + (1,))
     # <II> = 1 in front of the 15 corrected <P>
-    return tuple(_reconstruct(np.concatenate((ones, ro_correct(counts.tallies, counts.words, cal)), axis=-1))
+    return tuple(_reconstruct(np.concatenate((ones, ro_correct(tallies, _TOMO_WORDS[1:], cal)), axis=-1))
                  for cal in cals)
 
 

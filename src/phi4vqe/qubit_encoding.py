@@ -101,9 +101,10 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
     Coefficients are the normalized trace inner products
     c_w = Tr(w M) / 2^n, so the expansion is exact by construction.
     """
-    dim = M.shape[0]
-    if M.shape != (dim, dim):
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
+    dim = M.shape[0]
     if dim < 2:
         raise ValueError("matrix must be at least 2 x 2 (encoding needs at least one qubit), "
                          f"got shape {M.shape}")

@@ -96,6 +96,9 @@ class BackendSpec:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
+        for name in ("readout_correction", "purification"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.kind != "exact":
             _check_shots("shots", self.shots)
             if self.noise is None:
@@ -281,12 +284,12 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
         energies = expectation_exact(apply_circuit(circuit, zero_state(2)), H)
     elif backend.kind == "sampled":
         words = tuple(w for _, w in H.terms if set(w) != {"I"})
-        counts = measure_pauli(apply_circuit(circuit, zero_state(2)), words, backend.shots,
-                               backend.noise)
+        tallies = measure_pauli(apply_circuit(circuit, zero_state(2)), words, backend.shots,
+                                backend.noise)
         coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
         # one dot per row: a matrix-vector product can differ in the last bit
         energies = H.coefficient("I" * H.qubit_count).real + np.array(
-            [coeffs @ row for row in counts_expectation(counts)])
+            [coeffs @ row for row in counts_expectation(tallies, words)])
     else:
         if not backend.readout_correction:
             cal = _RAW
@@ -412,10 +415,11 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
     if backend.kind != "noisy_mitigated":
         raise ValueError("mitigation comparison needs the noisy_mitigated backend")
     backend = _reseeded(backend, seed)
-    circuit = _build_circuit(np.asarray(theta, dtype=float))
-    if circuit.batch_size is not None:
+    theta = np.asarray(theta, dtype=float)
+    circuit = _build_circuit(theta) if theta.ndim in (1, 2) else None
+    if circuit is None or circuit.batch_size is not None:
         raise ValueError(f"mitigation comparison takes one angle set, got theta of shape "
-                         f"{np.shape(theta)}")
+                         f"{theta.shape}")
     cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
     rho, rho_raw = tomography_2q_detail(circuit, backend.noise, backend.shots, cal, _RAW)
     rho, report = mcweeny_purify(rho)

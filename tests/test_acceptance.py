@@ -228,16 +228,16 @@ def test_criterion_07_exact_vqe_completeness():
 
 # ------------------------------------------------------------------ criterion 8
 
-def corrected_with_plug_in_se(counts, cal):
+def corrected_with_plug_in_se(tallies, word, cal):
     # Eq-style estimator plus its plug-in standard error from per-shot products
-    (word,), tallies = counts.words, counts.tallies[0]
     values = np.ones(len(tallies))
     for x in range(len(tallies)):
         bits = format(x, f"0{len(word)}b")  # qubit 0 is the most significant bit
         for qubit, label in enumerate(word):
             if label != "I":
-                values[x] *= (((-1.0) ** int(bits[qubit])) - cal.p_minus(qubit)) / (1.0 - cal.p_plus(qubit))
-    n = counts.shots
+                p01, p10 = cal.rates[qubit]
+                values[x] *= (((-1.0) ** int(bits[qubit])) - (p01 - p10)) / (1.0 - (p01 + p10))
+    n = int(tallies.sum())
     est = float(tallies @ values) / n
     second = float(tallies @ values ** 2) / n
     se = math.sqrt(max(second - est ** 2, 0.0) / n)
@@ -245,7 +245,7 @@ def corrected_with_plug_in_se(counts, cal):
 
 
 def test_criterion_08_readout_error_correction():
-    # analytic half: exact channel inversion to 1e-10 for p_plus <= 0.4;
+    # analytic half: exact channel inversion to 1e-10 for p01 + p10 <= 0.4;
     # sampled half: 1e4-shot corrected estimates within 4 standard errors in
     # at least 95 of 100 trials
     rate_values = (0.0, 0.05, 0.1, 0.2)
@@ -285,10 +285,10 @@ def test_criterion_08_readout_error_correction():
                            seed=int(trial_rng.integers(1 << 31)))
         state = apply_circuit(ansatz_product(t0, t1), zero_state(2))
         truth = expectation_exact(state, PauliSum(((1.0, "ZZ"),), 2))
-        counts = measure_pauli(state, ("ZZ",), 10_000, noise)
+        tallies = measure_pauli(state, ("ZZ",), 10_000, noise)
         cal = ReadoutCalibration.exact_from_noise(noise)
-        est, se = corrected_with_plug_in_se(counts, cal)
-        assert abs(ro_correct(counts.tallies, counts.words, cal)[0] - est) < 1e-12
+        est, se = corrected_with_plug_in_se(tallies[0], "ZZ", cal)
+        assert abs(ro_correct(tallies, ("ZZ",), cal)[0] - est) < 1e-12
         if abs(est - truth) <= 4.0 * se:
             hits += 1
     print(f"criterion 8: {hits}/100 sampled trials within 4 standard errors")

@@ -368,6 +368,16 @@ def test_out_dir_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
     assert out.read_text() == "a file in the way"  # so no record.json was written in it
 
 
+@pytest.mark.parametrize("blocked", ["benchmark.csv", "record.json"])
+def test_an_output_file_that_cannot_be_written_is_reported(tmp_path, capsys, blocked):
+    # a directory in the way of an output file used to end in an IsADirectoryError traceback
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    code, out = run(tmp_path, "vqe", vqe_cfg())
+    assert code == 1
+    assert capsys.readouterr().err == f"{out / blocked}: Is a directory\n"
+    assert not (out / "record.json").is_file()
+
+
 def test_vqe_rejects_wrong_truncation(tmp_path, capsys):
     cfg = vqe_cfg()
     cfg["model"]["n_max"] = 6

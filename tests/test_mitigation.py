@@ -11,6 +11,7 @@ from phi4vqe.circuit_sim import (
     apply_circuit,
     counts_expectation,
     measure_pauli_density,
+    outcome_table,
     simulate_density,
     zero_state,
 )
@@ -108,7 +109,7 @@ TWO_QUBIT_WORDS = tuple("".join(w) for w in itertools.product("IXYZ", repeat=2))
 @given(rates=st.tuples(*[st.tuples(st.floats(0.0, 0.45), st.floats(0.0, 0.45))] * 2),
        weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3))
 def test_ro_correct_inverts_exact_channel_for_every_word(rates, weights):
-    # rates[q] = (p01, p10), so p_plus <= 0.9; every word reads the same flipped rows
+    # rates[q] = (p01, p10), so p01 + p10 <= 0.9; every word reads the same flipped rows
     p = np.array(weights) / sum(weights)
     C = np.kron(*[np.array([[1.0 - p10, p01], [p10, 1.0 - p01]]) for p01, p10 in rates])
     flipped = np.tile(C @ p, (len(TWO_QUBIT_WORDS), 1))
@@ -131,10 +132,10 @@ def test_ro_correct_at_zero_rates_is_the_raw_estimator_bit_for_bit(batch, shots,
     theta = rng.uniform(-np.pi, np.pi, size=3 if batch is None else (3, batch))
     noise = NoiseModel(p10=tuple(p10 for _, p10 in rates), p01=tuple(p01 for p01, _ in rates),
                        p_dep=p_dep, seed=seed)
-    counts = measure_pauli_density(simulate_density(ansatz_entangled(*theta), noise),
-                                   TWO_QUBIT_WORDS, shots, noise)
-    assert np.array_equal(ro_correct(counts.tallies, counts.words, ZERO_RATES),
-                          counts_expectation(counts))
+    tallies = measure_pauli_density(simulate_density(ansatz_entangled(*theta), noise),
+                                    TWO_QUBIT_WORDS, shots, noise)
+    assert np.array_equal(ro_correct(tallies, TWO_QUBIT_WORDS, ZERO_RATES),
+                          counts_expectation(tallies, TWO_QUBIT_WORDS))
 
 
 @pytest.mark.parametrize("weights,words", [
@@ -176,10 +177,13 @@ def test_readout_calibration_validation():
         ReadoutCalibration(rates=((0.6, 0.5),))
 
 
-def test_readout_calibration_signed_rates():
-    cal = ReadoutCalibration(rates=((0.05, 0.1),))
-    assert cal.p_minus(0) == pytest.approx(-0.05)
-    assert cal.p_plus(0) == pytest.approx(0.15)
+def test_outcome_table_at_asymmetric_rates():
+    # rates[q] = (p01, p10): outcome x of Z weighs ((-1)^x - (p01 - p10)) / (1 - (p01 + p10)),
+    # and the identity word weighs every outcome 1
+    p01, p10 = 0.05, 0.1
+    table = outcome_table(("Z", "I"), ReadoutCalibration(rates=((p01, p10),)).rates)
+    expected = [((-1.0) ** x - (p01 - p10)) / (1.0 - (p01 + p10)) for x in (0, 1)]
+    assert np.max(np.abs(table - [expected, [1.0, 1.0]])) < 1e-15
 
 
 def test_readout_calibration_from_noise_model():

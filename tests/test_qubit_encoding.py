@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ def test_encode_rejects_non_finite_entries(bad):
     M[1, 2] = bad
     with pytest.raises(ValueError, match="^matrix entries must be finite, got NaN or inf$"):
         encode_matrix(M)
+
+
+@pytest.mark.parametrize("M", [np.float64(2.0), np.ones(4), np.ones((2, 2, 2)), [[1.0, 0.0]]],
+                         ids=["0-d", "1-d", "3-d", "nested-list-2x1"])
+def test_encode_rejects_input_that_is_not_a_square_matrix(M):
+    # a 0-d array used to fail with IndexError and a nested list with AttributeError
+    with pytest.raises(ValueError, match=rf"^matrix must be square, got {re.escape(str(np.shape(M)))}$"):
+        encode_matrix(M)
+
+
+def test_encode_reads_a_nested_list_as_its_array():
+    M = [[1.0, 2.0], [2.0, -1.0]]
+    assert encode_matrix(M) == encode_matrix(np.array(M))
 
 
 @pytest.mark.parametrize("dim", [0, 1])

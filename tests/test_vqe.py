@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ def test_backend_spec_rejects_shot_counts_that_are_not_integers_in_range(field, 
 def test_backend_spec_rejects_a_noise_model_off_two_qubits(make):
     with pytest.raises(ValueError, match=r"^noise model covers \d qubits; the ansatz circuits act on 2$"):
         make()
+
+
+@pytest.mark.parametrize("field", ["readout_correction", "purification"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.True_])
+def test_backend_spec_rejects_mitigation_switches_that_are_not_bools(field, value):
+    # purification="no" used to turn purification on
+    with pytest.raises(ValueError, match=f"^{field} must be true or false, got "):
+        BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03), **{field: value})
 
 
 def test_backend_spec_takes_numpy_integer_shot_counts():
@@ -453,13 +462,15 @@ def test_mitigation_comparison_rejects_an_empty_parameter_batch():
         mitigation_comparison(ground, np.empty((0, 3)), backend, seed=[1])
 
 
-@pytest.mark.parametrize("theta", [np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((2, 2))])
+# a scalar theta used to fail with IndexError from the circuit builder
+@pytest.mark.parametrize("theta", [np.zeros((1, 3)), np.zeros((2, 3)), np.zeros((2, 2)),
+                                   0.5, np.float64(0.5), np.zeros((1, 2, 3))])
 def test_mitigation_comparison_rejects_a_parameter_batch_before_any_draw(record_draws, theta):
     ground, _ = sectors(benchmark(6.0))
     backend = BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
     calls = record_draws(backend.noise)
     with pytest.raises(ValueError, match=r"^mitigation comparison takes one angle set, got theta "
-                                         rf"of shape \({len(theta)}, {theta.shape[1]}\)$"):
+                                         rf"of shape {re.escape(str(np.shape(theta)))}$"):
         mitigation_comparison(ground, theta, backend)
     assert calls == []
 
