@@ -11,10 +11,10 @@ experiments).
 from .circuit_sim import (
     Circuit,
     NoiseModel,
+    ReadoutCalibration,
     ansatz_entangled,
     ansatz_product,
     apply_circuit,
-    calibrate_readout,
     counts_expectation,
     expectation_exact,
     measure_pauli,
@@ -47,7 +47,6 @@ from .lattice_model import (
 )
 from .mitigation import (
     PurificationReport,
-    ReadoutCalibration,
     energy_from_state,
     mcweeny_purify,
     ro_correct,

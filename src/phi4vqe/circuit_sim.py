@@ -39,6 +39,7 @@ change of word w.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -49,6 +50,7 @@ from .qubit_encoding import PauliSum
 __all__ = [
     "Circuit",
     "NoiseModel",
+    "ReadoutCalibration",
     "zero_state",
     "apply_circuit",
     "ansatz_product",
@@ -59,7 +61,6 @@ __all__ = [
     "counts_expectation",
     "outcome_table",
     "simulate_density",
-    "calibrate_readout",
 ]
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
@@ -117,47 +118,73 @@ class Circuit:
             object.__setattr__(self, "batch_size", k)
 
 
+@dataclass(frozen=True)
+class ReadoutCalibration:
+    """A readout channel, rates[q] = (p(0|1), p(1|0)) of qubit q: the chance a true 1 is
+    read as 0 and that a true 0 is read as 1, in [0, 1] with a sum below 1 so the channel
+    inverts. It is both the channel a NoiseModel applies and a calibration's estimate of
+    it; any sequence of pairs is stored as a tuple of float pairs."""
+
+    rates: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        rates = []
+        for q, pair in enumerate(self.rates):
+            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+                    and all(isinstance(p, numbers.Real) and 0 <= p <= 1 for p in pair)):
+                raise ValueError(f"qubit {q} rates {pair!r} are not a pair of numbers in [0, 1]")
+            if pair[0] + pair[1] >= 1:
+                raise ValueError(f"qubit {q} has p(0|1) + p(1|0) = {pair[0] + pair[1]} >= 1, "
+                                 "channel not invertible")
+            rates.append((float(pair[0]), float(pair[1])))
+        object.__setattr__(self, "rates", tuple(rates))
+
+    @classmethod
+    def from_noise_model(cls, noise: NoiseModel, shots: int = 100_000) -> "ReadoutCalibration":
+        """Sampled estimate of the noise model's channel: per qubit q, ``shots`` reads of
+        |0...0> give p(1|0) and then ``shots`` reads with q flipped give p(0|1)."""
+        n = noise.n_qubits
+        rates = []
+        for q, bit in enumerate(_outcome_bits(n)):
+            excited = apply_circuit(Circuit(n, (("ry", q, math.pi),)), zero_state(n))
+            read0 = measure_pauli(zero_state(n), ("Z" * n,), shots, noise)[0]
+            read1 = measure_pauli(excited, ("Z" * n,), shots, noise)[0]
+            rates.append((int(read1 @ (1 - bit)) / shots, int(read0 @ bit) / shots))
+        return cls(rates)
+
+
 @dataclass(eq=False)
 class NoiseModel:
-    """Per-qubit readout flip rates, optional CNOT depolarization, and the RNG.
+    """A readout channel, optional CNOT depolarization, and the RNG.
 
-    p10[q] is p(1|0), the chance a true 0 is read as 1; p01[q] is p(0|1).
-    Their sum must stay below 1 per qubit so the readout channel is invertible.
     p_dep is applied to the gate's qubit pair after every CNOT.
     """
 
-    p10: tuple[float, ...]
-    p01: tuple[float, ...]
+    readout: ReadoutCalibration
     p_dep: float = 0.0
     seed: int = 0
     rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.p10) != len(self.p01):
-            raise ValueError("p10 and p01 must cover the same qubits")
-        for q, (a, b) in enumerate(zip(self.p10, self.p01)):
-            if not (0 <= a < 1 and 0 <= b < 1):
-                raise ValueError(f"qubit {q} flip rates must lie in [0, 1)")
-            if a + b >= 1:
-                raise ValueError(f"qubit {q} has p(1|0) + p(0|1) = {a + b} >= 1")
-        if not 0 <= self.p_dep < 1:
-            raise ValueError(f"p_dep must lie in [0, 1), got {self.p_dep}")
+        if not isinstance(self.readout, ReadoutCalibration):
+            raise ValueError(f"readout must be a ReadoutCalibration, got {self.readout!r}")
+        if not (isinstance(self.p_dep, numbers.Real) and 0 <= self.p_dep < 1):
+            raise ValueError(f"p_dep must be a number in [0, 1), got {self.p_dep!r}")
         self.rng = np.random.default_rng(self.seed)
 
     @property
     def n_qubits(self) -> int:
-        return len(self.p10)
+        return len(self.readout.rates)
 
     @classmethod
     def noiseless(cls, n_qubits: int, seed: int = 0) -> "NoiseModel":
-        return cls(p10=(0.0,) * n_qubits, p01=(0.0,) * n_qubits, seed=seed)
+        return cls.uniform(n_qubits, seed=seed)
 
     @classmethod
     def uniform(cls, n_qubits: int, readout: float = 0.0, p_dep: float = 0.0,
                 seed: int = 0) -> "NoiseModel":
         """Same symmetric readout rate on every qubit."""
-        return cls(p10=(readout,) * n_qubits, p01=(readout,) * n_qubits,
-                   p_dep=p_dep, seed=seed)
+        return cls(ReadoutCalibration(((readout, readout),) * n_qubits), p_dep=p_dep, seed=seed)
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -226,11 +253,11 @@ def expectation_exact(state: np.ndarray, H: PauliSum) -> float | np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _confusion(p10: tuple[float, ...], p01: tuple[float, ...]) -> np.ndarray:
-    """Readout channel on the register: C[read, true]."""
+def _confusion(rates: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """Readout channel on the register: C[read, true], rates as in ReadoutCalibration."""
     C = np.ones((1, 1))
-    for a, b in zip(p10, p01):
-        C = np.kron(C, np.array([[1.0 - a, b], [a, 1.0 - b]]))
+    for p01, p10 in rates:
+        C = np.kron(C, np.array([[1.0 - p10, p01], [p10, 1.0 - p01]]))
     C.setflags(write=False)
     return C
 
@@ -244,10 +271,9 @@ def _outcome_bits(n: int) -> np.ndarray:
 def outcome_table(words: tuple[str, ...], rates: tuple[tuple[float, float], ...]) -> np.ndarray:
     """Word x outcome table of prod_q ((-1)^{x_q} - (p01 - p10)) / (1 - (p01 + p10)).
 
-    rates[q] = (p01, p10) = (p(0|1), p(1|0)) of qubit q, and the product runs
-    over each word's measured (non-identity) qubits. Each factor inverts the
-    qubit's independent bit-flip channel in the infinite-shot limit; zero
-    rates give the eigenvalue signs prod_q (-1)^{x_q} of the raw estimator.
+    rates[q] = (p01, p10) as in ReadoutCalibration; the product runs over each
+    word's measured (non-identity) qubits. Each factor inverts the qubit's bit-flip
+    channel in the infinite-shot limit; zero rates give the raw eigenvalue signs.
     """
     p01, p10 = np.array(rates, dtype=float).reshape(-1, 2).T[:, :, None]
     factors = (1.0 - 2.0 * _outcome_bits(len(rates)) - (p01 - p10)) / (1.0 - (p01 + p10))
@@ -278,7 +304,7 @@ def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str,
 
 def _sample(probs: np.ndarray, shots: int, noise: NoiseModel) -> np.ndarray:
     """One multinomial draw over every row of C @ probs, probs of shape (..., W, 2^n)."""
-    probs = np.maximum(probs @ _confusion(noise.p10, noise.p01).T, 0.0)
+    probs = np.maximum(probs @ _confusion(noise.readout.rates).T, 0.0)
     totals = probs.sum(axis=-1, keepdims=True)
     if totals.size and not 0 < totals.min() <= totals.max() < np.inf:  # NaN fails every comparison
         bad = ~((totals > 0) & (totals < np.inf)).all(axis=(-2, -1))
@@ -388,12 +414,3 @@ def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     psi = apply_circuit(circuit, zero_state(2))
     return keep * (psi[..., :, None] * psi[..., None, :].conj()) + ((1.0 - keep) / 4.0) * np.eye(4)
 
-
-def calibrate_readout(noise: NoiseModel, qubit: int, shots: int) -> tuple[float, float]:
-    """Empirical flip-rate estimates (p(0|1), p(1|0)) from the two basis preparations."""
-    n = noise.n_qubits
-    excited = apply_circuit(Circuit(n, (("ry", qubit, math.pi),)), zero_state(n))
-    bit = _outcome_bits(n)[qubit]
-    read0 = measure_pauli(zero_state(n), ("Z" * n,), shots, noise)[0]
-    read1 = measure_pauli(excited, ("Z" * n,), shots, noise)[0]
-    return int(read1 @ (1 - bit)) / shots, int(read0 @ bit) / shots

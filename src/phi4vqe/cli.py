@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit_sim import NoiseModel
+from .circuit_sim import NoiseModel, ReadoutCalibration
 from .fock_space import (
     critical_curve,
     critical_exponent_fit,
@@ -307,11 +307,9 @@ def _backend_from_config(backend: dict) -> BackendSpec:
         return BackendSpec.exact()
     if backend["kind"] == "sampled":
         return BackendSpec.sampled(shots=backend["shots"])
-    if "readout_p10" in backend:
-        noise = NoiseModel(p10=tuple(backend["readout_p10"]), p01=tuple(backend["readout_p01"]),
-                           p_dep=backend["p_dep"])
-    else:
-        noise = NoiseModel.uniform(2, readout=backend["readout"], p_dep=backend["p_dep"])
+    uniform = [backend["readout"]] * 2
+    rates = zip(backend.get("readout_p01", uniform), backend.get("readout_p10", uniform))
+    noise = NoiseModel(ReadoutCalibration(tuple(rates)), p_dep=backend["p_dep"])
     return BackendSpec.noisy(noise, shots=backend["shots"],
                              readout_correction=backend["readout_correction"],
                              purification=backend["purification"],
@@ -613,3 +611,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

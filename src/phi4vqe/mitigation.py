@@ -20,15 +20,14 @@ import numpy as np
 from .circuit_sim import (
     Circuit,
     NoiseModel,
+    ReadoutCalibration,
     _word_values,
-    calibrate_readout,
     measure_pauli_density,
     simulate_density,
 )
 from .qubit_encoding import PauliSum, pauli_word_matrix
 
 __all__ = [
-    "ReadoutCalibration",
     "PurificationReport",
     "ro_correct",
     "tomography_2q_detail",
@@ -41,30 +40,6 @@ HERMITICITY_TOL = 1e-8
 # eigenvalues between them land on their own side of 1/2 (McWeeny, Rev. Mod.
 # Phys. 32, 335)
 PURIFY_BASIN = ((1.0 - np.sqrt(3.0)) / 2.0, (1.0 + np.sqrt(3.0)) / 2.0)
-
-
-@dataclass(frozen=True)
-class ReadoutCalibration:
-    """Per-qubit readout flip-rate estimates, rates[q] = (p(0|1), p(1|0))."""
-
-    rates: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        for q, (p01, p10) in enumerate(self.rates):
-            if not (0 <= p01 <= 1 and 0 <= p10 <= 1):
-                raise ValueError(f"qubit {q} rates must lie in [0, 1]")
-            if 1.0 - (p01 + p10) <= 0:
-                raise ValueError(f"qubit {q}: 1 - p01 - p10 = {1 - p01 - p10} <= 0, channel not invertible")
-
-    @classmethod
-    def exact_from_noise(cls, noise: NoiseModel) -> "ReadoutCalibration":
-        """True channel rates, for analytic checks and infinite-shot limits."""
-        return cls(rates=tuple(zip(noise.p01, noise.p10)))
-
-    @classmethod
-    def from_noise_model(cls, noise: NoiseModel, shots: int = 100_000) -> "ReadoutCalibration":
-        """Sampled calibration: estimate both rates of every qubit empirically."""
-        return cls(rates=tuple(calibrate_readout(noise, q, shots) for q in range(noise.n_qubits)))
 
 
 @dataclass(frozen=True)
@@ -119,6 +94,13 @@ def _reconstruct(values: np.ndarray) -> np.ndarray:
     return (rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0
 
 
+def _check_entries(rho: np.ndarray) -> None:
+    if rho.dtype.kind not in "biufc":
+        raise ValueError(f"density matrix entries must be numbers, got dtype {rho.dtype}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has NaN or inf entries")
+
+
 def _trace(rho: np.ndarray) -> np.ndarray:
     return rho.trace(axis1=-2, axis2=-1)
 
@@ -133,8 +115,7 @@ def _purify(rho: np.ndarray, eps_n: float = 1e-4,
     PurificationReports for a caller that keeps them."""
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValueError("density matrix must be square")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has NaN or inf entries")
+    _check_entries(rho)
     if np.max(np.abs(rho - np.swapaxes(rho.conj(), 1, 2))) > HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
     trace = _trace(rho).real
@@ -201,7 +182,6 @@ def energy_from_state(rho: np.ndarray, H: PauliSum) -> float | np.ndarray:
     dim = 2**H.qubit_count
     if rho.shape[-2:] != (dim, dim) or rho.ndim > 3:
         raise ValueError(f"state dimension {rho.shape} does not match operator on {H.qubit_count} qubits")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has NaN or inf entries")
+    _check_entries(rho)
     values = _trace(rho @ H.to_matrix()).real
     return float(values) if rho.ndim == 2 else values

@@ -108,6 +108,8 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
     if dim < 2:
         raise ValueError("matrix must be at least 2 x 2 (encoding needs at least one qubit), "
                          f"got shape {M.shape}")
+    if M.dtype.kind not in "biufc":
+        raise ValueError(f"matrix entries must be numbers, got dtype {M.dtype}")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite, got NaN or inf")
     n = int(math.log2(dim))

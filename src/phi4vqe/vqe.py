@@ -22,6 +22,7 @@ import numpy as np
 
 from .circuit_sim import (
     NoiseModel,
+    ReadoutCalibration,
     _check_shots,
     ansatz_entangled,
     ansatz_product,
@@ -35,7 +36,6 @@ from .fock_space import build_H, exact_spectrum
 from .lattice_model import ModelParams
 from .mitigation import (
     PurificationReport,
-    ReadoutCalibration,
     _purify,
     _reports,
     energy_from_state,
@@ -101,14 +101,13 @@ class BackendSpec:
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.kind != "exact":
             _check_shots("shots", self.shots)
-            if self.noise is None:
-                raise ValueError(f"backend kind {self.kind!r} needs a noise model (noiseless is fine for plain sampling)")
+            if not isinstance(self.noise, NoiseModel):
+                raise ValueError(f"backend kind {self.kind!r} needs a noise model (noiseless is fine for plain sampling), got {self.noise!r}")
             if self.noise.n_qubits != 2:
                 raise ValueError(f"noise model covers {self.noise.n_qubits} qubits; "
                                  "the ansatz circuits act on 2")
-        if self.kind == "sampled" and self.noise is not None:
-            if any(self.noise.p10) or any(self.noise.p01) or self.noise.p_dep:
-                raise ValueError("kind 'sampled' is ideal shot sampling; use 'noisy_mitigated' for nonzero noise")
+        if self.kind == "sampled" and (any(map(any, self.noise.readout.rates)) or self.noise.p_dep):
+            raise ValueError("kind 'sampled' is ideal shot sampling; use 'noisy_mitigated' for nonzero noise")
         if self.kind == "exact" and self.noise is not None:
             raise ValueError("exact backend takes no noise model")
         _check_shots("calibration_shots", self.calibration_shots)

@@ -281,12 +281,12 @@ def test_criterion_08_readout_error_correction():
         trial_rng = np.random.default_rng([8, trial])
         t0, t1 = trial_rng.uniform(0.0, 2.0 * math.pi, size=2)
         rates = trial_rng.uniform(0.0, 0.2, size=4)
-        noise = NoiseModel(p10=(rates[0], rates[1]), p01=(rates[2], rates[3]),
+        noise = NoiseModel(ReadoutCalibration(((rates[2], rates[0]), (rates[3], rates[1]))),
                            seed=int(trial_rng.integers(1 << 31)))
         state = apply_circuit(ansatz_product(t0, t1), zero_state(2))
         truth = expectation_exact(state, PauliSum(((1.0, "ZZ"),), 2))
         tallies = measure_pauli(state, ("ZZ",), 10_000, noise)
-        cal = ReadoutCalibration.exact_from_noise(noise)
+        cal = noise.readout
         est, se = corrected_with_plug_in_se(tallies[0], "ZZ", cal)
         assert abs(ro_correct(tallies, ("ZZ",), cal)[0] - est) < 1e-12
         if abs(est - truth) <= 4.0 * se:

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from phi4vqe.circuit_sim import (
     Circuit,
     NoiseModel,
+    ReadoutCalibration,
     ansatz_entangled,
     ansatz_product,
     apply_circuit,
-    calibrate_readout,
     counts_expectation,
     expectation_exact,
     measure_pauli,
@@ -328,7 +328,7 @@ def test_measure_pauli_batch_rows_follow_word_order():
 
 def test_measure_pauli_readout_flip_bias():
     # p(1|0) = 0.1 drags <Z> of the vacuum from 1.0 to about 0.8
-    noise = NoiseModel(p10=(0.1,), p01=(0.0,), seed=7)
+    noise = NoiseModel(ReadoutCalibration(((0.0, 0.1),)), seed=7)
     tallies = measure_pauli(zero_state(1), ("Z",), 100_000, noise)
     est = counts_expectation(tallies, ("Z",))[0]
     se = math.sqrt((1.0 - 0.8 ** 2) / 100_000)
@@ -377,7 +377,7 @@ def test_measure_pauli_per_qubit_confusion(word, measure):
                     p *= p01[q] if x == "0" else 1.0 - p01[q]
             total += p
         expected[read] = total
-    noise = NoiseModel(p10=p10, p01=p01, seed=29)
+    noise = NoiseModel(ReadoutCalibration(tuple(zip(p01, p10))), seed=29)
     if measure == "pure":
         tallies = measure_pauli(state, (word,), shots, noise)
     else:
@@ -406,7 +406,7 @@ def test_measure_pauli_rejects_bad_requests(words, noise, match):
 @pytest.mark.parametrize("measure", [
     lambda shots: measure_pauli(zero_state(2), ("ZZ",), shots, NoiseModel.noiseless(2)),
     lambda shots: measure_pauli_density(np.eye(4) / 4.0, ("ZZ",), shots, NoiseModel.noiseless(2)),
-    lambda shots: calibrate_readout(NoiseModel.uniform(2, readout=0.03), 0, shots),
+    lambda shots: ReadoutCalibration.from_noise_model(NoiseModel.uniform(2, readout=0.03), shots),
 ], ids=["measure_pauli", "measure_pauli_density", "calibrate_readout"])
 def test_measurements_reject_shot_counts_that_are_not_integers_in_range(measure, shots):
     # 2.5 used to fail late on the tallies' total, True to draw one shot, 2**70 to overflow
@@ -430,8 +430,8 @@ def test_measurement_tallies_are_integer_rows_of_the_shot_count(data, n, batch, 
     lead = () if batch is None else (batch,)
     states = rng.normal(size=lead + (2, 2**n)) + 1j * rng.normal(size=lead + (2, 2**n))
     states /= np.linalg.norm(states, axis=-1, keepdims=True)
-    noise = NoiseModel(p10=tuple(rng.uniform(0.0, 0.3, n)), p01=tuple(rng.uniform(0.0, 0.3, n)),
-                       seed=seed)
+    p10, p01 = rng.uniform(0.0, 0.3, n), rng.uniform(0.0, 0.3, n)
+    noise = NoiseModel(ReadoutCalibration(tuple(zip(p01, p10))), seed=seed)
     if measure == "pure":
         tallies = measure_pauli(states[..., 0, :], words, shots, noise)
     else:  # an equal mixture of two states
@@ -456,11 +456,47 @@ def test_counts_expectation_rejects_tallies_that_do_not_fit(tallies, words, matc
 
 def test_noise_model_validation():
     with pytest.raises(ValueError):
-        NoiseModel(p10=(0.6,), p01=(0.5,))
-    with pytest.raises(ValueError):
-        NoiseModel(p10=(0.0,), p01=(0.0,), p_dep=1.0)
+        NoiseModel(ReadoutCalibration(((0.0, 0.0),)), p_dep=1.0)
     uniform = NoiseModel.uniform(2, readout=0.03, p_dep=0.02)
-    assert uniform.p10 == (0.03, 0.03) and uniform.p01 == (0.03, 0.03)
+    assert uniform.readout.rates == ((0.03, 0.03), (0.03, 0.03))
+
+
+@pytest.mark.parametrize("rates,match", [
+    ([(0.1,)], r"^qubit 0 rates \(0\.1,\) are not a pair of numbers in \[0, 1\]$"),
+    ([(0.1, 0.2), (0.1, 0.2, 0.3)], r"^qubit 1 rates .* are not a pair"),
+    ([0.1], r"^qubit 0 rates 0\.1 are not a pair"),
+    (["ab"], r"^qubit 0 rates 'ab' are not a pair"),
+    ([("0.1", 0.2)], r"^qubit 0 rates \('0\.1', 0\.2\) are not a pair of numbers"),
+    ([(0.1, None)], r"^qubit 0 rates \(0\.1, None\) are not a pair of numbers"),
+    ([(math.nan, 0.1)], r"^qubit 0 rates \(nan, 0\.1\) are not a pair of numbers"),
+    ([(0.0, 0.0), (-0.1, 0.1)], r"^qubit 1 rates \(-0\.1, 0\.1\) are not a pair of numbers in \[0, 1\]$"),
+    ([(0.1, 1.5)], r"^qubit 0 rates \(0\.1, 1\.5\) are not a pair of numbers in \[0, 1\]$"),
+    ([(0.6, 0.5)], r"^qubit 0 has p\(0\|1\) \+ p\(1\|0\) = 1\.1 >= 1, channel not invertible$"),
+    ([(0.5, 0.6)], r"^qubit 0 has p\(0\|1\) \+ p\(1\|0\) = 1\.1 >= 1"),
+    ([(0.0, 0.0), (0.5, 0.5)], r"^qubit 1 has p\(0\|1\) \+ p\(1\|0\) = 1\.0 >= 1"),
+], ids=["short", "long", "number", "string", "string-rate", "none", "nan", "negative", "above-one",
+        "sum-1.1", "sum-1.1-swapped", "sum-1"])
+def test_readout_calibration_rejects_rates_that_are_not_an_invertible_channel(rates, match):
+    with pytest.raises(ValueError, match=match):
+        ReadoutCalibration(rates)
+
+
+@pytest.mark.parametrize("readout,p_dep,match", [
+    (0.0, "0.1", r"^p_dep must be a number in \[0, 1\), got '0\.1'$"),
+    (0.0, None, r"^p_dep must be a number in \[0, 1\), got None$"),
+    (0.0, math.nan, r"^p_dep must be a number in \[0, 1\), got nan$"),
+    (0.0, -0.1, r"^p_dep must be a number in \[0, 1\)"),
+    ("0.03", 0.0, r"^qubit 0 rates \('0\.03', '0\.03'\) are not a pair of numbers"),
+], ids=["str", "none", "nan", "negative", "readout-str"])
+def test_noise_model_uniform_rejects_values_that_are_not_rates(readout, p_dep, match):
+    # p_dep="0.1" and p_dep=None used to end in a TypeError from the range comparison
+    with pytest.raises(ValueError, match=match):
+        NoiseModel.uniform(2, readout=readout, p_dep=p_dep)
+
+
+def test_noise_model_readout_must_be_a_readout_calibration():
+    with pytest.raises(ValueError, match=r"^readout must be a ReadoutCalibration, got \(\(0\.01, 0\.02\),\)$"):
+        NoiseModel(((0.01, 0.02),))
 
 
 def test_noise_model_draws_are_reproducible():
@@ -471,7 +507,7 @@ def test_noise_model_draws_are_reproducible():
 
 
 def test_sampler_makes_one_multinomial_draw_per_measurement_call(record_draws):
-    noise = NoiseModel(p10=(0.02, 0.09), p01=(0.13, 0.05), seed=3)
+    noise = NoiseModel(ReadoutCalibration(((0.13, 0.02), (0.05, 0.09))), seed=3)
     calls = record_draws(noise)
     state = apply_circuit(ansatz_entangled(0.5, 0.2, 0.9), zero_state(2))
     rho = np.outer(state, state.conj())
@@ -494,7 +530,8 @@ def test_stacked_draw_equals_draws_in_batch_order(measure):
     else:
         states, run = simulate_density(batch, NoiseModel.noiseless(2)), measure_pauli_density
     words = ("XY", "ZZ", "IX")
-    stacked, single = (NoiseModel(p10=(0.02, 0.09), p01=(0.13, 0.05), seed=8) for _ in range(2))
+    stacked, single = (NoiseModel(ReadoutCalibration(((0.13, 0.02), (0.05, 0.09))), seed=8)
+                       for _ in range(2))
     tallies = run(states, words, 500, stacked)
     assert tallies.shape == (3, 3, 4)
     for state, rows in zip(states, tallies):
@@ -703,18 +740,18 @@ def test_measure_pauli_density_matches_trace_formula():
 # ---------------------------------------------------------------- readout calibration
 
 def test_calibrate_readout_noiseless():
-    assert calibrate_readout(NoiseModel.noiseless(1), 0, 1000) == (0.0, 0.0)
+    assert ReadoutCalibration.from_noise_model(NoiseModel.noiseless(1), 1000).rates == ((0.0, 0.0),)
 
 
 def test_calibrate_readout_recovers_rates():
-    noise = NoiseModel(p10=(0.1,), p01=(0.05,), seed=13)
-    p01_hat, p10_hat = calibrate_readout(noise, 0, 100_000)
+    noise = NoiseModel(ReadoutCalibration(((0.05, 0.1),)), seed=13)
+    ((p01_hat, p10_hat),) = ReadoutCalibration.from_noise_model(noise, 100_000).rates
     assert abs(p10_hat - 0.1) < 4.0 * math.sqrt(0.1 * 0.9 / 100_000)
     assert abs(p01_hat - 0.05) < 4.0 * math.sqrt(0.05 * 0.95 / 100_000)
 
 
 def test_calibrate_readout_half_rate():
-    noise = NoiseModel(p10=(0.5,), p01=(0.0,), seed=17)
-    p01_hat, p10_hat = calibrate_readout(noise, 0, 100_000)
+    noise = NoiseModel(ReadoutCalibration(((0.0, 0.5),)), seed=17)
+    ((p01_hat, p10_hat),) = ReadoutCalibration.from_noise_model(noise, 100_000).rates
     assert p01_hat == 0.0
     assert abs(p10_hat - 0.5) < 4.0 * math.sqrt(0.25 / 100_000)

@@ -400,6 +400,18 @@ def test_vqe_rejects_partial_readout_tables(tmp_path, capsys):
     assert "readout" in capsys.readouterr().err
 
 
+def test_uniform_readout_and_equal_per_qubit_tables_write_the_same_benchmark(tmp_path):
+    # both spellings build one readout channel, so the draws and every cell agree
+    common = {"kind": "noisy_mitigated", "shots": 256, "calibration_shots": 1000, "p_dep": 0.02}
+    outputs = []
+    for name, rates in (("uniform", {"readout": 0.03}),
+                        ("tables", {"readout_p10": [0.03, 0.03], "readout_p01": [0.03, 0.03]})):
+        code, out = run(tmp_path, "vqe", vqe_cfg(backend=dict(common, **rates)), name=f"{name}.json")
+        assert code == 0
+        outputs.append((out / "benchmark.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_vqe_sampled_backend_runs_and_records_shots(tmp_path):
     cfg = vqe_cfg(backend={"kind": "sampled", "shots": 1024}, ansatz="product",
                   lambda_grid=[2.0])
@@ -627,6 +639,26 @@ def test_threads_flag_is_gone(tmp_path):
         main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
               "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m phi4vqe.cli used to exit 0 without running the command
+    cfg = vqe_cfg(model={"L": 1, "m_sq": 1.0, "m0_sq": -1.5, "n_max": 8})
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    src = str(Path(vqe.__file__).resolve().parents[1])
+
+    def run_module(config):
+        return subprocess.run([sys.executable, "-m", "phi4vqe.cli", "vqe", "--config", str(config),
+                               "--out", str(tmp_path / "out")],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+
+    done = run_module(tmp_path / "config.json")
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["benchmark.csv", "record.json"]
+    missing = run_module(tmp_path / "nope.json")
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("config: ")
 
 
 # ---------------------------------------------------------------- cold start

@@ -10,6 +10,7 @@ from phi4vqe.circuit_sim import (
     ansatz_entangled,
     apply_circuit,
     counts_expectation,
+    measure_pauli,
     measure_pauli_density,
     outcome_table,
     simulate_density,
@@ -26,7 +27,7 @@ from phi4vqe.mitigation import (
     ro_correct,
     tomography_2q_detail,
 )
-from phi4vqe.qubit_encoding import PauliSum, pauli_word_matrix
+from phi4vqe.qubit_encoding import PauliSum, encode_matrix, pauli_word_matrix
 
 # readout correction with zero flip rates is the raw estimate
 ZERO_RATES = ReadoutCalibration(((0.0, 0.0),) * 2)
@@ -130,8 +131,7 @@ def test_ro_correct_at_zero_rates_is_the_raw_estimator_bit_for_bit(batch, shots,
     # there is one estimator; tallies drawn under random readout channels
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi, np.pi, size=3 if batch is None else (3, batch))
-    noise = NoiseModel(p10=tuple(p10 for _, p10 in rates), p01=tuple(p01 for p01, _ in rates),
-                       p_dep=p_dep, seed=seed)
+    noise = NoiseModel(ReadoutCalibration(rates), p_dep=p_dep, seed=seed)
     tallies = measure_pauli_density(simulate_density(ansatz_entangled(*theta), noise),
                                     TWO_QUBIT_WORDS, shots, noise)
     assert np.array_equal(ro_correct(tallies, TWO_QUBIT_WORDS, ZERO_RATES),
@@ -172,9 +172,19 @@ def test_ro_correct_rejects_empty_counts():
         ro_correct([[1.0, 0.0], [0.0, 0.0]], ("Z", "Z"), cal)
 
 
-def test_readout_calibration_validation():
-    with pytest.raises(ValueError):
-        ReadoutCalibration(rates=((0.6, 0.5),))
+@pytest.mark.parametrize("convert", [list, lambda rates: [list(pair) for pair in rates], np.array],
+                         ids=["list-of-tuples", "list-of-lists", "array"])
+def test_rates_given_as_lists_or_arrays_measure_as_tuples(convert):
+    # list or array rates used to fail in the lru_caches with "unhashable type"
+    rates = ((0.13, 0.02), (0.05, 0.09))
+    given, as_tuples = ReadoutCalibration(convert(rates)), ReadoutCalibration(rates)
+    assert given == as_tuples and hash(given) == hash(as_tuples)
+    state = apply_circuit(ansatz_entangled(0.5, 0.2, 0.9), zero_state(2))
+    words = ("ZZ", "XI", "IY")
+    for measure, target in ((measure_pauli, state), (measure_pauli_density, np.outer(state, state.conj()))):
+        tallies = measure(target, words, 4096, NoiseModel(given, seed=5))
+        assert np.array_equal(tallies, measure(target, words, 4096, NoiseModel(as_tuples, seed=5)))
+        assert np.array_equal(ro_correct(tallies, words, given), ro_correct(tallies, words, as_tuples))
 
 
 def test_outcome_table_at_asymmetric_rates():
@@ -187,8 +197,8 @@ def test_outcome_table_at_asymmetric_rates():
 
 
 def test_readout_calibration_from_noise_model():
-    noise = NoiseModel(p10=(0.1, 0.02), p01=(0.05, 0.03), seed=19)
-    exact = ReadoutCalibration.exact_from_noise(noise)
+    noise = NoiseModel(ReadoutCalibration(((0.05, 0.1), (0.03, 0.02))), seed=19)
+    exact = noise.readout
     assert exact.rates == ((0.05, 0.1), (0.03, 0.02))
     measured = ReadoutCalibration.from_noise_model(noise, shots=200_000)
     for q in range(2):
@@ -203,7 +213,7 @@ def test_readout_calibration_from_noise_model():
 def test_tomography_reconstructs_pure_state():
     circuit = ansatz_entangled(0.9, -0.3, 1.2)
     noise = NoiseModel.noiseless(2, seed=41)
-    cal = ReadoutCalibration.exact_from_noise(noise)
+    cal = noise.readout
     (rho,) = tomography_2q_detail(circuit, noise, 40_000, cal)
     psi = apply_circuit(circuit, zero_state(2))
     assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
@@ -214,7 +224,7 @@ def test_tomography_reconstructs_pure_state():
 def test_tomography_sees_depolarization():
     circuit = ansatz_entangled(0.9, -0.3, 1.2)
     noise = NoiseModel.uniform(2, p_dep=0.1, seed=42)
-    cal = ReadoutCalibration.exact_from_noise(noise)
+    cal = noise.readout
     (rho_hat,) = tomography_2q_detail(circuit, noise, 60_000, cal)
     rho = simulate_density(circuit, noise)
     assert abs(np.real(np.trace(rho_hat @ rho_hat)) - np.real(np.trace(rho @ rho))) < 0.05
@@ -223,7 +233,7 @@ def test_tomography_sees_depolarization():
 def test_tomography_detail_correction_beats_raw():
     circuit = ansatz_entangled(1.1, 0.4, 0.8)
     noise = NoiseModel.uniform(2, readout=0.05, p_dep=0.02, seed=43)
-    cal = ReadoutCalibration.exact_from_noise(noise)
+    cal = noise.readout
     rho_hat, rho_raw = tomography_2q_detail(circuit, noise, 50_000, cal, ZERO_RATES)
     rho = simulate_density(circuit, noise)
     truth = float(np.real(np.trace(rho @ pauli_word_matrix("ZZ"))))
@@ -243,7 +253,7 @@ def test_tomography_makes_one_draw_for_every_calibration(record_draws, batch):
     cal = ReadoutCalibration(rates=((0.04, 0.02), (0.03, 0.05)))
 
     def noise():
-        return NoiseModel(p10=(0.02, 0.05), p01=(0.04, 0.03), p_dep=0.02, seed=61)
+        return NoiseModel(ReadoutCalibration(((0.04, 0.02), (0.03, 0.05))), p_dep=0.02, seed=61)
 
     shared = noise()
     calls = record_draws(shared)
@@ -483,8 +493,7 @@ def test_purify_matches_the_matrix_iteration_on_tomographies(shots):
     rng = np.random.default_rng(71)
     theta = rng.uniform(-np.pi, np.pi, size=(3, 200))
     noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=72)
-    (rho,) = tomography_2q_detail(ansatz_entangled(*theta), noise, shots,
-                                  ReadoutCalibration.exact_from_noise(noise))
+    (rho,) = tomography_2q_detail(ansatz_entangled(*theta), noise, shots, noise.readout)
     reports = assert_matches_oracle(rho)
     flagged = sum(not r.converged for r in reports)
     assert flagged == 0 if shots == 8192 else flagged > 0
@@ -565,3 +574,16 @@ def test_energy_from_state_rejects_non_finite_entries(bad, shape):
     rho[..., 1, 2] = bad
     with pytest.raises(ValueError, match="^density matrix has NaN or inf entries$"):
         energy_from_state(rho, H)
+
+
+@pytest.mark.parametrize("matrix", [np.array([["a", "b"], ["c", "d"]]), np.array([[1, None], [None, 1]])],
+                         ids=["strings", "objects"])
+@pytest.mark.parametrize("take", [
+    encode_matrix,
+    mcweeny_purify,
+    lambda rho: energy_from_state(rho, PauliSum(((1.0, "Z"),), 1)),
+], ids=["encode_matrix", "mcweeny_purify", "energy_from_state"])
+def test_non_numeric_arrays_are_rejected_at_each_boundary(take, matrix):
+    # such arrays used to end in a TypeError from np.isfinite
+    with pytest.raises(ValueError, match=f"entries must be numbers, got dtype {matrix.dtype}$"):
+        take(matrix)

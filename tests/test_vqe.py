@@ -10,7 +10,6 @@ from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H
 from phi4vqe.qubit_encoding import parity_blocks
 from phi4vqe.circuit_sim import Circuit, NoiseModel
-from phi4vqe.mitigation import ReadoutCalibration
 from phi4vqe import vqe
 from phi4vqe.vqe import (
     BackendSpec,
@@ -43,6 +42,14 @@ def test_backend_spec_validation():
         BackendSpec(kind="noisy_mitigated", noise=None)
     with pytest.raises(ValueError):
         BackendSpec(kind="qpu")
+
+
+@pytest.mark.parametrize("kind", ["sampled", "noisy_mitigated"])
+@pytest.mark.parametrize("noise", ["x", 0.03, ((0.03, 0.03),) * 2], ids=["str", "number", "rates"])
+def test_backend_spec_rejects_noise_that_is_not_a_noise_model(kind, noise):
+    # noise="x" used to end in an AttributeError
+    with pytest.raises(ValueError, match=f"^backend kind '{kind}' needs a noise model .*, got "):
+        BackendSpec(kind=kind, noise=noise)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -119,7 +126,7 @@ def test_energy_objective_sampled_tracks_exact():
 ], ids=["sampled", "noisy-purified", "noisy-product", "noisy-unpurified"])
 def test_energy_objective_makes_one_draw_per_evaluation(record_draws, backend, theta):
     ground, _ = sectors(benchmark(6.0))
-    cal = ReadoutCalibration.exact_from_noise(backend.noise)
+    cal = backend.noise.readout
     calls = record_draws(backend.noise)
     for _ in range(3):
         energy_objective(theta, ground, backend, cal=cal)
@@ -153,7 +160,7 @@ def test_batched_objective_equals_scalar_calls(kind, n_params, shots, seed, data
                                         min_size=k, max_size=k), label="theta"))
     ground, _ = sectors(benchmark(6.0))
     batched, scalar = batch_backend(kind, shots, seed), batch_backend(kind, shots, seed)
-    cal = None if kind == "exact" else ReadoutCalibration.exact_from_noise(batched.noise)
+    cal = None if kind == "exact" else batched.noise.readout
     batch_log, scalar_log = [], []
     energies = energy_objective(theta, ground, batched, cal=cal, purification_log=batch_log)
     singles = [energy_objective(row, ground, scalar, cal=cal, purification_log=scalar_log)
