@@ -128,6 +128,9 @@ class ReadoutCalibration:
     rates: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        sequence = isinstance(self.rates, (tuple, list)) or getattr(self.rates, "ndim", 0) > 0
+        if not (sequence and len(self.rates)):
+            raise ValueError(f"rates must be a non-empty sequence of per-qubit pairs, got {self.rates!r}")
         rates = []
         for q, pair in enumerate(self.rates):
             if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
@@ -184,6 +187,8 @@ class NoiseModel:
     def uniform(cls, n_qubits: int, readout: float = 0.0, p_dep: float = 0.0,
                 seed: int = 0) -> "NoiseModel":
         """Same symmetric readout rate on every qubit."""
+        if not _int_in(n_qubits, 1, math.inf):
+            raise ValueError(f"n_qubits must be an integer >= 1, got {n_qubits!r}")
         return cls(ReadoutCalibration(((readout, readout),) * n_qubits), p_dep=p_dep, seed=seed)
 
 
@@ -195,7 +200,7 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     """Evolve ``initial`` through the circuit: (2^n,), or (k, 2^n) for a batch of k."""
-    n = circuit.qubit_count
+    n, initial = circuit.qubit_count, np.asarray(initial)
     if initial.shape != (2**n,):
         raise ValueError(f"state dimension {initial.shape} does not match {n} qubits")
     if not 0 < np.abs(initial).max() < np.inf:  # NaN fails every comparison
@@ -240,7 +245,7 @@ def ansatz_entangled(theta0, theta1, theta2) -> Circuit:
 
 def expectation_exact(state: np.ndarray, H: PauliSum) -> float | np.ndarray:
     """<psi|H|psi> for a Pauli sum; real for Hermitian input. A (k, 2^n) stack gives k values."""
-    n = H.qubit_count
+    n, state = H.qubit_count, np.asarray(state)
     if state.shape[-1:] != (2**n,) or state.ndim > 2:
         raise ValueError("state and operator qubit counts differ")
     if not np.isfinite(state).all():
@@ -318,6 +323,7 @@ def _sample(probs: np.ndarray, shots: int, noise: NoiseModel) -> np.ndarray:
 @_QUIET
 def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sample every Pauli word of the batch on a pure state (2^n,) or a stack of them (k, 2^n)."""
+    state = np.asarray(state)
     if state.ndim not in (1, 2):
         raise ValueError(f"state of shape {state.shape} is neither one state nor a stack")
     words = _checked_words(words, shots, state.shape[-1], noise)
@@ -328,6 +334,7 @@ def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> np
 @_QUIET
 def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sampling path for mixed states, (2^n, 2^n) or (k, 2^n, 2^n); mirrors measure_pauli."""
+    rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix of shape {rho.shape} is not square")
     words = _checked_words(words, shots, rho.shape[-1], noise)

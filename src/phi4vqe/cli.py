@@ -510,8 +510,8 @@ def cmd_vqe(cfg: dict, out_dir: Path, record: dict) -> None:
             for tag, result, child, sector in zip(("ground", "excited"),
                                                   (estimate.ground, estimate.excited),
                                                   (2, 3), benchmark_sectors(params)):
-                comp = mitigation_comparison(sector, result.parameters, backend,
-                                             seed=[seed, index, child])
+                comp = mitigation_comparison(sector, ANSATZE[name][0](*result.parameters),
+                                             backend, seed=[seed, index, child])
                 comparison[tag] = {
                     "e_exact_at_optimum": comp.e_exact,
                     "e_mitigated": comp.e_mitigated,

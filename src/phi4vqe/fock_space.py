@@ -159,13 +159,16 @@ def sector_blocks(M: np.ndarray, L: int, n_max: int,
     """Read-only blocks M[sector, sector] per (Z2, P) sector, keyed in sector_indices order.
 
     Rows and columns follow sector_indices. Raises ValueError when M is not
-    n_max^L square, has a NaN or inf entry, or has an entry above SECTOR_TOL
-    between two sectors, so that the blocks hold the whole matrix; name labels
-    M in the last two messages.
+    n_max^L square, has a non-numeric, NaN or inf entry, or has an entry above
+    SECTOR_TOL between two sectors, so that the blocks hold the whole matrix;
+    name labels M in the last three messages.
     """
-    if np.shape(M) != (n_max**L, n_max**L):
+    M = np.asarray(M)
+    if M.shape != (n_max**L, n_max**L):
         raise ValueError(f"expected a {n_max**L} x {n_max**L} matrix for L={L}, "
-                         f"n_max={n_max}, got shape {np.shape(M)}")
+                         f"n_max={n_max}, got shape {M.shape}")
+    if M.dtype.kind not in "biufc":
+        raise ValueError(f"{name} entries must be numbers, got dtype {M.dtype}")
     if not np.isfinite(M).all():
         raise ValueError(f"{name} has NaN or inf entries")
     sectors = sector_indices(L, n_max)
@@ -281,6 +284,8 @@ def build_H(params: ModelParams, sector: tuple[int, int] | None = None) -> np.nd
 
 
 def _require_finite_hermitian(H: np.ndarray, caller: str) -> None:
+    if H.dtype.kind not in "biufc":
+        raise ValueError(f"{caller} entries must be numbers, got dtype {H.dtype}")
     if not np.isfinite(H).all():
         raise ValueError(f"{caller} requires finite entries, got NaN or inf")
     # a real H is compared with H.T directly, and an exactly Hermitian one
@@ -302,7 +307,7 @@ def _spectrum(eigenvalues: np.ndarray) -> Spectrum:
 def exact_spectrum(H: np.ndarray) -> Spectrum:
     """All eigenvalues of a Hermitian operator, ascending, with the gap.
 
-    Rejects non-square, smaller than 2 x 2, non-finite and non-Hermitian input,
+    Rejects non-square, smaller than 2 x 2, non-numeric, non-finite and non-Hermitian input,
     and raises when the eigenvalues overflow.
     """
     H = np.asarray(H)

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+def _real(value) -> bool:
+    """A finite real number that is not a bool: numpy floats and integers count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Single source of truth for one physics configuration.
@@ -52,12 +57,12 @@ class ModelParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (math.isfinite(self.m_sq) and self.m_sq > 0):
-            raise ValueError(f"reference mass m_sq must be finite and > 0, got {self.m_sq}")
+        if not (_real(self.m_sq) and self.m_sq > 0):
+            raise ValueError(f"reference mass m_sq must be finite, real and > 0, got {self.m_sq!r}")
         for name in ("delta_m", "lam"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not _real(value):
+                raise ValueError(f"{name} must be finite and real, got {value!r}")
 
     @property
     def m0_sq(self) -> float:
@@ -66,9 +71,10 @@ class ModelParams:
 
     @classmethod
     def from_bare(cls, L: int, m_sq: float, m0_sq: float, lam: float, n_max: int) -> "ModelParams":
-        if not math.isfinite(m0_sq):
-            raise ValueError(f"m0_sq must be finite, got {m0_sq}")
-        return cls(L=L, m_sq=m_sq, delta_m=m0_sq - m_sq, lam=lam, n_max=n_max)
+        if not _real(m0_sq):
+            raise ValueError(f"m0_sq must be finite and real, got {m0_sq!r}")
+        # m_sq is checked before it enters the difference
+        return cls(L=L, m_sq=m_sq, delta_m=0.0, lam=lam, n_max=n_max).with_delta(m0_sq - m_sq)
 
     @classmethod
     def from_counterterm(
@@ -115,6 +121,8 @@ def counterterm_continuum(m_sq: float, lam: float) -> float:
     -(lambda / 8 pi) log(64 / m^2); rejected outside that range rather than
     extrapolated.
     """
-    if not 0 < m_sq <= 64:
-        raise ValueError(f"continuum formula requires 0 < m_sq <= 64, got {m_sq}")
+    if not (_real(m_sq) and 0 < m_sq <= 64):
+        raise ValueError(f"continuum formula requires 0 < m_sq <= 64, got {m_sq!r}")
+    if not _real(lam):
+        raise ValueError(f"lam must be finite and real, got {lam!r}")
     return -(lam / (8.0 * math.pi)) * math.log(64.0 / m_sq)

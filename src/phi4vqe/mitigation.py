@@ -171,6 +171,7 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
     any eigenvalue outside the interval, is flagged non-convergent and
     returned unmodified (trace-normalized).
     """
+    rho = np.asarray(rho)
     if rho.ndim != 2:
         raise ValueError(f"mcweeny_purify takes one (d, d) density matrix, got shape {rho.shape}")
     purified, stats = _purify(rho[None], eps_n, max_iter)
@@ -179,7 +180,7 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
 
 def energy_from_state(rho: np.ndarray, H: PauliSum) -> float | np.ndarray:
     """Re Tr(rho H); a (k, d, d) stack gives k values."""
-    dim = 2**H.qubit_count
+    dim, rho = 2**H.qubit_count, np.asarray(rho)
     if rho.shape[-2:] != (dim, dim) or rho.ndim > 3:
         raise ValueError(f"state dimension {rho.shape} does not match operator on {H.qubit_count} qubits")
     _check_entries(rho)

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit_sim import (
+    Circuit,
     NoiseModel,
     ReadoutCalibration,
     _check_shots,
@@ -63,7 +64,6 @@ BACKEND_KINDS = ("exact", "sampled", "noisy_mitigated")
 # name -> (circuit builder, fixed restart corners, slice samples per angle,
 # each a key of _OFFSETS). The entangled corners were chosen so that every
 # target state in the ansatz manifold is reached from at least one corner.
-# Each ansatz has its own parameter count, so the count names it.
 ANSATZE = {
     "product": (ansatz_product, ((0.0, 0.0), (0.0, math.pi / 2), (math.pi / 2, 0.0),
                                  (math.pi / 2, math.pi / 2)), (3, 3)),
@@ -144,7 +144,7 @@ class VqeResult:
 class MitigationComparison:
     """Energies from one tomography run, with and without mitigation.
 
-    e_exact is the noiseless expectation at the same parameters, so the two
+    e_exact is the noiseless expectation of the same circuit, so the two
     error magnitudes isolate what correction plus purification buys.
     """
 
@@ -162,15 +162,6 @@ class GapEstimate:
     excited: VqeResult
     gap: float
     gap_err: float
-
-
-def _build_circuit(theta: np.ndarray):
-    """The ANSATZE circuit of one angle set, or the batch of a (k, d) stack of them."""
-    for circuit, _, sample_counts in ANSATZE.values():
-        if len(sample_counts) == theta.shape[-1]:
-            return circuit(*theta.T)
-    counts = ", ".join(f"{len(per_angle)} for {name}" for name, (_, _, per_angle) in ANSATZE.items())
-    raise ValueError(f"parameter count {theta.shape[-1]} matches no ansatz ({counts})")
 
 
 def _require_two_qubit(sector: SectorHamiltonian) -> None:
@@ -252,14 +243,14 @@ def _coordinate_sweeps(fun, starts, sample_counts: tuple[int, ...], max_sweeps: 
     return theta, energy, ~np.isin(np.arange(len(theta)), active)
 
 
-def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
+def energy_objective(circuit: Circuit, sector: SectorHamiltonian, backend: BackendSpec,
                      cal: ReadoutCalibration | None = None,
                      purification_log: list | None = None) -> float | np.ndarray:
-    """Energy of the ansatz state under the sector Hamiltonian, per backend.
+    """Energy of the circuit's state from |00> under the sector Hamiltonian, per backend.
 
-    ``theta`` is one angle set, which gives a float, or a (k, 2|3) stack,
-    which gives k energies from one batch: the same values, draws and
-    purification reports as k calls in row order. The sampled backend
+    One circuit gives a float, and a batch of k circuits gives k energies
+    from one batch: the same values, draws and purification reports as k
+    calls in batch order. The sampled backend
     measures the Hamiltonian's words on the statevector. Every noisy
     evaluation is one two-qubit tomography of the depolarized state (all 15
     non-identity words, drawn for the whole batch at once) and one
@@ -272,12 +263,12 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
     correcting but not supplied (optimize() measures it once and reuses it).
     """
     _require_two_qubit(sector)
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2):
-        raise ValueError(f"theta of shape {theta.shape} is neither one angle set nor a stack")
-    if theta.ndim == 2 and len(theta) == 0:
-        raise ValueError(f"theta is an empty {theta.shape} stack; give at least one angle set")
-    circuit = _build_circuit(np.atleast_2d(theta))
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"energy_objective takes a Circuit, got {circuit!r}")
+    single = circuit.batch_size is None
+    if single:  # a batch of one, so every backend branch sees (k, ...) stacks
+        circuit = Circuit(circuit.qubit_count, tuple(
+            (kind, a, np.array([b])) if kind == "ry" else (kind, a, b) for kind, a, b in circuit.gates))
     H = sector.pauli
     if backend.kind == "exact":
         energies = expectation_exact(apply_circuit(circuit, zero_state(2)), H)
@@ -300,7 +291,7 @@ def energy_objective(theta, sector: SectorHamiltonian, backend: BackendSpec,
             if purification_log is not None:
                 purification_log.extend(_reports(stats))
         energies = energy_from_state(rho, H)
-    return float(energies[0]) if theta.ndim == 1 else energies
+    return float(energies[0]) if single else energies
 
 
 def _reseeded(backend: BackendSpec, seed) -> BackendSpec:
@@ -330,9 +321,9 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
     identical results bit for bit.
     """
     _require_two_qubit(sector)
-    if ansatz not in ANSATZE:
+    if not (isinstance(ansatz, str) and ansatz in ANSATZE):
         raise ValueError(f"unknown ansatz {ansatz!r}")
-    _, starts, sample_counts = ANSATZE[ansatz]
+    build, starts, sample_counts = ANSATZE[ansatz]
     backend = _reseeded(backend, seed)
 
     cal = None
@@ -342,7 +333,7 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
     history: list[float] = []
 
     def fun(thetas):
-        values = energy_objective(thetas, sector, backend, cal=cal)
+        values = energy_objective(build(*thetas.T), sector, backend, cal=cal)
         history.extend(values.tolist())
         return values
 
@@ -353,8 +344,8 @@ def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,
     best_x = thetas[best]
 
     reports: list[PurificationReport] = []
-    samples = energy_objective(np.tile(best_x, (1 if exact else REEVALUATIONS, 1)), sector,
-                               backend, cal=cal, purification_log=reports)
+    samples = energy_objective(build(*np.tile(best_x, (1 if exact else REEVALUATIONS, 1)).T),
+                               sector, backend, cal=cal, purification_log=reports)
     energy = float(np.mean(samples))
     uncertainty = 0.0 if exact else float(np.std(samples, ddof=1))
     return VqeResult(
@@ -400,9 +391,9 @@ def mass_gap_vqe(params: ModelParams, backend: BackendSpec,
     return GapEstimate(ground=ground, excited=excited, gap=gap, gap_err=gap_err)
 
 
-def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec,
+def mitigation_comparison(sector: SectorHamiltonian, circuit: Circuit, backend: BackendSpec,
                           seed=None) -> MitigationComparison:
-    """One tomography pass at fixed parameters, scored against the ideal value.
+    """One tomography pass of one circuit, scored against the ideal value.
 
     The mitigated energy is full mitigation whatever the backend's switches:
     correction with a freshly sampled readout calibration, then purification.
@@ -414,11 +405,8 @@ def mitigation_comparison(sector: SectorHamiltonian, theta, backend: BackendSpec
     if backend.kind != "noisy_mitigated":
         raise ValueError("mitigation comparison needs the noisy_mitigated backend")
     backend = _reseeded(backend, seed)
-    theta = np.asarray(theta, dtype=float)
-    circuit = _build_circuit(theta) if theta.ndim in (1, 2) else None
-    if circuit is None or circuit.batch_size is not None:
-        raise ValueError(f"mitigation comparison takes one angle set, got theta of shape "
-                         f"{theta.shape}")
+    if not isinstance(circuit, Circuit) or circuit.batch_size is not None:
+        raise ValueError(f"mitigation comparison takes one circuit, got {circuit!r}")
     cal = ReadoutCalibration.from_noise_model(backend.noise, backend.calibration_shots)
     rho, rho_raw = tomography_2q_detail(circuit, backend.noise, backend.shots, cal, _RAW)
     rho, report = mcweeny_purify(rho)

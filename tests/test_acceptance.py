@@ -26,6 +26,7 @@ from phi4vqe.fock_space import (
 from phi4vqe.qubit_encoding import encode_matrix, parity_blocks
 from phi4vqe.circuit_sim import (
     NoiseModel,
+    ansatz_entangled,
     ansatz_product,
     apply_circuit,
     expectation_exact,
@@ -337,7 +338,7 @@ def test_criterion_10_noisy_benchmark():
         ground, excited = ground_and_excited_sectors(params)
         for sector, result, child in ((ground, estimate.ground, 2),
                                       (excited, estimate.excited, 3)):
-            comp = mitigation_comparison(sector, result.parameters, backend,
+            comp = mitigation_comparison(sector, ansatz_entangled(*result.parameters), backend,
                                          seed=[0, index, child])
             mitigation_wins.append(
                 abs(comp.e_mitigated - comp.e_exact) < abs(comp.e_raw - comp.e_exact))

@@ -474,24 +474,34 @@ def test_noise_model_validation():
     ([(0.6, 0.5)], r"^qubit 0 has p\(0\|1\) \+ p\(1\|0\) = 1\.1 >= 1, channel not invertible$"),
     ([(0.5, 0.6)], r"^qubit 0 has p\(0\|1\) \+ p\(1\|0\) = 1\.1 >= 1"),
     ([(0.0, 0.0), (0.5, 0.5)], r"^qubit 1 has p\(0\|1\) \+ p\(1\|0\) = 1\.0 >= 1"),
+    (0.03, r"^rates must be a non-empty sequence of per-qubit pairs, got 0\.03$"),
+    (np.float64(0.03), r"^rates must be a non-empty sequence of per-qubit pairs, got np\.float64"),
+    ((), r"^rates must be a non-empty sequence of per-qubit pairs, got \(\)$"),
+    ("ab", r"^rates must be a non-empty sequence of per-qubit pairs, got 'ab'$"),
 ], ids=["short", "long", "number", "string", "string-rate", "none", "nan", "negative", "above-one",
-        "sum-1.1", "sum-1.1-swapped", "sum-1"])
+        "sum-1.1", "sum-1.1-swapped", "sum-1", "bare-number", "numpy-number", "empty", "bare-string"])
 def test_readout_calibration_rejects_rates_that_are_not_an_invertible_channel(rates, match):
     with pytest.raises(ValueError, match=match):
         ReadoutCalibration(rates)
 
 
-@pytest.mark.parametrize("readout,p_dep,match", [
-    (0.0, "0.1", r"^p_dep must be a number in \[0, 1\), got '0\.1'$"),
-    (0.0, None, r"^p_dep must be a number in \[0, 1\), got None$"),
-    (0.0, math.nan, r"^p_dep must be a number in \[0, 1\), got nan$"),
-    (0.0, -0.1, r"^p_dep must be a number in \[0, 1\)"),
-    ("0.03", 0.0, r"^qubit 0 rates \('0\.03', '0\.03'\) are not a pair of numbers"),
-], ids=["str", "none", "nan", "negative", "readout-str"])
-def test_noise_model_uniform_rejects_values_that_are_not_rates(readout, p_dep, match):
-    # p_dep="0.1" and p_dep=None used to end in a TypeError from the range comparison
+@pytest.mark.parametrize("n_qubits,readout,p_dep,match", [
+    (2, 0.0, "0.1", r"^p_dep must be a number in \[0, 1\), got '0\.1'$"),
+    (2, 0.0, None, r"^p_dep must be a number in \[0, 1\), got None$"),
+    (2, 0.0, math.nan, r"^p_dep must be a number in \[0, 1\), got nan$"),
+    (2, 0.0, -0.1, r"^p_dep must be a number in \[0, 1\)"),
+    (2, "0.03", 0.0, r"^qubit 0 rates \('0\.03', '0\.03'\) are not a pair of numbers"),
+    (2.5, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got 2\.5$"),
+    (0, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got 0$"),
+    (-1, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got -1$"),
+    (True, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got True$"),
+], ids=["str", "none", "nan", "negative", "readout-str", "qubits-2.5", "qubits-0", "qubits--1",
+        "qubits-bool"])
+def test_noise_model_uniform_rejects_values_that_are_not_rates(n_qubits, readout, p_dep, match):
+    # p_dep="0.1" and p_dep=None used to end in a TypeError from the range comparison;
+    # n_qubits=2.5 in one from tuple repetition, and n_qubits <= 0 built a zero-qubit channel
     with pytest.raises(ValueError, match=match):
-        NoiseModel.uniform(2, readout=readout, p_dep=p_dep)
+        NoiseModel.uniform(n_qubits, readout=readout, p_dep=p_dep)
 
 
 def test_noise_model_readout_must_be_a_readout_calibration():

@@ -704,6 +704,15 @@ def readme_examples():
     return examples
 
 
+def test_readme_library_example_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_readme_config_examples_pass_the_schema():
     examples = readme_examples()
     assert {command for command, _ in examples} == set(CONFIG_SCHEMAS)

@@ -150,6 +150,19 @@ def test_counterterm_continuum_domain():
         counterterm_continuum(65.0, 1.0)
 
 
+@pytest.mark.parametrize("m_sq,lam,match", [
+    (1.0, math.nan, r"^lam must be finite and real, got nan$"),
+    (1.0, math.inf, r"^lam must be finite and real, got inf$"),
+    (1.0, "1", r"^lam must be finite and real, got '1'$"),
+    ("1", 1.0, r"^continuum formula requires 0 < m_sq <= 64, got '1'$"),
+    (True, 1.0, r"^continuum formula requires 0 < m_sq <= 64, got True$"),
+], ids=["lam-nan", "lam-inf", "lam-str", "m_sq-str", "m_sq-bool"])
+def test_counterterm_continuum_rejects_values_that_are_not_finite_numbers(m_sq, lam, match):
+    # lam=nan returned nan, lam=inf returned -inf, and m_sq="1" ended in a TypeError
+    with pytest.raises(ValueError, match=match):
+        counterterm_continuum(m_sq, lam)
+
+
 def test_counterterm_continuum_matches_light_mass_integral():
     # the closed form is the small-mass asymptote of the mode-sum limit
     m_sq = 1e-6
@@ -177,10 +190,14 @@ def test_model_params_rejects_bad_reference_mass():
         ModelParams.from_bare(L=2, m_sq=-1.0, m0_sq=1.0, lam=1.0, n_max=4)
 
 
+# lam=None and delta_m="0" used to end in a TypeError, and lam=False was accepted
 @pytest.mark.parametrize("field, value", [
     ("lam", math.nan),
     ("lam", math.inf),
     ("delta_m", math.nan),
+    ("lam", None),
+    ("lam", False),
+    ("delta_m", "0"),
 ])
 def test_model_params_rejects_non_finite(field, value):
     fields = dict(L=2, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=4)
@@ -194,7 +211,8 @@ def test_model_params_from_bare_rejects_non_finite_bare_mass():
         ModelParams.from_bare(L=2, m_sq=1.0, m0_sq=math.nan, lam=6.0, n_max=4)
 
 
-@pytest.mark.parametrize("m_sq", [math.inf, math.nan])
+# m_sq="1" used to end in a TypeError, and m_sq=True was accepted
+@pytest.mark.parametrize("m_sq", [math.inf, math.nan, "1", True])
 def test_model_params_rejects_non_finite_reference_mass(m_sq):
     with pytest.raises(ValueError, match="^reference mass m_sq must be finite"):
         ModelParams.from_bare(L=2, m_sq=m_sq, m0_sq=1.0, lam=1.0, n_max=4)

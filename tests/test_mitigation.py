@@ -10,6 +10,7 @@ from phi4vqe.circuit_sim import (
     ansatz_entangled,
     apply_circuit,
     counts_expectation,
+    expectation_exact,
     measure_pauli,
     measure_pauli_density,
     outcome_table,
@@ -27,6 +28,7 @@ from phi4vqe.mitigation import (
     ro_correct,
     tomography_2q_detail,
 )
+from phi4vqe.fock_space import exact_spectrum, sector_blocks
 from phi4vqe.qubit_encoding import PauliSum, encode_matrix, pauli_word_matrix
 
 # readout correction with zero flip rates is the raw estimate
@@ -582,8 +584,32 @@ def test_energy_from_state_rejects_non_finite_entries(bad, shape):
     encode_matrix,
     mcweeny_purify,
     lambda rho: energy_from_state(rho, PauliSum(((1.0, "Z"),), 1)),
-], ids=["encode_matrix", "mcweeny_purify", "energy_from_state"])
+    exact_spectrum,
+    lambda M: sector_blocks(M, 1, 2),
+], ids=["encode_matrix", "mcweeny_purify", "energy_from_state", "exact_spectrum", "sector_blocks"])
 def test_non_numeric_arrays_are_rejected_at_each_boundary(take, matrix):
     # such arrays used to end in a TypeError from np.isfinite
     with pytest.raises(ValueError, match=f"entries must be numbers, got dtype {matrix.dtype}$"):
         take(matrix)
+
+
+_PSI = apply_circuit(ansatz_entangled(0.3, -0.5, 0.8), zero_state(2))
+_RHO = 0.9 * np.outer(_PSI, _PSI.conj()) + 0.025 * np.eye(4)
+_H = PauliSum(((0.5, "ZI"), (0.3, "XX"), (-0.2, "IY")), 2)
+
+
+@pytest.mark.parametrize("take,array", [
+    (lambda x, noise: apply_circuit(ansatz_entangled(0.3, -0.5, 0.8), x), zero_state(2)),
+    (lambda x, noise: expectation_exact(x, _H), _PSI),
+    (lambda x, noise: measure_pauli(x, ("ZZ", "XY"), 64, noise), _PSI),
+    (lambda x, noise: measure_pauli_density(x, ("ZZ", "XY"), 64, noise), _RHO),
+    (lambda x, noise: mcweeny_purify(x), _RHO),
+    (lambda x, noise: energy_from_state(x, _H), _RHO),
+], ids=["apply_circuit", "expectation_exact", "measure_pauli", "measure_pauli_density",
+        "mcweeny_purify", "energy_from_state"])
+def test_nested_lists_read_as_arrays_at_each_boundary(take, array):
+    # a nested list used to end in an AttributeError on .shape or .ndim
+    noises = [NoiseModel.uniform(2, readout=0.03, seed=7) for _ in range(2)]
+    want, got = take(array, noises[0]), take(array.tolist(), noises[1])
+    np.testing.assert_equal(got, want)
+    assert noises[0].rng.bit_generator.state == noises[1].rng.bit_generator.state
