@@ -75,6 +75,21 @@ def _int_in(value, low, high) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high
 
 
+def _numbers(array, name: str) -> np.ndarray:
+    """``array`` as an ndarray of booleans, integers, floats or complex numbers; name labels it."""
+    array = np.asarray(array)
+    if array.dtype.kind not in "biufc":
+        raise ValueError(f"{name} entries must be numbers, got dtype {array.dtype}")
+    return array
+
+
+def _is_seed(seed) -> bool:
+    """Whether ``seed`` is an integer >= 0 or a sequence, nested or not, of them."""
+    if isinstance(seed, (tuple, list)) or getattr(seed, "ndim", 0) > 0:
+        return all(map(_is_seed, seed))
+    return _int_in(seed, 0, math.inf)
+
+
 def _check_shots(name: str, shots) -> None:
     """Reject a shot count outside [1, 2**63 - 1], the counts a multinomial draw accepts."""
     if not _int_in(shots, 1, 2**63):
@@ -87,11 +102,14 @@ class Circuit:
 
     Angles are all numbers, or all 1-D arrays of one length k >= 1: then the
     circuit is a batch of k circuits and ``batch_size`` is k (None otherwise).
+    ``angles`` holds the RotY angles in gate order as a read-only float array,
+    (g,) or (g, k).
     """
 
     qubit_count: int
     gates: tuple[tuple, ...]
     batch_size: int | None = field(init=False, default=None)
+    angles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.qubit_count
@@ -109,8 +127,11 @@ class Circuit:
         shapes = {np.shape(theta) for theta in angles}
         if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
             raise ValueError("angles must be all numbers or all 1-D arrays of one length")
-        if not np.isfinite(np.array(angles, dtype=float)).all():
+        array = np.array(angles, dtype=float)
+        if not np.isfinite(array).all():
             raise ValueError(f"non-finite angle among {angles}")
+        array.setflags(write=False)
+        object.__setattr__(self, "angles", array)
         if shapes and shapes != {()}:
             (k,) = shapes.pop()
             if k == 0:
@@ -160,7 +181,8 @@ class ReadoutCalibration:
 class NoiseModel:
     """A readout channel, optional CNOT depolarization, and the RNG.
 
-    p_dep is applied to the gate's qubit pair after every CNOT.
+    p_dep is applied to the gate's qubit pair after every CNOT. ``seed`` is an
+    integer >= 0 or a sequence of such seeds, such as [[master seed, point], sector].
     """
 
     readout: ReadoutCalibration
@@ -173,6 +195,9 @@ class NoiseModel:
             raise ValueError(f"readout must be a ReadoutCalibration, got {self.readout!r}")
         if not (isinstance(self.p_dep, numbers.Real) and 0 <= self.p_dep < 1):
             raise ValueError(f"p_dep must be a number in [0, 1), got {self.p_dep!r}")
+        if not _is_seed(self.seed):
+            raise ValueError(f"seed must be an integer >= 0 or a sequence of such seeds, "
+                             f"got {self.seed!r}")
         self.rng = np.random.default_rng(self.seed)
 
     @property
@@ -200,14 +225,14 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     """Evolve ``initial`` through the circuit: (2^n,), or (k, 2^n) for a batch of k."""
-    n, initial = circuit.qubit_count, np.asarray(initial)
+    n, initial = circuit.qubit_count, _numbers(initial, "state")
     if initial.shape != (2**n,):
         raise ValueError(f"state dimension {initial.shape} does not match {n} qubits")
     if not 0 < np.abs(initial).max() < np.inf:  # NaN fails every comparison
         raise ValueError("initial state must be finite and not the zero vector")
     k = circuit.batch_size or 1
     state = np.tile(initial.astype(complex), (k, 1))
-    half = np.array([g[2] for g in circuit.gates if g[0] == "ry"], dtype=float).reshape(-1, k, 1, 1, 1) / 2
+    half = circuit.angles.reshape(-1, k, 1, 1, 1) / 2
     rotations = zip(np.cos(half), np.sin(half) * _RY_SIGNS)
     for kind, a, b in circuit.gates:
         if kind == "ry":
@@ -245,15 +270,15 @@ def ansatz_entangled(theta0, theta1, theta2) -> Circuit:
 
 def expectation_exact(state: np.ndarray, H: PauliSum) -> float | np.ndarray:
     """<psi|H|psi> for a Pauli sum; real for Hermitian input. A (k, 2^n) stack gives k values."""
-    n, state = H.qubit_count, np.asarray(state)
+    n, state = H.qubit_count, _numbers(state, "state")
     if state.shape[-1:] != (2**n,) or state.ndim > 2:
         raise ValueError("state and operator qubit counts differ")
     if not np.isfinite(state).all():
         raise ValueError("state has NaN or inf entries")
     states = np.atleast_2d(state)
     images = (H.to_matrix() @ states[..., None])[..., 0]
-    # one vdot per row: a batched reduction can differ from vdot in the last bit
-    values = np.array([np.vdot(s, image).real for s, image in zip(states, images)])
+    # a stack of (1, d) @ (d, 1) products: row for row bit-equal to np.vdot
+    values = (states.conj()[:, None, :] @ images[:, :, None])[:, 0, 0].real
     return float(values[0]) if state.ndim == 1 else values
 
 
@@ -323,7 +348,7 @@ def _sample(probs: np.ndarray, shots: int, noise: NoiseModel) -> np.ndarray:
 @_QUIET
 def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sample every Pauli word of the batch on a pure state (2^n,) or a stack of them (k, 2^n)."""
-    state = np.asarray(state)
+    state = _numbers(state, "state")
     if state.ndim not in (1, 2):
         raise ValueError(f"state of shape {state.shape} is neither one state nor a stack")
     words = _checked_words(words, shots, state.shape[-1], noise)
@@ -334,7 +359,7 @@ def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> np
 @_QUIET
 def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sampling path for mixed states, (2^n, 2^n) or (k, 2^n, 2^n); mirrors measure_pauli."""
-    rho = np.asarray(rho)
+    rho = _numbers(rho, "density matrix")
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix of shape {rho.shape} is not square")
     words = _checked_words(words, shots, rho.shape[-1], noise)

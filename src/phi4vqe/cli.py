@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -554,7 +555,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every later main."""
     parser = argparse.ArgumentParser(
         prog="phi4vqe",
         description="Lattice scalar-field spectra, counterterms, critical fits, "
@@ -566,7 +569,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config seed)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config) as handle:

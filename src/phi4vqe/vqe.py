@@ -192,27 +192,39 @@ _COARSE_V = np.pi * (np.arange(16) / 8.0 - 1.0)
 _COARSE_BASIS = np.array([f(j * _COARSE_V) for j in (1, 2) for f in (np.cos, np.sin)])
 
 
-def _slice_minimum(values: np.ndarray) -> tuple[float, float]:
-    """Offset and value of the minimum of the slice through 3 or 5 samples at _OFFSETS."""
-    if len(values) == 3:
-        a, c, s = _FIT[3] @ values
-        return math.atan2(-s, -c), float(a - math.hypot(c, s))
-    coeffs = _FIT[5] @ values
-    coarse = coeffs[0] + coeffs[1:] @ _COARSE_BASIS
-    k = int(np.argmin(coarse))
-    a, c1, s1, c2, s2 = coeffs.tolist()
-    v = float(_COARSE_V[k])
-    for _ in range(8):  # quadratic convergence from within pi/16 of the minimum
-        cv, sv, c2v, s2v = math.cos(v), math.sin(v), math.cos(2.0 * v), math.sin(2.0 * v)
-        curvature = -(c1 * cv + s1 * sv) - 4.0 * (c2 * c2v + s2 * s2v)
-        if curvature <= 0.0:
-            break
-        v -= (s1 * cv - c1 * sv + 2.0 * (s2 * c2v - c2 * s2v)) / curvature
-    value = (a + c1 * math.cos(v) + s1 * math.sin(v)
-             + c2 * math.cos(2.0 * v) + s2 * math.sin(2.0 * v))
-    if value > coarse[k]:
-        v, value = float(_COARSE_V[k]), float(coarse[k])
-    return 2.0 * v, value
+def _slice_minima(values: np.ndarray) -> np.ndarray:
+    """Offsets and values of the minima of r slices, each through its row of 3 or 5
+    samples at _OFFSETS: (r, n) samples give a (2, r) array of (offsets, values).
+
+    The Fourier fits and the coarse grid are one stacked product each (row for row
+    bit-equal to a matrix-vector product); the angles and Newton steps stay scalar,
+    since np.arctan2 and np.hypot can differ from math's in the last bit.
+    """
+    n = values.shape[1]
+    coeffs = (_FIT[n] @ values[:, :, None])[:, :, 0]
+    if n == 3:
+        return np.array([(math.atan2(-s, -c), a - math.hypot(c, s))
+                         for a, c, s in coeffs.tolist()]).T
+    coarse = coeffs[:, :1] + (coeffs[:, None, 1:] @ _COARSE_BASIS)[:, 0]
+    minima = []
+    for (a, c1, s1, c2, s2), k, row in zip(coeffs.tolist(), coarse.argmin(axis=1).tolist(),
+                                           coarse.tolist()):
+        v = float(_COARSE_V[k])
+        for _ in range(8):  # quadratic convergence from within pi/16 of the minimum
+            cv, sv, c2v, s2v = math.cos(v), math.sin(v), math.cos(2.0 * v), math.sin(2.0 * v)
+            curvature = -(c1 * cv + s1 * sv) - 4.0 * (c2 * c2v + s2 * s2v)
+            if curvature <= 0.0:
+                break
+            step = (s1 * cv - c1 * sv + 2.0 * (s2 * c2v - c2 * s2v)) / curvature
+            if step == 0.0:  # a fixed point: every later step would be zero too
+                break
+            v -= step
+        value = (a + c1 * math.cos(v) + s1 * math.sin(v)
+                 + c2 * math.cos(2.0 * v) + s2 * math.sin(2.0 * v))
+        if value > row[k]:
+            v, value = float(_COARSE_V[k]), row[k]
+        minima.append((2.0 * v, value))
+    return np.array(minima).T
 
 
 def _coordinate_sweeps(fun, starts, sample_counts: tuple[int, ...], max_sweeps: int,
@@ -234,9 +246,8 @@ def _coordinate_sweeps(fun, starts, sample_counts: tuple[int, ...], max_sweeps: 
         for i, n in enumerate(sample_counts):
             probes = theta[active, None] + _OFFSETS[n][:, None] * unit[i]
             values = fun(probes.reshape(-1, len(unit))).reshape(len(active), n)
-            for corner, samples in zip(active, values):
-                step, energy[corner] = _slice_minimum(samples)
-                theta[corner, i] += step
+            steps, energy[active] = _slice_minima(values)
+            theta[active, i] += steps
         active = active[~(previous - energy[active] < tol)]
         if not active.size:
             break
@@ -265,6 +276,9 @@ def energy_objective(circuit: Circuit, sector: SectorHamiltonian, backend: Backe
     _require_two_qubit(sector)
     if not isinstance(circuit, Circuit):
         raise ValueError(f"energy_objective takes a Circuit, got {circuit!r}")
+    if circuit.qubit_count != 2:
+        raise ValueError(f"energy_objective takes a 2-qubit circuit, got one on "
+                         f"{circuit.qubit_count} qubits")
     single = circuit.batch_size is None
     if single:  # a batch of one, so every backend branch sees (k, ...) stacks
         circuit = Circuit(circuit.qubit_count, tuple(
@@ -277,9 +291,10 @@ def energy_objective(circuit: Circuit, sector: SectorHamiltonian, backend: Backe
         tallies = measure_pauli(apply_circuit(circuit, zero_state(2)), words, backend.shots,
                                 backend.noise)
         coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
-        # one dot per row: a matrix-vector product can differ in the last bit
-        energies = H.coefficient("I" * H.qubit_count).real + np.array(
-            [coeffs @ row for row in counts_expectation(tallies, words)])
+        # a stack of (1, W) @ (W, 1) products: row for row bit-equal to one dot per row,
+        # where a (k, W) @ (W,) matrix-vector product can differ in the last bit
+        energies = H.coefficient("I" * H.qubit_count).real + (
+            counts_expectation(tallies, words)[:, None, :] @ coeffs[:, None])[:, 0, 0]
     else:
         if not backend.readout_correction:
             cal = _RAW

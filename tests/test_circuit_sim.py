@@ -208,6 +208,22 @@ def test_apply_circuit_rejects_bad_initial_states(initial):
         apply_circuit(Circuit(1, (("ry", 0, 0.3),)), initial)
 
 
+@pytest.mark.parametrize("state,dtype", [(["a", "b", "c", "d"], "<U1"),
+                                         (np.array([1, None, 0, 0], dtype=object), "object")],
+                         ids=["strings", "objects"])
+@pytest.mark.parametrize("call,name", [
+    (lambda state: apply_circuit(ansatz_product(0.1, 0.2), state), "state"),
+    (lambda state: expectation_exact(state, PauliSum(((1.0, "ZI"),), 2)), "state"),
+    (lambda state: measure_pauli(state, ("ZZ",), 16, NoiseModel.noiseless(2)), "state"),
+    (lambda state: measure_pauli_density(np.reshape(np.tile(state, 4), (4, 4)), ("ZZ",), 16,
+                                         NoiseModel.noiseless(2)), "density matrix"),
+], ids=["apply_circuit", "expectation_exact", "measure_pauli", "measure_pauli_density"])
+def test_state_boundaries_reject_entries_that_are_not_numbers(call, name, state, dtype):
+    # these used to end in numpy's own TypeError from np.abs, np.isfinite or matmul
+    with pytest.raises(ValueError, match=f"^{name} entries must be numbers, got dtype {dtype}$"):
+        call(state)
+
+
 def test_apply_circuit_accepts_unnormalized_initial_states():
     state = apply_circuit(Circuit(1, (("ry", 0, math.pi),)), np.array([2.0, 0.0]))
     assert np.allclose(state, [0.0, 2.0], atol=1e-15)
@@ -278,6 +294,19 @@ def test_expectation_matches_dense_contraction():
     H = encode_matrix(M)
     dense = float(np.real(state.conj() @ M @ state))
     assert expectation_exact(state, H) == pytest.approx(dense, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_qubits=st.integers(1, 3), k=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_batched_expectation_equals_one_vdot_per_row_bit_for_bit(n_qubits, k, seed):
+    rng = np.random.default_rng(seed)
+    states = np.array([random_state(n_qubits, rng) for _ in range(k)])
+    M = rng.normal(size=(2**n_qubits,) * 2)
+    H = encode_matrix((M + M.T) / 2.0)
+    images = (H.to_matrix() @ states[..., None])[..., 0]
+    oracle = [float(np.vdot(state, image).real) for state, image in zip(states, images)]
+    assert [e.hex() for e in expectation_exact(states, H).tolist()] == [e.hex() for e in oracle]
+    assert expectation_exact(states[0], H).hex() == oracle[0].hex()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -504,6 +533,27 @@ def test_noise_model_uniform_rejects_values_that_are_not_rates(n_qubits, readout
         NoiseModel.uniform(n_qubits, readout=readout, p_dep=p_dep)
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, True, None, [1, -1], [1, 2.0], [[3, "a"], 0],
+                                  np.array(3)],
+                         ids=["str", "float", "negative", "bool", "none", "negative-entry",
+                              "float-entry", "nested-str", "0-d-array"])
+def test_noise_model_rejects_seeds_that_are_not_non_negative_integers(seed):
+    # "x" and 1.5 used to end in numpy's "SeedSequence expects int or sequence of ints"
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0 or a sequence of such "
+                                         r"seeds, got "):
+        NoiseModel.uniform(2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(7), 2**70, [3, 0], (3, 1, 2), np.array([3, 0]), [],
+                                  [[3, 0], 1], [[3, [0, 2]], 1], np.array([[3, 0]])],
+                         ids=["zero", "numpy", "2**70", "list", "tuple", "array", "empty",
+                              "point-sector", "deep", "2-d-array"])
+def test_noise_model_takes_integer_seeds_and_sequences_of_them(seed):
+    # the CLI seeds a point's sectors with [[master, point], sector]
+    draws = NoiseModel.uniform(2, seed=seed).rng.integers(0, 2**32, size=4)
+    assert np.array_equal(draws, np.random.default_rng(seed).integers(0, 2**32, size=4))
+
+
 def test_noise_model_readout_must_be_a_readout_calibration():
     with pytest.raises(ValueError, match=r"^readout must be a ReadoutCalibration, got \(\(0\.01, 0\.02\),\)$"):
         NoiseModel(((0.01, 0.02),))
@@ -568,6 +618,19 @@ def test_batched_circuit_matches_its_members():
 def test_circuit_rejects_inconsistent_batch_angles(angles):
     with pytest.raises(ValueError, match="one length"):
         ansatz_product(*angles)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 4])
+def test_circuit_angles_are_the_gate_angles_read_only(batch):
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-3.0, 3.0, size=3 if batch is None else (3, batch))
+    circuit = ansatz_entangled(*theta)
+    gate_angles = np.array([gate[2] for gate in circuit.gates if gate[0] == "ry"], dtype=float)
+    assert circuit.angles.dtype == float and circuit.angles.tobytes() == gate_angles.tobytes()
+    assert not circuit.angles.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        circuit.angles[0] = 0.0
+    assert Circuit(1, ()).angles.shape == (0,)
 
 
 def test_circuit_rejects_an_empty_batch():

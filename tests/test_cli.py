@@ -690,6 +690,29 @@ def test_no_command_loads_scipy(tmp_path):
     assert json.loads(done.stdout) == []
 
 
+PARSER_ONCE = """
+import json, sys
+import phi4vqe.cli as cli
+
+built = [cli._parser.cache_info().currsize]
+for run in range(2):
+    assert cli.main(["spectrum", "--config", sys.argv[1], "--out", sys.argv[1] + f".{run}"]) == 0
+    built.append(cli._parser.cache_info().misses)
+print(json.dumps(built))
+"""
+
+
+def test_main_builds_its_parser_on_the_first_call_only(tmp_path):
+    # importing the CLI builds no parser, and the first main call's parser serves every later call
+    (tmp_path / "spectrum.json").write_text(json.dumps(spectrum_cfg()))
+    src = str(Path(vqe.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", PARSER_ONCE, str(tmp_path / "spectrum.json")],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 1, 1]
+
+
 # ---------------------------------------------------------------- README drift
 
 def readme_examples():

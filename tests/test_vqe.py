@@ -9,7 +9,16 @@ from hypothesis import given, settings, strategies as st
 from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H
 from phi4vqe.qubit_encoding import parity_blocks
-from phi4vqe.circuit_sim import Circuit, NoiseModel, ansatz_entangled, ansatz_product
+from phi4vqe.circuit_sim import (
+    Circuit,
+    NoiseModel,
+    ansatz_entangled,
+    ansatz_product,
+    apply_circuit,
+    counts_expectation,
+    measure_pauli,
+    zero_state,
+)
 from phi4vqe import vqe
 from phi4vqe.vqe import (
     BackendSpec,
@@ -183,6 +192,27 @@ def test_batched_objective_equals_scalar_calls(kind, n_params, shots, seed, data
         assert batched.noise.rng.bit_generator.state == scalar.noise.rng.bit_generator.state
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_params=st.sampled_from([2, 3]), k=st.integers(1, 10), shots=st.sampled_from([4, 8192]),
+       seed=st.integers(0, 2**16))
+def test_batched_energies_equal_one_vdot_and_one_dot_per_row_bit_for_bit(n_params, k, shots, seed):
+    ground, _ = sectors(benchmark(6.0))
+    circuit = ansatz_circuit(np.random.default_rng(seed).uniform(-7.0, 7.0, size=(k, n_params)))
+    H, states = ground.pauli, apply_circuit(circuit, zero_state(2))
+    images = (H.to_matrix() @ states[..., None])[..., 0]
+    vdots = [float(np.vdot(state, image).real) for state, image in zip(states, images)]
+    exact = energy_objective(circuit, ground, BackendSpec.exact())
+    assert [e.hex() for e in exact.tolist()] == [e.hex() for e in vdots]
+
+    words = tuple(w for _, w in H.terms if set(w) != {"I"})
+    coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
+    tallies = measure_pauli(states, words, shots, NoiseModel.noiseless(2, seed=seed))
+    dots = [H.coefficient("II").real + float(coeffs @ row)
+            for row in counts_expectation(tallies, words)]
+    sampled = energy_objective(circuit, ground, BackendSpec.sampled(shots=shots, seed=seed))
+    assert [e.hex() for e in sampled.tolist()] == [e.hex() for e in dots]
+
+
 def test_energy_objective_builds_purification_reports_only_for_a_log(monkeypatch):
     ground, _ = sectors(benchmark(6.0))
     circuit = ansatz_circuit(np.tile((0.3, -0.5, 0.8), (4, 1)))
@@ -208,6 +238,12 @@ def test_energy_objective_rejects_anything_but_a_circuit(circuit):
         energy_objective(circuit, ground, BackendSpec.exact())
 
 
+def test_energy_objective_rejects_a_circuit_off_two_qubits():
+    ground, _ = sectors(benchmark(6.0))
+    with pytest.raises(ValueError, match=r"^energy_objective takes a 2-qubit circuit, got one on 3 qubits$"):
+        energy_objective(Circuit(3, (("ry", 0, 0.1),)), ground, BackendSpec.exact())
+
+
 # ---------------------------------------------------------------- exact optimization
 
 def test_optimize_exact_entangled_reaches_block_minimum():
@@ -218,6 +254,46 @@ def test_optimize_exact_entangled_reaches_block_minimum():
         assert result.converged
         assert result.energy == pytest.approx(eigmin, abs=1e-6)
         assert result.uncertainty == 0.0
+
+
+def slice_minimum(values):
+    """Reference oracle: offset and value of the minimum of one slice through 3 or 5
+    samples at vqe._OFFSETS, fitted and refined one corner at a time."""
+    if len(values) == 3:
+        a, c, s = vqe._FIT[3] @ values
+        return math.atan2(-s, -c), float(a - math.hypot(c, s))
+    coeffs = vqe._FIT[5] @ values
+    coarse = coeffs[0] + coeffs[1:] @ vqe._COARSE_BASIS
+    k = int(np.argmin(coarse))
+    a, c1, s1, c2, s2 = coeffs.tolist()
+    v = float(vqe._COARSE_V[k])
+    for _ in range(8):
+        cv, sv, c2v, s2v = math.cos(v), math.sin(v), math.cos(2.0 * v), math.sin(2.0 * v)
+        curvature = -(c1 * cv + s1 * sv) - 4.0 * (c2 * c2v + s2 * s2v)
+        if curvature <= 0.0:
+            break
+        v -= (s1 * cv - c1 * sv + 2.0 * (s2 * c2v - c2 * s2v)) / curvature
+    value = (a + c1 * math.cos(v) + s1 * math.sin(v)
+             + c2 * math.cos(2.0 * v) + s2 * math.sin(2.0 * v))
+    if value > coarse[k]:
+        v, value = float(vqe._COARSE_V[k]), float(coarse[k])
+    return 2.0 * v, value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.sampled_from([3, 5]), data=st.data())
+def test_slice_minima_rows_equal_the_scalar_oracle_bit_for_bit(n, data):
+    # one stacked fit per slice: each row's offset and value are the oracle's
+    r = data.draw(st.integers(1, 4), label="r")
+    scale = data.draw(st.sampled_from([1e-6, 1.0, 1e3]), label="scale")
+    values = scale * np.array(data.draw(
+        st.lists(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+                 min_size=r, max_size=r), label="values"))
+    steps, minima = vqe._slice_minima(values)
+    oracle = np.array([slice_minimum(row) for row in values])
+    assert steps.shape == minima.shape == (r,)
+    assert steps.tobytes() == oracle[:, 0].tobytes()
+    assert minima.tobytes() == oracle[:, 1].tobytes()
 
 
 @pytest.mark.parametrize("lam", [2.0, 4.0, 6.0, 8.21, 10.0, 12.0, 14.0])
@@ -241,7 +317,8 @@ def test_slice_fit_reproduces_exact_energy(lam, ansatz):
 
             samples = np.array([energy(u) for u in offsets])
             coeffs = vqe._FIT[n] @ samples
-            step, minimum = vqe._slice_minimum(samples)
+            (step,), (minimum,) = vqe._slice_minima(samples[None])
+            assert (step, minimum) == slice_minimum(samples)
             for u in rng.uniform(0.0, period, size=20):
                 v = 2.0 * math.pi * u / period
                 harmonics = [(math.cos(j * v), math.sin(j * v)) for j in range(1, n // 2 + 1)]
@@ -268,7 +345,7 @@ def serial_sweeps(fun, start, per_angle, max_sweeps, tol):
         previous = energy
         for i in range(len(theta)):
             offsets = vqe._OFFSETS[per_angle[i]]
-            step, energy = vqe._slice_minimum(fun(theta + offsets[:, None] * unit[i]))
+            step, energy = slice_minimum(fun(theta + offsets[:, None] * unit[i]))
             theta[i] += step
         if previous - energy < tol:
             return theta, energy, True
