@@ -29,10 +29,7 @@ from .fock_space import (
     critical_curve,
     critical_exponent_fit,
     exact_spectrum,
-    ladder_ops,
     mass_gap,
-    number_op,
-    quadrature,
     sector_blocks,
     sector_indices,
     sector_spectrum,

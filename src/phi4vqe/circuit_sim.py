@@ -39,13 +39,13 @@ change of word w.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .qubit_encoding import PauliSum
+from .lattice_model import _int_in, _numeric, _real
+from .qubit_encoding import PauliSum, _pauli_words
 
 __all__ = [
     "Circuit",
@@ -70,24 +70,11 @@ MEAS_ROTATION = {"X": HADAMARD, "Y": HADAMARD @ S_DAG}
 _RY_SIGNS = np.array([[-1.0], [1.0]])  # G = -iY maps an amplitude pair (a0, a1) of its qubit to (-a1, a0)
 
 
-def _int_in(value, low, high) -> bool:
-    """An integer in [low, high) that is not a bool: numpy integers count, floats do not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high
-
-
-def _numbers(array, name: str) -> np.ndarray:
-    """``array`` as an ndarray of booleans, integers, floats or complex numbers; name labels it."""
-    array = np.asarray(array)
-    if array.dtype.kind not in "biufc":
-        raise ValueError(f"{name} entries must be numbers, got dtype {array.dtype}")
-    return array
-
-
 def _is_seed(seed) -> bool:
     """Whether ``seed`` is an integer >= 0 or a sequence, nested or not, of them."""
     if isinstance(seed, (tuple, list)) or getattr(seed, "ndim", 0) > 0:
         return all(map(_is_seed, seed))
-    return _int_in(seed, 0, math.inf)
+    return _int_in(seed, 0)
 
 
 def _check_shots(name: str, shots) -> None:
@@ -113,10 +100,12 @@ class Circuit:
 
     def __post_init__(self) -> None:
         n = self.qubit_count
-        if not _int_in(n, 1, math.inf):
+        if not _int_in(n, 1):
             raise ValueError(f"qubit_count must be an integer >= 1, got {n!r}")
         angles = []
         for gate in self.gates:
+            if not (isinstance(gate, (tuple, list)) and len(gate) == 3):
+                raise ValueError(f"gate {gate!r} is not a triple (kind, qubit, angle or qubit)")
             kind, a, b = gate
             if kind not in ("ry", "cx"):
                 raise ValueError(f"unknown gate {kind!r}")
@@ -127,9 +116,10 @@ class Circuit:
         shapes = {np.shape(theta) for theta in angles}
         if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
             raise ValueError("angles must be all numbers or all 1-D arrays of one length")
-        array = np.array(angles, dtype=float)
-        if not np.isfinite(array).all():
-            raise ValueError(f"non-finite angle among {angles}")
+        array = _numeric(angles, "angle array")
+        if array.dtype.kind == "c":
+            raise ValueError(f"angles must be real numbers, got {angles}")
+        array = array.astype(float, copy=False)
         array.setflags(write=False)
         object.__setattr__(self, "angles", array)
         if shapes and shapes != {()}:
@@ -155,7 +145,7 @@ class ReadoutCalibration:
         rates = []
         for q, pair in enumerate(self.rates):
             if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-                    and all(isinstance(p, numbers.Real) and 0 <= p <= 1 for p in pair)):
+                    and all(_real(p) and 0 <= p <= 1 for p in pair)):
                 raise ValueError(f"qubit {q} rates {pair!r} are not a pair of numbers in [0, 1]")
             if pair[0] + pair[1] >= 1:
                 raise ValueError(f"qubit {q} has p(0|1) + p(1|0) = {pair[0] + pair[1]} >= 1, "
@@ -193,7 +183,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not isinstance(self.readout, ReadoutCalibration):
             raise ValueError(f"readout must be a ReadoutCalibration, got {self.readout!r}")
-        if not (isinstance(self.p_dep, numbers.Real) and 0 <= self.p_dep < 1):
+        if not (_real(self.p_dep) and 0 <= self.p_dep < 1):
             raise ValueError(f"p_dep must be a number in [0, 1), got {self.p_dep!r}")
         if not _is_seed(self.seed):
             raise ValueError(f"seed must be an integer >= 0 or a sequence of such seeds, "
@@ -212,7 +202,7 @@ class NoiseModel:
     def uniform(cls, n_qubits: int, readout: float = 0.0, p_dep: float = 0.0,
                 seed: int = 0) -> "NoiseModel":
         """Same symmetric readout rate on every qubit."""
-        if not _int_in(n_qubits, 1, math.inf):
+        if not _int_in(n_qubits, 1):
             raise ValueError(f"n_qubits must be an integer >= 1, got {n_qubits!r}")
         return cls(ReadoutCalibration(((readout, readout),) * n_qubits), p_dep=p_dep, seed=seed)
 
@@ -225,7 +215,7 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit, initial: np.ndarray) -> np.ndarray:
     """Evolve ``initial`` through the circuit: (2^n,), or (k, 2^n) for a batch of k."""
-    n, initial = circuit.qubit_count, _numbers(initial, "state")
+    n, initial = circuit.qubit_count, _numeric(initial, "state", finite=False)
     if initial.shape != (2**n,):
         raise ValueError(f"state dimension {initial.shape} does not match {n} qubits")
     if not 0 < np.abs(initial).max() < np.inf:  # NaN fails every comparison
@@ -270,11 +260,9 @@ def ansatz_entangled(theta0, theta1, theta2) -> Circuit:
 
 def expectation_exact(state: np.ndarray, H: PauliSum) -> float | np.ndarray:
     """<psi|H|psi> for a Pauli sum; real for Hermitian input. A (k, 2^n) stack gives k values."""
-    n, state = H.qubit_count, _numbers(state, "state")
+    n, state = H.qubit_count, _numeric(state, "state")
     if state.shape[-1:] != (2**n,) or state.ndim > 2:
         raise ValueError("state and operator qubit counts differ")
-    if not np.isfinite(state).all():
-        raise ValueError("state has NaN or inf entries")
     states = np.atleast_2d(state)
     images = (H.to_matrix() @ states[..., None])[..., 0]
     # a stack of (1, d) @ (d, 1) products: row for row bit-equal to np.vdot
@@ -325,11 +313,7 @@ def _checked_words(words, shots: int, dim: int, noise: NoiseModel) -> tuple[str,
         raise ValueError(f"state dimension {dim} is not a power of two >= 2")
     if noise.n_qubits != n:
         raise ValueError(f"noise model covers {noise.n_qubits} qubits, the state {n}")
-    words = tuple(words)
-    for word in words:
-        if len(word) != n or not set(word) <= set("IXYZ"):
-            raise ValueError(f"word {word!r} is not a Pauli word on {n} qubits")
-    return words
+    return _pauli_words(words, n)
 
 
 def _sample(probs: np.ndarray, shots: int, noise: NoiseModel) -> np.ndarray:
@@ -348,7 +332,7 @@ def _sample(probs: np.ndarray, shots: int, noise: NoiseModel) -> np.ndarray:
 @_QUIET
 def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sample every Pauli word of the batch on a pure state (2^n,) or a stack of them (k, 2^n)."""
-    state = _numbers(state, "state")
+    state = _numeric(state, "state", finite=False)
     if state.ndim not in (1, 2):
         raise ValueError(f"state of shape {state.shape} is neither one state nor a stack")
     words = _checked_words(words, shots, state.shape[-1], noise)
@@ -359,7 +343,7 @@ def measure_pauli(state: np.ndarray, words, shots: int, noise: NoiseModel) -> np
 @_QUIET
 def measure_pauli_density(rho: np.ndarray, words, shots: int, noise: NoiseModel) -> np.ndarray:
     """Sampling path for mixed states, (2^n, 2^n) or (k, 2^n, 2^n); mirrors measure_pauli."""
-    rho = _numbers(rho, "density matrix")
+    rho = _numeric(rho, "density matrix", finite=False)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix of shape {rho.shape} is not square")
     words = _checked_words(words, shots, rho.shape[-1], noise)
@@ -380,14 +364,11 @@ def _word_values(weights, words, rates: tuple[tuple[float, float], ...]) -> np.n
     ``weights[..., i, x]`` weighs register outcome x of words[i] on the
     len(rates) >= 1 qubits, laid out as a measurement's tallies.
     """
-    n, words = len(rates), tuple(words)
+    n, words = len(rates), _pauli_words(words, len(rates))
     weights = np.asarray(weights, dtype=float)
-    if n < 1 or weights.shape[-2:] != (len(words), 2**n) or any(len(w) != n for w in words):
+    if n < 1 or weights.shape[-2:] != (len(words), 2**n):
         raise ValueError(f"weights of shape {weights.shape} do not match "
                          f"{len(words)} words on {n} qubits")
-    if not set("".join(words)) <= set("IXYZ"):
-        bad = next(w for w in words if not set(w) <= set("IXYZ"))
-        raise ValueError(f"word {bad!r} has a label outside IXYZ")
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise ValueError("outcome weights must be finite and >= 0")
     total = weights.sum(axis=-1)

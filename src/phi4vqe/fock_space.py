@@ -2,8 +2,10 @@
 
 Each momentum mode keeps its lowest n_max oscillator levels; a basis state is
 an occupation label (n_0, ..., n_{L-1}), indexed with mode 0 as the slowest
-tensor index. Ladder operators are truncated first (ladder_ops), and every
-composite operator is a product of those truncated real operators.
+tensor index. The ladder operators are truncated first: a lowers n > 0 to
+n - 1 with weight sqrt(n), a_dag raises n < n_max - 1 to n + 1 with weight
+sqrt(n + 1) and annihilates the top level, and every composite operator is a
+product of those truncated real operators.
 
 The Hamiltonian is real and linear in the two couplings the scans move,
 
@@ -38,15 +40,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice_model import ModelParams, momentum_grid
+from .lattice_model import ModelParams, _int_in, _numeric, _real, momentum_grid
 
 __all__ = [
     "Spectrum",
     "CriticalFit",
-    "ladder_ops",
-    "number_op",
-    "quadrature",
-    "embed",
     "build_HI",
     "build_H",
     "sector_indices",
@@ -103,39 +101,6 @@ class CriticalFit:
     at_bound: str | None
 
 
-def ladder_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated annihilation and creation matrices (a, a_dag).
-
-    a_dag[i+1, i] = sqrt(i+1); the truncated commutator [a, a_dag] equals the
-    identity on occupancies up to n_max - 2.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-    a_dag = np.diag(np.sqrt(np.arange(1.0, n_max)), k=-1)
-    return a_dag.T.copy(), a_dag
-
-
-def number_op(n_max: int) -> np.ndarray:
-    return np.diag(np.arange(n_max, dtype=float))
-
-
-def quadrature(n_max: int) -> np.ndarray:
-    """q = (a + a_dag) / sqrt(2), the dimensionless mode coordinate."""
-    a, a_dag = ladder_ops(n_max)
-    return (a + a_dag) / math.sqrt(2.0)
-
-
-def embed(mode_op: np.ndarray, mode_index: int, params: ModelParams) -> np.ndarray:
-    """Tensor mode_op into the L-mode product space, identities elsewhere."""
-    if not 0 <= mode_index < params.L:
-        raise ValueError(f"mode_index {mode_index} out of range for L={params.L}")
-    eye = np.eye(params.n_max)
-    out = np.ones((1, 1))
-    for j in range(params.L):
-        out = np.kron(out, mode_op if j == mode_index else eye)
-    return out
-
-
 @lru_cache(maxsize=None)
 def sector_indices(L: int, n_max: int) -> dict[tuple[int, int], np.ndarray]:
     """Basis indices of every non-empty (Z2, P) sector, ascending, keyed in (Z2, P) order.
@@ -158,19 +123,15 @@ def sector_blocks(M: np.ndarray, L: int, n_max: int,
                   name: str = "H") -> dict[tuple[int, int], np.ndarray]:
     """Read-only blocks M[sector, sector] per (Z2, P) sector, keyed in sector_indices order.
 
-    Rows and columns follow sector_indices. Raises ValueError when M is not
-    n_max^L square, has a non-numeric, NaN or inf entry, or has an entry above
+    Rows and columns follow sector_indices. Raises ValueError when M has a
+    non-numeric, NaN or inf entry, is not n_max^L square, or has an entry above
     SECTOR_TOL between two sectors, so that the blocks hold the whole matrix;
-    name labels M in the last three messages.
+    name labels M in every message but the shape one.
     """
-    M = np.asarray(M)
+    M = _numeric(M, name)
     if M.shape != (n_max**L, n_max**L):
         raise ValueError(f"expected a {n_max**L} x {n_max**L} matrix for L={L}, "
                          f"n_max={n_max}, got shape {M.shape}")
-    if M.dtype.kind not in "biufc":
-        raise ValueError(f"{name} entries must be numbers, got dtype {M.dtype}")
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} has NaN or inf entries")
     sectors = sector_indices(L, n_max)
     rest = np.abs(M)
     for indices in sectors.values():
@@ -217,7 +178,7 @@ def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tupl
         out = np.zeros((sectors[1 - z, (p - k) % L].size, indices.size))
         down = np.flatnonzero(n[k] > 0)  # a_k
         out[position[indices[down] - stride[k]], down] = np.sqrt(n[k][down]) / norm
-        up = np.flatnonzero(n[-k % L] < n_max - 1)  # a_dag_{-k}, truncated like ladder_ops
+        up = np.flatnonzero(n[-k % L] < n_max - 1)  # a_dag_{-k}, which annihilates the top level
         out[position[indices[up] + stride[-k % L]], up] = np.sqrt(n[-k % L][up] + 1) / norm
         return out
 
@@ -284,10 +245,7 @@ def build_H(params: ModelParams, sector: tuple[int, int] | None = None) -> np.nd
 
 
 def _require_finite_hermitian(H: np.ndarray, caller: str) -> None:
-    if H.dtype.kind not in "biufc":
-        raise ValueError(f"{caller} entries must be numbers, got dtype {H.dtype}")
-    if not np.isfinite(H).all():
-        raise ValueError(f"{caller} requires finite entries, got NaN or inf")
+    _numeric(H, "H")
     # a real H is compared with H.T directly, and an exactly Hermitian one
     # (every block build_H makes) skips the difference matrix
     adjoint = H.T if np.isrealobj(H) else H.conj().T
@@ -398,8 +356,8 @@ def solve_counterterm(params: ModelParams, target_m_sq: float) -> float:
     no sign change or Brent's method does not converge; an error inside
     mass_gap reaches the caller unchanged.
     """
-    if not (math.isfinite(target_m_sq) and target_m_sq > 0):
-        raise ValueError(f"target_m_sq must be a finite number > 0, got {target_m_sq}")
+    if not (_real(target_m_sq) and target_m_sq > 0):
+        raise ValueError(f"target_m_sq must be a finite number > 0, got {target_m_sq!r}")
     lo = -abs(params.m0_sq) - params.m_sq - params.lam
     hi = params.m_sq + params.lam
 
@@ -497,13 +455,13 @@ def critical_exponent_fit(
     dropped. Raises ValueError when window is not an integer >= 4, when a
     coupling or a gap is NaN or inf, or when a coupling repeats.
     """
-    if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 4:
+    if not _int_in(window, 4):
         raise ValueError(f"window must be an integer >= 4, got {window!r}")
     seen = set()
     for lam, gap in points:
-        if not math.isfinite(lam):
+        if not _real(lam):
             raise ValueError(f"coupling must be finite, got {lam!r}")
-        if not math.isfinite(gap):
+        if not _real(gap):
             raise ValueError(f"gap at coupling {lam!r} must be finite, got {gap!r}")
         if lam in seen:
             raise ValueError(f"coupling {lam!r} repeats")

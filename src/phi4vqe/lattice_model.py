@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,29 @@ __all__ = [
 ]
 
 
+# The boundary checks every module shares; each rule and message is written here alone.
+
 def _real(value) -> bool:
     """A finite real number that is not a bool: numpy floats and integers count."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    # abs() <= max is False for NaN and inf, and compares ints too large for a float exactly
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _int_in(value, low, high=math.inf) -> bool:
+    """An integer in [low, high) that is not a bool: numpy integers count, floats do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value < high
+
+
+def _numeric(array, name: str, finite: bool = True) -> np.ndarray:
+    """``array`` as an ndarray of booleans, integers, floats or complex numbers, free of NaN
+    and inf unless ``finite`` is False; name labels it in the messages."""
+    array = np.asarray(array)
+    if array.dtype.kind not in "biufc":
+        raise ValueError(f"{name} entries must be numbers, got dtype {array.dtype}")
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"{name} has NaN or inf entries")
+    return array
 
 
 @dataclass(frozen=True)
@@ -54,9 +75,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name, least in (("L", 1), ("n_max", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            if not _int_in(getattr(self, name), least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {getattr(self, name)!r}")
         if not (_real(self.m_sq) and self.m_sq > 0):
             raise ValueError(f"reference mass m_sq must be finite, real and > 0, got {self.m_sq!r}")
         for name in ("delta_m", "lam"):

@@ -25,6 +25,7 @@ from .circuit_sim import (
     measure_pauli_density,
     simulate_density,
 )
+from .lattice_model import _int_in, _numeric, _real
 from .qubit_encoding import PauliSum, pauli_word_matrix
 
 __all__ = [
@@ -80,6 +81,9 @@ def tomography_2q_detail(circuit: Circuit, noise: NoiseModel, shots: int,
     """
     if not cals:
         raise ValueError("tomography_2q_detail needs at least one readout calibration in cals")
+    for i, cal in enumerate(cals):
+        if not (isinstance(cal, ReadoutCalibration) and len(cal.rates) == 2):
+            raise ValueError(f"cals[{i}] must be a ReadoutCalibration on 2 qubits, got {cal!r}")
     tallies = measure_pauli_density(simulate_density(circuit, noise), _TOMO_WORDS[1:], shots, noise)
     ones = np.ones(tallies.shape[:-2] + (1,))
     # <II> = 1 in front of the 15 corrected <P>
@@ -94,13 +98,6 @@ def _reconstruct(values: np.ndarray) -> np.ndarray:
     return (rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0
 
 
-def _check_entries(rho: np.ndarray) -> None:
-    if rho.dtype.kind not in "biufc":
-        raise ValueError(f"density matrix entries must be numbers, got dtype {rho.dtype}")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has NaN or inf entries")
-
-
 def _trace(rho: np.ndarray) -> np.ndarray:
     return rho.trace(axis1=-2, axis2=-1)
 
@@ -113,9 +110,13 @@ def _purify(rho: np.ndarray, eps_n: float = 1e-4,
     Returns the purified stack and the per-row arrays (iterations,
     initial_purity, final_purity, converged); _reports turns them into
     PurificationReports for a caller that keeps them."""
+    if not (_real(eps_n) and eps_n > 0):
+        raise ValueError(f"eps_n must be a finite number > 0, got {eps_n!r}")
+    if not _int_in(max_iter, 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValueError("density matrix must be square")
-    _check_entries(rho)
+    _numeric(rho, "density matrix")
     if np.max(np.abs(rho - np.swapaxes(rho.conj(), 1, 2))) > HERMITICITY_TOL:
         raise ValueError("density matrix must be Hermitian")
     trace = _trace(rho).real
@@ -169,7 +170,8 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
     an eigenvalue to the wrong side of 1/2 (a tomographic estimate need not
     be positive). An input whose dominant eigenvalue is below 1/2, or with
     any eigenvalue outside the interval, is flagged non-convergent and
-    returned unmodified (trace-normalized).
+    returned unmodified (trace-normalized). eps_n must be a finite number > 0
+    and max_iter an integer >= 0.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2:
@@ -180,9 +182,8 @@ def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
 
 def energy_from_state(rho: np.ndarray, H: PauliSum) -> float | np.ndarray:
     """Re Tr(rho H); a (k, d, d) stack gives k values."""
-    dim, rho = 2**H.qubit_count, np.asarray(rho)
+    dim, rho = 2**H.qubit_count, _numeric(rho, "density matrix")
     if rho.shape[-2:] != (dim, dim) or rho.ndim > 3:
         raise ValueError(f"state dimension {rho.shape} does not match operator on {H.qubit_count} qubits")
-    _check_entries(rho)
     values = _trace(rho @ H.to_matrix()).real
     return float(values) if rho.ndim == 2 else values

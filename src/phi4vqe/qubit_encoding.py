@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fock_space import sector_blocks
-from .lattice_model import ModelParams
+from .lattice_model import ModelParams, _int_in, _numeric
 
 __all__ = [
     "PAULI",
@@ -46,10 +46,21 @@ def _word_matrix(word: str) -> np.ndarray:
     return out
 
 
+def _pauli_words(words, n: int | None) -> tuple[str, ...]:
+    """``words`` as a tuple of Pauli words: non-empty strings over IXYZ, n letters each
+    unless n is None. Every module checks its words here."""
+    words = tuple(words)
+    for word in words:
+        # strip() leaves nothing of a word over IXYZ
+        if not (isinstance(word, str) and word and not word.strip("IXYZ")
+                and (n is None or len(word) == n)):
+            raise ValueError(f"word {word!r} is not a Pauli word" + ("" if n is None else f" on {n} qubits"))
+    return words
+
+
 def pauli_word_matrix(word: str) -> np.ndarray:
     """Dense matrix of a Pauli word such as "ZIX" (qubit 0 leftmost)."""
-    if not word or any(c not in PAULI for c in word):
-        raise ValueError(f"invalid Pauli word {word!r}")
+    (word,) = _pauli_words((word,), None)
     return _word_matrix(word)
 
 
@@ -57,23 +68,21 @@ def pauli_word_matrix(word: str) -> np.ndarray:
 class PauliSum:
     """Weighted sum of multi-qubit Pauli words.
 
-    Coefficients are complex in general; encoding a Hermitian matrix yields
-    real coefficients (up to round-off, which is dropped at COEFF_TOL).
+    Coefficients are finite complex numbers in general; encoding a Hermitian
+    matrix yields real coefficients (up to round-off, which is dropped at
+    COEFF_TOL). Every word acts on all qubit_count >= 1 qubits.
     """
 
     terms: tuple[tuple[complex, str], ...]
     qubit_count: int
 
     def __post_init__(self) -> None:
-        seen = set()
-        for coeff, word in self.terms:
-            if len(word) != self.qubit_count:
-                raise ValueError(f"word {word!r} does not act on {self.qubit_count} qubits")
-            if any(c not in PAULI for c in word):
-                raise ValueError(f"invalid Pauli word {word!r}")
-            if word in seen:
-                raise ValueError(f"duplicate Pauli word {word!r}")
-            seen.add(word)
+        if not _int_in(self.qubit_count, 1):
+            raise ValueError(f"qubit_count must be an integer >= 1, got {self.qubit_count!r}")
+        _numeric([coeff for coeff, _ in self.terms], "coefficient array")
+        words = _pauli_words((word for _, word in self.terms), self.qubit_count)
+        if len(set(words)) < len(words):
+            raise ValueError(f"duplicate Pauli word {next(w for w in words if words.count(w) > 1)!r}")
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix of the sum, built on first use and then reused read-only."""
@@ -101,17 +110,13 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
     Coefficients are the normalized trace inner products
     c_w = Tr(w M) / 2^n, so the expansion is exact by construction.
     """
-    M = np.asarray(M)
+    M = _numeric(M, "matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
     dim = M.shape[0]
     if dim < 2:
         raise ValueError("matrix must be at least 2 x 2 (encoding needs at least one qubit), "
                          f"got shape {M.shape}")
-    if M.dtype.kind not in "biufc":
-        raise ValueError(f"matrix entries must be numbers, got dtype {M.dtype}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite, got NaN or inf")
     n = int(math.log2(dim))
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")

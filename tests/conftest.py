@@ -3,8 +3,40 @@ import math
 import numpy as np
 import pytest
 
-from phi4vqe.fock_space import embed, ladder_ops, number_op
 from phi4vqe.lattice_model import ModelParams, momentum_grid
+
+
+def ladder_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated annihilation and creation matrices (a, a_dag).
+
+    a_dag[i+1, i] = sqrt(i+1); the truncated commutator [a, a_dag] equals the
+    identity on occupancies up to n_max - 2.
+    """
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    a_dag = np.diag(np.sqrt(np.arange(1.0, n_max)), k=-1)
+    return a_dag.T.copy(), a_dag
+
+
+def number_op(n_max: int) -> np.ndarray:
+    return np.diag(np.arange(n_max, dtype=float))
+
+
+def quadrature(n_max: int) -> np.ndarray:
+    """q = (a + a_dag) / sqrt(2), the dimensionless mode coordinate."""
+    a, a_dag = ladder_ops(n_max)
+    return (a + a_dag) / math.sqrt(2.0)
+
+
+def embed(mode_op: np.ndarray, mode_index: int, params: ModelParams) -> np.ndarray:
+    """Tensor mode_op into the L-mode product space, identities elsewhere."""
+    if not 0 <= mode_index < params.L:
+        raise ValueError(f"mode_index {mode_index} out of range for L={params.L}")
+    eye = np.eye(params.n_max)
+    out = np.ones((1, 1))
+    for j in range(params.L):
+        out = np.kron(out, mode_op if j == mode_index else eye)
+    return out
 
 
 def _dense_parts(L, m_sq, n_max):

@@ -13,15 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import embed, quadrature
 from phi4vqe.lattice_model import ModelParams, counterterm_first_order, momentum_grid
 from phi4vqe.fock_space import (
     build_H,
     build_HI,
-    embed,
     exact_spectrum,
     mass_gap,
     critical_exponent_fit,
-    quadrature,
 )
 from phi4vqe.qubit_encoding import encode_matrix, parity_blocks
 from phi4vqe.circuit_sim import (

@@ -144,6 +144,21 @@ def test_circuit_rejects_malformed_qubit_labels(qubit_count, gates, match):
         Circuit(qubit_count, gates)
 
 
+@pytest.mark.parametrize("qubit_count,gates,match", [
+    (2, (("cx", 0),), r"^gate \('cx', 0\) is not a triple \(kind, qubit, angle or qubit\)$"),
+    (1, (("ry", 0, 1.0, 2.0),), r"^gate \('ry', 0, 1\.0, 2\.0\) is not a triple"),
+    (1, ("ry0",), r"^gate 'ry0' is not a triple"),
+    (1, (("ry", 0, 1j),), r"^angles must be real numbers, got \[1j\]$"),
+    (1, (("ry", 0, "0.5"),), r"^angle array entries must be numbers, got dtype <U3$"),
+    (1, (("ry", 0, math.inf),), r"^angle array has NaN or inf entries$"),
+    (1, (("ry", 0, np.array([0.1, math.nan])),), r"^angle array has NaN or inf entries$"),
+], ids=["short", "long", "string-gate", "complex-angle", "string-angle", "inf-angle", "nan-in-batch"])
+def test_circuit_rejects_malformed_gates_and_angles(qubit_count, gates, match):
+    # a short gate used to end in an unpacking error, and a complex angle in a TypeError
+    with pytest.raises(ValueError, match=match):
+        Circuit(qubit_count, gates)
+
+
 def test_circuit_accepts_numpy_integer_labels():
     gates = (("ry", 0, 0.4), ("cx", 0, 1), ("ry", 1, -1.1))
     numpy_gates = (("ry", np.int64(0), 0.4), ("cx", np.int32(0), np.int64(1)), ("ry", np.uint8(1), -1.1))
@@ -500,6 +515,7 @@ def test_noise_model_validation():
     ([(math.nan, 0.1)], r"^qubit 0 rates \(nan, 0\.1\) are not a pair of numbers"),
     ([(0.0, 0.0), (-0.1, 0.1)], r"^qubit 1 rates \(-0\.1, 0\.1\) are not a pair of numbers in \[0, 1\]$"),
     ([(0.1, 1.5)], r"^qubit 0 rates \(0\.1, 1\.5\) are not a pair of numbers in \[0, 1\]$"),
+    ([(False, 0.1)], r"^qubit 0 rates \(False, 0\.1\) are not a pair of numbers in \[0, 1\]$"),
     ([(0.6, 0.5)], r"^qubit 0 has p\(0\|1\) \+ p\(1\|0\) = 1\.1 >= 1, channel not invertible$"),
     ([(0.5, 0.6)], r"^qubit 0 has p\(0\|1\) \+ p\(1\|0\) = 1\.1 >= 1"),
     ([(0.0, 0.0), (0.5, 0.5)], r"^qubit 1 has p\(0\|1\) \+ p\(1\|0\) = 1\.0 >= 1"),
@@ -508,7 +524,7 @@ def test_noise_model_validation():
     ((), r"^rates must be a non-empty sequence of per-qubit pairs, got \(\)$"),
     ("ab", r"^rates must be a non-empty sequence of per-qubit pairs, got 'ab'$"),
 ], ids=["short", "long", "number", "string", "string-rate", "none", "nan", "negative", "above-one",
-        "sum-1.1", "sum-1.1-swapped", "sum-1", "bare-number", "numpy-number", "empty", "bare-string"])
+        "bool-rate", "sum-1.1", "sum-1.1-swapped", "sum-1", "bare-number", "numpy-number", "empty", "bare-string"])
 def test_readout_calibration_rejects_rates_that_are_not_an_invertible_channel(rates, match):
     with pytest.raises(ValueError, match=match):
         ReadoutCalibration(rates)
@@ -519,12 +535,13 @@ def test_readout_calibration_rejects_rates_that_are_not_an_invertible_channel(ra
     (2, 0.0, None, r"^p_dep must be a number in \[0, 1\), got None$"),
     (2, 0.0, math.nan, r"^p_dep must be a number in \[0, 1\), got nan$"),
     (2, 0.0, -0.1, r"^p_dep must be a number in \[0, 1\)"),
+    (2, 0.0, False, r"^p_dep must be a number in \[0, 1\), got False$"),
     (2, "0.03", 0.0, r"^qubit 0 rates \('0\.03', '0\.03'\) are not a pair of numbers"),
     (2.5, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got 2\.5$"),
     (0, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got 0$"),
     (-1, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got -1$"),
     (True, 0.0, 0.0, r"^n_qubits must be an integer >= 1, got True$"),
-], ids=["str", "none", "nan", "negative", "readout-str", "qubits-2.5", "qubits-0", "qubits--1",
+], ids=["str", "none", "nan", "negative", "bool", "readout-str", "qubits-2.5", "qubits-0", "qubits--1",
         "qubits-bool"])
 def test_noise_model_uniform_rejects_values_that_are_not_rates(n_qubits, readout, p_dep, match):
     # p_dep="0.1" and p_dep=None used to end in a TypeError from the range comparison;

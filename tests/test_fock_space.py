@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, least_squares
 
+from conftest import embed, ladder_ops, number_op, quadrature
 from phi4vqe import fock_space
 from phi4vqe.lattice_model import ModelParams, momentum_grid
 from phi4vqe.fock_space import (
@@ -14,12 +15,8 @@ from phi4vqe.fock_space import (
     build_HI,
     critical_curve,
     critical_exponent_fit,
-    embed,
     exact_spectrum,
-    ladder_ops,
     mass_gap,
-    number_op,
-    quadrature,
     sector_blocks,
     sector_indices,
     sector_spectrum,
@@ -32,82 +29,6 @@ SQ5 = math.sqrt(5.0)
 def bench(lam=0.0, delta_m=0.0, n_max=4, m_sq=1.0, L=2):
     return ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=delta_m,
                                         lam=lam, n_max=n_max)
-
-
-# ---------------------------------------------------------------- ladder operators
-
-def test_ladder_ops_two_levels():
-    a, adag = ladder_ops(2)
-    assert np.array_equal(a, [[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(adag, a.T)
-
-
-def test_ladder_ops_sqrt_matrix_elements():
-    a, _ = ladder_ops(3)
-    assert a[1, 2] == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-
-def test_number_operator_diagonal():
-    a, adag = ladder_ops(4)
-    assert np.allclose(adag @ a, np.diag([0.0, 1.0, 2.0, 3.0]), atol=1e-14)
-    assert np.allclose(number_op(4), np.diag([0.0, 1.0, 2.0, 3.0]), atol=1e-14)
-
-
-def test_ladder_commutator_below_truncation():
-    # [a, a+] = 1 except on the highest retained level
-    a, adag = ladder_ops(6)
-    comm = a @ adag - adag @ a
-    assert np.allclose(comm[:5, :5], np.eye(5), atol=1e-14)
-    assert comm[5, 5] == pytest.approx(1.0 - 6.0, abs=1e-13)
-
-
-def test_ladder_ops_rejects_trivial_truncation():
-    with pytest.raises(ValueError):
-        ladder_ops(1)
-
-
-# ---------------------------------------------------------------- quadrature
-
-def test_quadrature_two_levels():
-    r = 1.0 / math.sqrt(2.0)
-    assert np.allclose(quadrature(2), [[0.0, r], [r, 0.0]], atol=1e-15)
-
-
-def test_quadrature_vacuum_variance():
-    q = quadrature(4)
-    assert (q @ q)[0, 0] == pytest.approx(0.5, abs=1e-14)
-
-
-def test_quadrature_squared_even_block():
-    q2 = quadrature(4) @ quadrature(4)
-    block = q2[np.ix_([0, 2], [0, 2])]
-    r = math.sqrt(2.0) / 2.0
-    assert np.allclose(block, [[0.5, r], [r, 2.5]], atol=1e-14)
-
-
-def test_quadrature_hermitian():
-    q = quadrature(8)
-    assert np.allclose(q, q.T.conj(), atol=1e-15)
-
-
-# ---------------------------------------------------------------- embedding
-
-def test_embed_identity():
-    p = bench(n_max=2)
-    assert np.allclose(embed(np.eye(2), 0, p), np.eye(4), atol=1e-15)
-
-
-def test_embed_mode_zero_is_slow_index():
-    p = bench(n_max=2)
-    n = number_op(2)
-    assert np.allclose(np.diag(embed(n, 0, p)), [0.0, 0.0, 1.0, 1.0], atol=1e-15)
-    assert np.allclose(np.diag(embed(n, 1, p)), [0.0, 1.0, 0.0, 1.0], atol=1e-15)
-
-
-def test_embed_rejects_out_of_range_mode():
-    p = bench(n_max=2)
-    with pytest.raises(ValueError):
-        embed(np.eye(2), 2, p)
 
 
 # ---------------------------------------------------------------- free Hamiltonian
@@ -311,13 +232,13 @@ def test_exact_spectrum_rejects_non_square(H):
 def test_exact_spectrum_rejects_non_finite(bad):
     H = build_H(bench(lam=6.0, n_max=4))
     H[0, 1] = H[1, 0] = bad
-    with pytest.raises(ValueError, match="finite entries"):
+    with pytest.raises(ValueError, match="^H has NaN or inf entries$"):
         exact_spectrum(H)
 
 
 def test_mass_gap_rejects_coupling_that_overflows_H():
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="finite entries"):
+        with pytest.raises(ValueError, match="^H has NaN or inf entries$"):
             # sum_x phi^4 / 24 has entries above 1 at n_max=8, so lambda B overflows
             mass_gap(bench(lam=1e308, n_max=8))
 
@@ -378,7 +299,7 @@ def test_sector_spectrum_matches_dense_with_one_state_sectors(L, n_max):
         assert spec.gap == pytest.approx(dense[1] - dense[0], abs=1e-10)
 
 
-@pytest.mark.parametrize("entry, match", [(math.nan, "finite entries"), (1j, "Hermitian")])
+@pytest.mark.parametrize("entry, match", [(math.nan, "^H has NaN or inf entries$"), (1j, "Hermitian")])
 def test_sector_spectrum_checks_one_state_blocks(monkeypatch, entry, match):
     monkeypatch.setattr(fock_space, "build_H", lambda params, sector=None: np.array([[entry]]))
     with pytest.raises(ValueError, match=match):
@@ -768,6 +689,26 @@ def test_critical_exponent_fit_rejects_bad_points(point, message):
     points[3] = point  # in place of (7.0, 0.6)
     with pytest.raises(ValueError, match=message):
         critical_exponent_fit(points, window=6)
+
+
+@pytest.mark.parametrize("point, message", [
+    (("7.0", 0.6), r"^coupling must be finite, got '7\.0'$"),
+    ((7.0, "0.6"), r"^gap at coupling 7\.0 must be finite, got '0\.6'$"),
+    ((10**400, 0.6), r"^coupling must be finite, got 1000"),
+], ids=["string-coupling", "string-gap", "int-beyond-float"])
+def test_critical_exponent_fit_rejects_points_that_are_not_real_numbers(point, message):
+    # these used to end in a TypeError or an OverflowError from math.isfinite
+    points = list(LINEAR_POINTS)
+    points[3] = point
+    with pytest.raises(ValueError, match=message):
+        critical_exponent_fit(points, window=6)
+
+
+@pytest.mark.parametrize("target", ["1.0", 10**400, None], ids=["string", "int-beyond-float", "none"])
+def test_solve_counterterm_rejects_a_target_that_is_not_a_real_number(target):
+    # these used to end in a TypeError or an OverflowError from math.isfinite
+    with pytest.raises(ValueError, match=r"^target_m_sq must be a finite number > 0, got"):
+        solve_counterterm(bench(lam=6.0, n_max=4), target_m_sq=target)
 
 
 def test_critical_exponent_fit_still_drops_non_positive_gaps():

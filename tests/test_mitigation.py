@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phi4vqe.circuit_sim import (
+    Circuit,
     NoiseModel,
     ansatz_entangled,
     apply_circuit,
@@ -140,14 +141,14 @@ def test_ro_correct_at_zero_rates_is_the_raw_estimator_bit_for_bit(batch, shots,
                           counts_expectation(tallies, TWO_QUBIT_WORDS))
 
 
-@pytest.mark.parametrize("weights,words", [
-    ([[0.5, 0.5]], ("ZZ",)),
-    ([[0.5, 0.5, 0.0, 0.0]], ("ZZ", "XX")),
-    ([[0.5, 0.5, 0.0, 0.0]], ("Z",)),
+@pytest.mark.parametrize("weights,words,match", [
+    ([[0.5, 0.5]], ("ZZ",), "do not match"),
+    ([[0.5, 0.5, 0.0, 0.0]], ("ZZ", "XX"), "do not match"),
+    ([[0.5, 0.5, 0.0, 0.0]], ("Z",), "^word 'Z' is not a Pauli word on 2 qubits$"),
 ], ids=["outcomes", "rows", "word-length"])
-def test_ro_correct_rejects_weight_shape_mismatch(weights, words):
+def test_ro_correct_rejects_weight_shape_mismatch(weights, words, match):
     cal = ReadoutCalibration(rates=((0.01, 0.02),) * 2)
-    with pytest.raises(ValueError, match="do not match"):
+    with pytest.raises(ValueError, match=match):
         ro_correct(weights, words, cal)
 
 
@@ -164,7 +165,7 @@ def test_ro_correct_rejects_negative_or_non_finite_weights(weights):
 def test_ro_correct_rejects_labels_outside_ixyz(words, bad):
     # an unknown label used to be read as Z
     cal = ReadoutCalibration(rates=((0.02, 0.03), (0.01, 0.04)))
-    with pytest.raises(ValueError, match=f"word '{bad}' has a label outside IXYZ"):
+    with pytest.raises(ValueError, match=f"^word '{bad}' is not a Pauli word on 2 qubits$"):
         ro_correct([[10, 0, 0, 0]] * len(words), words, cal)
 
 
@@ -275,6 +276,21 @@ def test_tomography_rejects_an_empty_calibration_list(record_draws):
     calls = record_draws(noise)
     with pytest.raises(ValueError, match="at least one readout calibration in cals"):
         tomography_2q_detail(ansatz_entangled(0.1, 0.2, 0.3), noise, 64)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cals,match", [
+    (((0, 0), (0, 0)), r"^cals\[0\] must be a ReadoutCalibration on 2 qubits, got \(0, 0\)$"),
+    ((ZERO_RATES, ReadoutCalibration(((0.0, 0.0),) * 3)),
+     r"^cals\[1\] must be a ReadoutCalibration on 2 qubits, got ReadoutCalibration\("),
+], ids=["tuples", "three-qubit"])
+def test_tomography_rejects_calibrations_that_are_not_two_qubit_readout_records(record_draws, cals, match):
+    # a tuple used to end in an AttributeError on .rates, and a 3-qubit record in a
+    # message about weight shapes
+    noise = NoiseModel.uniform(2, readout=0.03)
+    calls = record_draws(noise)
+    with pytest.raises(ValueError, match=match):
+        tomography_2q_detail(ansatz_entangled(0.1, 0.2, 0.3), noise, 10, *cals)
     assert calls == []
 
 
@@ -537,6 +553,35 @@ def test_mcweeny_input_validation():
         mcweeny_purify(bad)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"eps_n": math.nan}, r"^eps_n must be a finite number > 0, got nan$"),
+    ({"eps_n": math.inf}, r"^eps_n must be a finite number > 0, got inf$"),
+    ({"eps_n": -1.0}, r"^eps_n must be a finite number > 0, got -1\.0$"),
+    ({"eps_n": 0.0}, r"^eps_n must be a finite number > 0, got 0\.0$"),
+    ({"eps_n": "1e-4"}, r"^eps_n must be a finite number > 0, got '1e-4'$"),
+    ({"max_iter": -1}, r"^max_iter must be an integer >= 0, got -1$"),
+    ({"max_iter": 2.5}, r"^max_iter must be an integer >= 0, got 2\.5$"),
+    ({"max_iter": True}, r"^max_iter must be an integer >= 0, got True$"),
+], ids=["nan-eps", "inf-eps", "negative-eps", "zero-eps", "string-eps", "negative-iter",
+        "float-iter", "bool-iter"])
+def test_purifiers_reject_stopping_arguments_out_of_range(kwargs, match):
+    # NaN and negative eps_n used to run silently and report converged=False, a
+    # negative max_iter took no step, and a float one raised a TypeError from range()
+    rho = np.diag([0.9, 0.1])
+    with pytest.raises(ValueError, match=match):
+        mcweeny_purify(rho, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        _purify(rho[None], **kwargs)
+
+
+def test_purifiers_accept_zero_steps_and_tiny_tolerances():
+    rho = np.diag([0.9, 0.1])
+    out, report = mcweeny_purify(rho, max_iter=0)
+    assert report.iterations == 0 and not report.converged and np.array_equal(out, rho)
+    out, report = mcweeny_purify(rho, eps_n=1e-300, max_iter=np.int64(3))
+    assert report.iterations == 3
+
+
 def test_mcweeny_purify_takes_one_matrix_not_a_stack():
     with pytest.raises(ValueError, match=r"takes one \(d, d\) density matrix, got shape \(1, 4, 4\)"):
         mcweeny_purify(np.eye(4)[None] / 4.0)
@@ -578,19 +623,44 @@ def test_energy_from_state_rejects_non_finite_entries(bad, shape):
         energy_from_state(rho, H)
 
 
-@pytest.mark.parametrize("matrix", [np.array([["a", "b"], ["c", "d"]]), np.array([[1, None], [None, 1]])],
-                         ids=["strings", "objects"])
-@pytest.mark.parametrize("take", [
-    encode_matrix,
-    mcweeny_purify,
-    lambda rho: energy_from_state(rho, PauliSum(((1.0, "Z"),), 1)),
-    exact_spectrum,
-    lambda M: sector_blocks(M, 1, 2),
-], ids=["encode_matrix", "mcweeny_purify", "energy_from_state", "exact_spectrum", "sector_blocks"])
-def test_non_numeric_arrays_are_rejected_at_each_boundary(take, matrix):
-    # such arrays used to end in a TypeError from np.isfinite
-    with pytest.raises(ValueError, match=f"entries must be numbers, got dtype {matrix.dtype}$"):
-        take(matrix)
+_Z = PauliSum(((1.0, "Z"),), 1)
+# every array boundary: the call, the name its messages give the array, and a valid shape
+ARRAY_BOUNDARIES = {
+    "encode_matrix": (encode_matrix, "matrix", (2, 2)),
+    "mcweeny_purify": (mcweeny_purify, "density matrix", (2, 2)),
+    "energy_from_state": (lambda rho: energy_from_state(rho, _Z), "density matrix", (2, 2)),
+    "exact_spectrum": (exact_spectrum, "H", (2, 2)),
+    "sector_blocks": (lambda M: sector_blocks(M, 1, 2), "H", (2, 2)),
+    "expectation_exact": (lambda state: expectation_exact(state, _Z), "state", (2,)),
+    "PauliSum": (lambda coeffs: PauliSum(tuple(zip(coeffs, ("I", "Z"))), 1), "coefficient array", (2,)),
+    "Circuit": (lambda angles: Circuit(1, tuple(("ry", 0, a) for a in angles)), "angle array", (2,)),
+    "apply_circuit": (lambda state: apply_circuit(Circuit(1, ()), state), "state", (2,)),
+    "measure_pauli": (lambda state: measure_pauli(state, ("Z",), 16, NoiseModel.noiseless(1)),
+                      "state", (2,)),
+    "measure_pauli_density": (lambda rho: measure_pauli_density(rho, ("Z",), 16, NoiseModel.noiseless(1)),
+                              "density matrix", (2, 2)),
+}
+# these read a NaN array in a check of their own that combines rules
+NAN_MESSAGES = {
+    "apply_circuit": "^initial state must be finite and not the zero vector$",
+    "measure_pauli": "^the Born rows of the state are non-finite or lack a positive total$",
+    "measure_pauli_density": "^the Born rows of the state are non-finite or lack a positive total$",
+}
+
+
+@pytest.mark.parametrize("kind", ["strings", "objects", "nan"])
+@pytest.mark.parametrize("boundary", list(ARRAY_BOUNDARIES))
+def test_non_numeric_arrays_are_rejected_at_each_boundary(boundary, kind):
+    # string and object arrays used to end in a TypeError from np.isfinite, and NaN
+    # coefficients of a PauliSum in a NaN energy
+    take, name, shape = ARRAY_BOUNDARIES[boundary]
+    if kind == "nan":
+        array, match = np.full(shape, np.nan), NAN_MESSAGES.get(boundary, f"^{name} has NaN or inf entries$")
+    else:
+        array = np.full(shape, "a") if kind == "strings" else np.full(shape, None, dtype=object)
+        match = f"^{name} entries must be numbers, got dtype {array.dtype}$"
+    with pytest.raises(ValueError, match=match):
+        take(array)
 
 
 _PSI = apply_circuit(ansatz_entangled(0.3, -0.5, 0.8), zero_state(2))

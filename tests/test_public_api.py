@@ -29,3 +29,18 @@ def test_every_package_reexport_is_public_in_its_module():
             stale += [f"{node.module}.{alias.name}" for alias in node.names
                       if alias.name not in module.__all__]
     assert stale == []
+
+
+# the boundary messages every module shares, and the phrasings they replaced
+SHARED_STEMS = ("entries must be numbers, got dtype", "has NaN or inf entries", "is not a Pauli word")
+RETIRED_STEMS = ("got NaN or inf", "requires finite entries", "invalid Pauli word",
+                 "has a label outside IXYZ")
+
+
+def test_each_shared_boundary_message_is_written_in_one_module():
+    sources = {path.name: path.read_text() for path in Path(phi4vqe.__file__).parent.glob("*.py")}
+    homes = {stem: sorted(name for name, text in sources.items() if stem in text)
+             for stem in SHARED_STEMS + RETIRED_STEMS}
+    assert homes == {**{stem: [] for stem in RETIRED_STEMS},
+                     SHARED_STEMS[0]: ["lattice_model.py"], SHARED_STEMS[1]: ["lattice_model.py"],
+                     SHARED_STEMS[2]: ["qubit_encoding.py"]}

@@ -89,7 +89,7 @@ def test_encode_hermitian_gives_real_coefficients():
 def test_encode_rejects_non_finite_entries(bad):
     M = np.eye(4)
     M[1, 2] = bad
-    with pytest.raises(ValueError, match="^matrix entries must be finite, got NaN or inf$"):
+    with pytest.raises(ValueError, match="^matrix has NaN or inf entries$"):
         encode_matrix(M)
 
 
@@ -135,6 +135,30 @@ def test_pauli_sum_rejects_duplicate_words():
 def test_pauli_sum_rejects_mixed_lengths():
     with pytest.raises(ValueError):
         PauliSum(terms=((1.0, "ZI"), (2.0, "Z")), qubit_count=2)
+
+
+@pytest.mark.parametrize("terms,qubit_count,match", [
+    (((float("nan"), "Z"),), 1, r"^coefficient array has NaN or inf entries$"),
+    (((1.0, "I"), (complex(0.0, np.inf), "Z")), 1, r"^coefficient array has NaN or inf entries$"),
+    ((("1.0", "Z"),), 1, r"^coefficient array entries must be numbers, got dtype <U3$"),
+    ((), 0, r"^qubit_count must be an integer >= 1, got 0$"),
+    ((), 1.5, r"^qubit_count must be an integer >= 1, got 1\.5$"),
+    ((), True, r"^qubit_count must be an integer >= 1, got True$"),
+    (((1.0, "ZQ"),), 2, r"^word 'ZQ' is not a Pauli word on 2 qubits$"),
+    (((1.0, 3),), 1, r"^word 3 is not a Pauli word on 1 qubits$"),
+], ids=["nan", "complex-inf", "string", "zero-qubits", "float-qubits", "bool-qubits",
+        "label", "not-a-string"])
+def test_pauli_sum_rejects_bad_coefficients_counts_and_words(terms, qubit_count, match):
+    # a NaN coefficient used to give NaN energies without an error, a string one a
+    # UFuncTypeError, and qubit counts 0 and 1.5 were accepted
+    with pytest.raises(ValueError, match=match):
+        PauliSum(terms, qubit_count)
+
+
+@pytest.mark.parametrize("word", ["", "ZQ", "zz", 3, None])
+def test_pauli_word_matrix_rejects_what_is_not_a_pauli_word(word):
+    with pytest.raises(ValueError, match=rf"^word {re.escape(repr(word))} is not a Pauli word$"):
+        pauli_word_matrix(word)
 
 
 def test_pauli_sum_coefficient_lookup():
