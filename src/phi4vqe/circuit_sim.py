@@ -365,12 +365,12 @@ def _word_values(weights, words, rates: tuple[tuple[float, float], ...]) -> np.n
     len(rates) >= 1 qubits, laid out as a measurement's tallies.
     """
     n, words = len(rates), _pauli_words(words, len(rates))
-    weights = np.asarray(weights, dtype=float)
+    weights = _numeric(weights, "outcome weights", finite=False)
     if n < 1 or weights.shape[-2:] != (len(words), 2**n):
         raise ValueError(f"weights of shape {weights.shape} do not match "
                          f"{len(words)} words on {n} qubits")
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        raise ValueError("outcome weights must be finite and >= 0")
+    if weights.dtype.kind == "c" or not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError("outcome weights must be real, finite and >= 0")
     total = weights.sum(axis=-1)
     if (total <= 0).any():
         raise ValueError("empty counts")

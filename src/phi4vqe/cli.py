@@ -33,6 +33,8 @@ from .fock_space import (
 )
 from .lattice_model import (
     ModelParams,
+    _int_in,
+    _real,
     counterterm_continuum,
     counterterm_first_order,
 )
@@ -113,32 +115,26 @@ class ListOf(NamedTuple):
     scalar_ok: bool = False  # a bare item stands for the one-item list
 
 
-def _is_num(x) -> bool:
-    # rejects NaN, inf and ints too large for a float (math.isfinite raises on those)
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
 def _rule(predicate, message: str):
     return lambda value: None if predicate(value) else message
 
 
 def _int_from(low: int, high: float = math.inf):
     bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and low <= v <= high,
-                 f"must be an integer {bound}")
+    return _rule(lambda v: _int_in(v, low, high + 1), f"must be an integer {bound}")
 
 
 def _in_range(low: float, high: float):
-    return _rule(lambda v: _is_num(v) and low <= v < high, f"must be a number in [{low}, {high})")
+    return _rule(lambda v: _real(v) and low <= v < high, f"must be a number in [{low}, {high})")
 
 
 def _one_of(*names: str):
     return _rule(lambda v: v in names, "must be one of " + ", ".join(names))
 
 
-NUMBER = _rule(_is_num, "must be a number")
-POSITIVE = _rule(lambda v: _is_num(v) and v > 0, "must be a number > 0")
-COUPLINGS = ListOf(_rule(lambda v: _is_num(v) and v >= 0, "coupling must be a number >= 0"))
+NUMBER = _rule(_real, "must be a number")
+POSITIVE = _rule(lambda v: _real(v) and v > 0, "must be a number > 0")
+COUPLINGS = ListOf(_rule(lambda v: _real(v) and v >= 0, "coupling must be a number >= 0"))
 BOOL = _rule(lambda v: isinstance(v, bool), "must be true or false")
 SITES = _int_from(1)
 N_MAX = _int_from(2)

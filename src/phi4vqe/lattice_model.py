@@ -33,6 +33,8 @@ __all__ = [
 
 def _real(value) -> bool:
     """A finite real number that is not a bool: numpy floats and integers count."""
+    if isinstance(value, np.floating):  # a float64 bound: a float16 or float32 is promoted, not cast down
+        return bool(abs(value) <= np.finfo(np.float64).max)
     # abs() <= max is False for NaN and inf, and compares ints too large for a float exactly
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)

@@ -2,7 +2,8 @@
 
 Conventions fixed project-wide: qubit 0 is the leftmost label of a Pauli word
 and the most significant bit of a basis index; mode 0 (the k = 0 momentum) is
-the slowest tensor index, so its occupancy bits are the leading qubits.
+the slowest tensor index, so its occupancy bits are the leading qubits. A Pauli
+word is read by index as a signed permutation: no word matrix is built or cached.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .fock_space import sector_blocks
 from .lattice_model import ModelParams, _int_in, _numeric
 
 __all__ = [
-    "PAULI",
     "PauliSum",
     "SectorHamiltonian",
     "encode_matrix",
@@ -26,24 +26,19 @@ __all__ = [
     "parity_blocks",
 ]
 
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Coefficients below this are numerical dust and dropped from sums.
 COEFF_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
-def _word_matrix(word: str) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for label in word:
-        out = np.kron(out, PAULI[label])
-    out.setflags(write=False)
-    return out
+def _word_entries(word: str) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of a Pauli word: its one nonzero entry in column r sits at
+    row rows[r] = r ^ x and reads values[r] = i^(number of Y) (-1)^|r & z|, where
+    the bits of x mark the qubits reading X or Y and those of z the qubits reading Z or Y."""
+    x = int(word.translate(str.maketrans("IXYZ", "0110")), 2)
+    z = int(word.translate(str.maketrans("IXYZ", "0011")), 2)
+    r = np.arange(2 ** len(word))
+    bits = ((r & z)[:, None] >> np.arange(len(word))) & 1  # the bits of r & z, a row per r
+    return r ^ x, 1j ** word.count("Y") * np.where(bits.sum(axis=1) & 1, -1, 1)
 
 
 def _pauli_words(words, n: int | None) -> tuple[str, ...]:
@@ -61,7 +56,10 @@ def _pauli_words(words, n: int | None) -> tuple[str, ...]:
 def pauli_word_matrix(word: str) -> np.ndarray:
     """Dense matrix of a Pauli word such as "ZIX" (qubit 0 leftmost)."""
     (word,) = _pauli_words((word,), None)
-    return _word_matrix(word)
+    rows, values = _word_entries(word)
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
+    out[rows, np.arange(len(rows))] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,10 @@ class PauliSum:
     @cached_property
     def _matrix(self) -> np.ndarray:
         dim = 2**self.qubit_count
-        out = np.zeros((dim, dim), dtype=complex)
+        out, cols = np.zeros((dim, dim), dtype=complex), np.arange(dim)
         for coeff, word in self.terms:
-            out += coeff * _word_matrix(word)
+            rows, values = _word_entries(word)
+            out[rows, cols] += coeff * values
         out.setflags(write=False)
         return out
 
@@ -120,11 +119,12 @@ def encode_matrix(M: np.ndarray) -> PauliSum:
     n = int(math.log2(dim))
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    terms = []
+    terms, cols = [], np.arange(dim)
     for labels in itertools.product("IXYZ", repeat=n):
         word = "".join(labels)
-        # Tr(W M) without the matmul: sum over element-wise product
-        coeff = complex(np.sum(_word_matrix(word).T * M)) / dim
+        # Tr(W M) = sum_r W[rows[r], r] M[r, rows[r]], one entry per column of W
+        rows, values = _word_entries(word)
+        coeff = complex(np.sum(values * M[cols, rows])) / dim
         if abs(coeff) < COEFF_TOL:
             continue
         if abs(coeff.imag) < COEFF_TOL:

@@ -56,6 +56,23 @@ def _dense_parts(L, m_sq, n_max):
     return H0, C[0] / 2.0, sum(C[q] @ C[-q % L] for q in range(L)) / (24.0 * L)
 
 
+PAULI_LETTERS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_word(word: str) -> np.ndarray:
+    """Dense matrix of a Pauli word as the Kronecker product of its 2 x 2 letters, qubit 0
+    leftmost: the oracle of the signed-permutation form in qubit_encoding."""
+    out = np.ones((1, 1), dtype=complex)
+    for label in word:
+        out = np.kron(out, PAULI_LETTERS[label])
+    return out
+
+
 @pytest.fixture(scope="session")
 def dense_parts():
     """_dense_parts, the dense Kronecker oracle of (H0, A, B)."""

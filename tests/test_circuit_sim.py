@@ -491,9 +491,12 @@ def test_measurement_tallies_are_integer_rows_of_the_shot_count(data, n, batch, 
     ([[3, 1]], ("ZZ",), "do not match"),
     ([[3, 1]], ("Z", "X"), "do not match"),
     ([[3, -1]], ("Z",), "finite and >= 0"),
-], ids=["all-zero-row", "word-length", "rows", "negative"])
+    ([["3", "1"]], ("Z",), r"^outcome weights entries must be numbers, got dtype <U1$"),
+    ([[3 + 0j, 1]], ("Z",), r"^outcome weights must be real, finite and >= 0$"),
+], ids=["all-zero-row", "word-length", "rows", "negative", "string", "complex"])
 def test_counts_expectation_rejects_tallies_that_do_not_fit(tallies, words, match):
-    # an all-zero row used to give NaN with a RuntimeWarning
+    # an all-zero row used to give NaN with a RuntimeWarning, string tallies were parsed
+    # and a complex array lost its imaginary part
     with pytest.raises(ValueError, match=match):
         counts_expectation(np.array(tallies), words)
 

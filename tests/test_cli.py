@@ -611,6 +611,19 @@ BAD_FIELDS = [
 ]
 
 
+def test_check_config_reads_numpy_numbers_like_python_numbers():
+    # a numpy integer used to fail every integer field while a numpy float passed as a number;
+    # JSON configs hold neither, so CLI runs read the same
+    cfg = vqe_cfg(seed=np.uint32(3), lambda_grid=[np.float64(6.0), np.int64(2)],
+                  backend={"kind": "sampled", "shots": np.int64(2**63 - 1)})
+    cfg["model"].update(L=np.int64(2), n_max=np.int32(4), m_sq=np.float32(1.0))
+    assert check_config("vqe", cfg)[1] == []
+    shots = "backend.shots: must be an integer in [1, 9223372036854775807]"
+    for bad in (np.int64(0), np.float64(64.0), np.bool_(True), 2**63):
+        cfg["backend"]["shots"] = bad
+        assert check_config("vqe", cfg)[1] == [shots], bad
+
+
 def _set_path(cfg, dotted, value):
     *parents, last = dotted.split(".")
     for key in parents:

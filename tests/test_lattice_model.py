@@ -241,6 +241,17 @@ def test_model_params_accepts_numpy_integer_sizes():
     assert (p.L, p.n_max) == (2, 4)
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+def test_model_params_read_numpy_floats_of_any_width(dtype):
+    # a float16 or float32 mass used to warn "overflow encountered in cast"
+    p = ModelParams(L=2, m_sq=dtype(1.0), delta_m=dtype(-2.5), lam=dtype(6.0), n_max=4)
+    assert (p.m_sq, p.delta_m, p.lam) == (1.0, -2.5, 6.0)
+    # 1e400 is inf in the narrow types but finite in an x86-64 long double
+    for lam in (dtype("inf"), dtype("1e400")):
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            ModelParams(L=2, m_sq=1.0, delta_m=0.0, lam=lam, n_max=4)
+
+
 def test_model_params_with_delta_updates_bare_mass():
     p = params(L=2, m_sq=1.0, delta_m=0.0, lam=6.0)
     q = p.with_delta(-2.5)

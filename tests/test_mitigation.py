@@ -160,6 +160,19 @@ def test_ro_correct_rejects_negative_or_non_finite_weights(weights):
         ro_correct([weights], ("Z",), cal)
 
 
+def test_ro_correct_rejects_string_weights():
+    # the strings used to be parsed, giving [0.5]
+    with pytest.raises(ValueError, match=r"^outcome weights entries must be numbers, got dtype <U1$"):
+        ro_correct([["3", "1"]], ("Z",), ReadoutCalibration(((0.0, 0.0),)))
+
+
+@pytest.mark.parametrize("weights", [[[3 + 1j, 1]], np.array([[3 + 0j, 1]])], ids=["list", "array"])
+def test_ro_correct_rejects_complex_weights(weights):
+    # a list used to end in TypeError, and an array had its imaginary part dropped
+    with pytest.raises(ValueError, match=r"^outcome weights must be real, finite and >= 0$"):
+        ro_correct(weights, ("Z",), ReadoutCalibration(((0.0, 0.0),)))
+
+
 @pytest.mark.parametrize("words,bad", [(("QQ",), "QQ"), (("ZZ", "ZQ"), "ZQ"), (("zz",), "zz")],
                          ids=["QQ", "second-word", "lower-case"])
 def test_ro_correct_rejects_labels_outside_ixyz(words, bad):

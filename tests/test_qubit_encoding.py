@@ -1,13 +1,18 @@
+import functools
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import kron_word
 from phi4vqe.lattice_model import ModelParams
 from phi4vqe.fock_space import build_H, exact_spectrum, sector_indices
 from phi4vqe.qubit_encoding import (
+    COEFF_TOL,
     PauliSum,
     encode_matrix,
     parity_blocks,
@@ -33,6 +38,12 @@ def test_pauli_word_leftmost_label_is_slow_index():
     # qubit 0 is the leftmost letter, i.e. the most significant bit
     ZI = pauli_word_matrix("ZI")
     assert np.allclose(np.diag(ZI), [1.0, 1.0, -1.0, -1.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(word=st.text("IXYZ", min_size=1, max_size=4))
+def test_pauli_word_matrix_is_the_kronecker_product(word):
+    assert np.array_equal(pauli_word_matrix(word), kron_word(word))
 
 
 def test_pauli_word_rejects_bad_labels():
@@ -76,6 +87,63 @@ def test_encode_round_trips_any_complex_matrix(n_qubits, data):
     M = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(dim, dim)
     # coefficients below COEFF_TOL are dropped, at most 4^n of them
     assert np.max(np.abs(encode_matrix(M).to_matrix() - M)) < 1e-10
+
+
+@functools.cache
+def kron_words(n_qubits):
+    """Every Pauli word on n qubits and its Kronecker matrix, built once per size (16 MB at 5)."""
+    return {"".join(w): kron_word("".join(w)) for w in itertools.product("IXYZ", repeat=n_qubits)}
+
+
+def kron_encoding(M, words):
+    """(word, coefficient) pairs of M by the dense formula c_w = sum(w.T * M) / 2^n over
+    the Kronecker word matrices ``words`` (in encode_matrix's word order), with its dust rule."""
+    terms = []
+    for word, W in words.items():
+        coeff = complex(np.sum(W.T * M)) / len(M)
+        if abs(coeff) >= COEFF_TOL:
+            terms.append((word, complex(coeff.real, 0.0) if abs(coeff.imag) < COEFF_TOL else coeff))
+    return terms
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_encode_matches_the_kronecker_oracle(n_qubits, data):
+    dim = 2**n_qubits
+    parts = [data.draw(arrays(np.float64, (dim, dim), elements=st.floats(-10.0, 10.0)))
+             for _ in range(2)]
+    M = parts[0] + 1j * parts[1]
+    words = kron_words(n_qubits)
+    encoded = encode_matrix(M)
+    expected = kron_encoding(M, words)
+    got = [(word, coeff) for coeff, word in encoded.terms]
+    if n_qubits <= 3:
+        # the one entry per column sums in the dense formula's pairwise order
+        assert got == expected
+    else:
+        # np.sum runs over the 2^n entries instead of 4^n mostly-zero products
+        assert [w for w, _ in got] == [w for w, _ in expected]
+        error = np.abs([a - b for (_, a), (_, b) in zip(got, expected)])
+        assert (error <= 1e-12 * np.max(np.abs(M))).all()
+    summed = np.zeros((dim, dim), dtype=complex)
+    for coeff, word in encoded.terms:
+        summed += coeff * words[word]
+    assert np.array_equal(encoded.to_matrix(), summed)
+
+
+def test_encoding_six_qubits_holds_no_word_matrices():
+    # a cache of all 4^6 dense word matrices used to hold about 290 MB
+    rng = np.random.default_rng(6)
+    M = rng.normal(size=(64, 64))
+    M = (M + M.T) / 2.0
+    tracemalloc.start()
+    try:
+        assert np.max(np.abs(encode_matrix(M).to_matrix() - M)) < 1e-12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_encode_hermitian_gives_real_coefficients():
