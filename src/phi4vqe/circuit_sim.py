@@ -77,6 +77,11 @@ def _is_seed(seed) -> bool:
     return _int_in(seed, 0)
 
 
+def _check_seed(seed) -> None:
+    if not _is_seed(seed):
+        raise ValueError(f"seed must be an integer >= 0 or a sequence of such seeds, got {seed!r}")
+
+
 def _check_shots(name: str, shots) -> None:
     """Reject a shot count outside [1, 2**63 - 1], the counts a multinomial draw accepts."""
     if not _int_in(shots, 1, 2**63):
@@ -154,7 +159,7 @@ class ReadoutCalibration:
         object.__setattr__(self, "rates", tuple(rates))
 
     @classmethod
-    def from_noise_model(cls, noise: NoiseModel, shots: int = 100_000) -> "ReadoutCalibration":
+    def from_noise_model(cls, noise: NoiseModel, shots: int) -> "ReadoutCalibration":
         """Sampled estimate of the noise model's channel: per qubit q, ``shots`` reads of
         |0...0> give p(1|0) and then ``shots`` reads with q flipped give p(0|1)."""
         n = noise.n_qubits
@@ -185,9 +190,7 @@ class NoiseModel:
             raise ValueError(f"readout must be a ReadoutCalibration, got {self.readout!r}")
         if not (_real(self.p_dep) and 0 <= self.p_dep < 1):
             raise ValueError(f"p_dep must be a number in [0, 1), got {self.p_dep!r}")
-        if not _is_seed(self.seed):
-            raise ValueError(f"seed must be an integer >= 0 or a sequence of such seeds, "
-                             f"got {self.seed!r}")
+        _check_seed(self.seed)
         self.rng = np.random.default_rng(self.seed)
 
     @property
@@ -195,13 +198,9 @@ class NoiseModel:
         return len(self.readout.rates)
 
     @classmethod
-    def noiseless(cls, n_qubits: int, seed: int = 0) -> "NoiseModel":
-        return cls.uniform(n_qubits, seed=seed)
-
-    @classmethod
     def uniform(cls, n_qubits: int, readout: float = 0.0, p_dep: float = 0.0,
                 seed: int = 0) -> "NoiseModel":
-        """Same symmetric readout rate on every qubit."""
+        """Same symmetric readout rate on every qubit; the defaults give a noiseless model."""
         if not _int_in(n_qubits, 1):
             raise ValueError(f"n_qubits must be an integer >= 1, got {n_qubits!r}")
         return cls(ReadoutCalibration(((readout, readout),) * n_qubits), p_dep=p_dep, seed=seed)

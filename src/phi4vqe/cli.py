@@ -149,14 +149,14 @@ MODEL = {
 RATES = Field(ListOf(_in_range(0, 1), length=2), OPTIONAL)
 BACKEND = {
     "kind": _one_of(*BACKEND_KINDS),
-    "shots": Field(SHOTS, 8192),
-    "calibration_shots": Field(SHOTS, 100_000),
+    "shots": Field(SHOTS, BackendSpec.shots),
+    "calibration_shots": Field(SHOTS, BackendSpec.calibration_shots),
     "p_dep": Field(_in_range(0, 1), 0.02),
     "readout": Field(_in_range(0, 0.5), 0.03),
     "readout_p10": RATES,
     "readout_p01": RATES,
-    "readout_correction": Field(BOOL, True),
-    "purification": Field(BOOL, True),
+    "readout_correction": Field(BOOL, BackendSpec.readout_correction),
+    "purification": Field(BOOL, BackendSpec.purification),
 }
 COMMON = {
     "seed": Field(_int_from(0), 0),
@@ -295,22 +295,22 @@ def _model_params(model: dict, lam: float, n_max: int) -> ModelParams:
     if "m0_sq" in model:
         return ModelParams.from_bare(L=model["L"], m_sq=model["m_sq"],
                                      m0_sq=model["m0_sq"], lam=lam, n_max=n_max)
-    return ModelParams.from_counterterm(L=model["L"], m_sq=model["m_sq"],
-                                        delta_m=model["delta_m"], lam=lam, n_max=n_max)
+    return ModelParams(L=model["L"], m_sq=model["m_sq"], delta_m=model["delta_m"], lam=lam,
+                       n_max=n_max)
 
 
 def _backend_from_config(backend: dict) -> BackendSpec:
     if backend["kind"] == "exact":
-        return BackendSpec.exact()
+        return BackendSpec("exact")
     if backend["kind"] == "sampled":
         return BackendSpec.sampled(shots=backend["shots"])
     uniform = [backend["readout"]] * 2
     rates = zip(backend.get("readout_p01", uniform), backend.get("readout_p10", uniform))
     noise = NoiseModel(ReadoutCalibration(tuple(rates)), p_dep=backend["p_dep"])
-    return BackendSpec.noisy(noise, shots=backend["shots"],
-                             readout_correction=backend["readout_correction"],
-                             purification=backend["purification"],
-                             calibration_shots=backend["calibration_shots"])
+    return BackendSpec("noisy_mitigated", shots=backend["shots"], noise=noise,
+                       readout_correction=backend["readout_correction"],
+                       purification=backend["purification"],
+                       calibration_shots=backend["calibration_shots"])
 
 
 # ---------------------------------------------------------------- spectrum
@@ -356,8 +356,7 @@ def cmd_counterterm(cfg: dict, out_dir: Path, record: dict) -> None:
         def delta_curve(m_sq: float, L, lam: float) -> float:
             if L == "inf":
                 return counterterm_continuum(m_sq, lam)
-            params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0,
-                                                  lam=lam, n_max=2)
+            params = ModelParams(L=L, m_sq=m_sq, delta_m=0.0, lam=lam, n_max=2)
             return counterterm_first_order(params)
 
         header = ["lambda"] + [
@@ -372,9 +371,8 @@ def cmd_counterterm(cfg: dict, out_dir: Path, record: dict) -> None:
         lambda_values = [float(v) for v in roots_cfg["lambda_values"]]
         target = float(roots_cfg["target_m_sq"])
         halfwidth = float(roots_cfg["sweep_halfwidth"])
-        base = ModelParams.from_counterterm(L=roots_cfg["L"], m_sq=roots_cfg["m_sq"],
-                                            delta_m=0.0, lam=0.0,
-                                            n_max=roots_cfg["n_max"])
+        base = ModelParams(L=roots_cfg["L"], m_sq=roots_cfg["m_sq"], delta_m=0.0, lam=0.0,
+                           n_max=roots_cfg["n_max"])
 
         def solve_point(lam: float):
             params = base.with_lam(lam)
@@ -414,8 +412,8 @@ def cmd_counterterm(cfg: dict, out_dir: Path, record: dict) -> None:
 
 def cmd_critical(cfg: dict, out_dir: Path, record: dict) -> None:
     model = cfg["model"]
-    base = ModelParams.from_counterterm(L=model["L"], m_sq=model["m_sq"], delta_m=0.0,
-                                        lam=0.0, n_max=model["n_max"])
+    base = ModelParams(L=model["L"], m_sq=model["m_sq"], delta_m=0.0, lam=0.0,
+                       n_max=model["n_max"])
 
     if "curves" in cfg:
         lambda_grid = [float(v) for v in cfg["curves"]["lambda_grid"]]

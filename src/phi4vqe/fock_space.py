@@ -119,16 +119,15 @@ def sector_indices(L: int, n_max: int) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
-def sector_blocks(M: np.ndarray, L: int, n_max: int,
-                  name: str = "H") -> dict[tuple[int, int], np.ndarray]:
+def sector_blocks(M: np.ndarray, L: int, n_max: int) -> dict[tuple[int, int], np.ndarray]:
     """Read-only blocks M[sector, sector] per (Z2, P) sector, keyed in sector_indices order.
 
     Rows and columns follow sector_indices. Raises ValueError when M has a
     non-numeric, NaN or inf entry, is not n_max^L square, or has an entry above
     SECTOR_TOL between two sectors, so that the blocks hold the whole matrix;
-    name labels M in every message but the shape one.
+    the messages call M "H", the matrix parity_blocks passes.
     """
-    M = _numeric(M, name)
+    M = _numeric(M, "H")
     if M.shape != (n_max**L, n_max**L):
         raise ValueError(f"expected a {n_max**L} x {n_max**L} matrix for L={L}, "
                          f"n_max={n_max}, got shape {M.shape}")
@@ -138,7 +137,7 @@ def sector_blocks(M: np.ndarray, L: int, n_max: int,
         rest[np.ix_(indices, indices)] = 0.0
     leak = rest.max()
     if leak > SECTOR_TOL:
-        raise ValueError(f"{name} couples two (Z2, P) sectors (max |entry| = {leak:.3e})")
+        raise ValueError(f"H couples two (Z2, P) sectors (max |entry| = {leak:.3e})")
     blocks = {label: M[np.ix_(indices, indices)] for label, indices in sectors.items()}
     for block in blocks.values():
         block.setflags(write=False)
@@ -162,7 +161,7 @@ def _sector_parts(L: int, m_sq: float, n_max: int) -> dict[tuple[int, int], tupl
     OpenBLAS's dgemm fuses multiply-adds, so sums of separately rounded
     products differ from it in the last bit.
     """
-    params = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
+    params = ModelParams(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
     omega = momentum_grid(params).frequencies
     sectors = sector_indices(L, n_max)  # all 2L of them: n_max >= 2 fills each
     position = np.empty(n_max**L, dtype=np.intp)  # basis index -> row in its sector

@@ -61,8 +61,8 @@ class ModelParams:
     """Single source of truth for one physics configuration.
 
     The counter term ``delta_m`` is stored; the bare mass
-    ``m0_sq = m_sq + delta_m`` is derived from it. Use :meth:`from_bare` or
-    :meth:`from_counterterm` to supply either one.
+    ``m0_sq = m_sq + delta_m`` is derived from it. The constructor takes
+    ``delta_m``; :meth:`from_bare` takes ``m0_sq`` instead.
 
     ``lam`` may be negative at the library level (finite-difference probes of
     the renormalization condition evaluate the gap at lambda = +-epsilon); the
@@ -97,12 +97,6 @@ class ModelParams:
             raise ValueError(f"m0_sq must be finite and real, got {m0_sq!r}")
         # m_sq is checked before it enters the difference
         return cls(L=L, m_sq=m_sq, delta_m=0.0, lam=lam, n_max=n_max).with_delta(m0_sq - m_sq)
-
-    @classmethod
-    def from_counterterm(
-        cls, L: int, m_sq: float, delta_m: float, lam: float, n_max: int
-    ) -> "ModelParams":
-        return cls(L=L, m_sq=m_sq, delta_m=delta_m, lam=lam, n_max=n_max)
 
     def with_delta(self, delta_m: float) -> "ModelParams":
         """Same configuration with a new counter term (bare mass follows)."""

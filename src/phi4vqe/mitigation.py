@@ -25,7 +25,7 @@ from .circuit_sim import (
     measure_pauli_density,
     simulate_density,
 )
-from .lattice_model import _int_in, _numeric, _real
+from .lattice_model import _numeric
 from .qubit_encoding import PauliSum, pauli_word_matrix
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-8
+# purification stops once |Tr(rho^2) - 1| < PURIFY_TOL, or after PURIFY_MAX_ITER steps
+PURIFY_TOL = 1e-4
+PURIFY_MAX_ITER = 100
 # besides 1/2 itself, the two points that 3x^2 - 2x^3 maps onto 1/2: only
 # eigenvalues between them land on their own side of 1/2 (McWeeny, Rev. Mod.
 # Phys. 32, 335)
@@ -102,18 +105,13 @@ def _trace(rho: np.ndarray) -> np.ndarray:
     return rho.trace(axis1=-2, axis2=-1)
 
 
-def _purify(rho: np.ndarray, eps_n: float = 1e-4,
-            max_iter: int = 100) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _purify(rho: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """mcweeny_purify on a (k, d, d) stack: one eigh, w <- w^2 (3 - 2w) / sum on each
     row of eigenvalues until its own test holds, and one rebuild V diag(w) V^dagger.
 
     Returns the purified stack and the per-row arrays (iterations,
     initial_purity, final_purity, converged); _reports turns them into
     PurificationReports for a caller that keeps them."""
-    if not (_real(eps_n) and eps_n > 0):
-        raise ValueError(f"eps_n must be a finite number > 0, got {eps_n!r}")
-    if not _int_in(max_iter, 0):
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
         raise ValueError("density matrix must be square")
     _numeric(rho, "density matrix")
@@ -133,20 +131,20 @@ def _purify(rho: np.ndarray, eps_n: float = 1e-4,
     basin = (w[:, -1] >= 0.5) & (w[:, -1] < PURIFY_BASIN[1]) & (w[:, 0] > PURIFY_BASIN[0])
     iterations = np.zeros(len(w), dtype=int)
     # N = Tr(rho^2 - rho) = Tr(rho^2) - 1 at unit trace
-    going = basin & (np.abs(initial_purity - 1.0) >= eps_n)
-    for count in range(1, max_iter + 1):
+    going = basin & (np.abs(initial_purity - 1.0) >= PURIFY_TOL)
+    for count in range(1, PURIFY_MAX_ITER + 1):
         if not going.any():
             break
         part = w[going]
         part = part * part * (3.0 - 2.0 * part)
         part /= part.sum(axis=1, keepdims=True)
         w[going], iterations[going] = part, count
-        going[going] = np.abs((part * part).sum(axis=1) - 1.0) >= eps_n
+        going[going] = np.abs((part * part).sum(axis=1) - 1.0) >= PURIFY_TOL
     # flagged and 0-step matrices come back trace-normalized and otherwise unmodified
     stepped = iterations > 0
     rho[stepped] = (v[stepped] * w[stepped, None, :]) @ np.swapaxes(v[stepped].conj(), 1, 2)
     final_purity = (w * w).sum(axis=1)
-    converged = basin & (np.abs(final_purity - 1.0) < eps_n)
+    converged = basin & (np.abs(final_purity - 1.0) < PURIFY_TOL)
     return rho, (iterations, initial_purity, final_purity, converged)
 
 
@@ -158,25 +156,23 @@ def _reports(stats: tuple[np.ndarray, ...]) -> list[PurificationReport]:
             for i, p0, p1, ok in zip(*stats)]
 
 
-def mcweeny_purify(rho: np.ndarray, eps_n: float = 1e-4,
-                   max_iter: int = 100) -> tuple[np.ndarray, PurificationReport]:
+def mcweeny_purify(rho: np.ndarray) -> tuple[np.ndarray, PurificationReport]:
     """Drive a near-pure density matrix to the closest pure state.
 
     Iterates rho <- 3 rho^2 - 2 rho^3 with trace renormalization each step
-    until the non-idempotency N = Tr(rho^2 - rho) satisfies |N| < eps_n, at
-    most max_iter steps, computed in rho's eigenbasis (the map acts on eigenvalues alone).
+    until the non-idempotency N = Tr(rho^2 - rho) satisfies |N| < PURIFY_TOL, at
+    most PURIFY_MAX_ITER steps, computed in rho's eigenbasis (the map acts on eigenvalues alone).
     The polynomial maps eigenvalues in (1/2, PURIFY_BASIN[1]) toward 1 and
     those in (PURIFY_BASIN[0], 1/2) toward 0; outside that interval it sends
     an eigenvalue to the wrong side of 1/2 (a tomographic estimate need not
     be positive). An input whose dominant eigenvalue is below 1/2, or with
     any eigenvalue outside the interval, is flagged non-convergent and
-    returned unmodified (trace-normalized). eps_n must be a finite number > 0
-    and max_iter an integer >= 0.
+    returned unmodified (trace-normalized).
     """
     rho = np.asarray(rho)
     if rho.ndim != 2:
         raise ValueError(f"mcweeny_purify takes one (d, d) density matrix, got shape {rho.shape}")
-    purified, stats = _purify(rho[None], eps_n, max_iter)
+    purified, stats = _purify(rho[None])
     return purified[0], _reports(stats)[0]
 
 

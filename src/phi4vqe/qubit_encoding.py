@@ -97,6 +97,8 @@ class PauliSum:
         return out
 
     def coefficient(self, word: str) -> complex:
+        """The coefficient of a Pauli word on qubit_count qubits, 0.0 when the sum lacks it."""
+        (word,) = _pauli_words((word,), self.qubit_count)
         for coeff, w in self.terms:
             if w == word:
                 return coeff

@@ -24,6 +24,7 @@ from .circuit_sim import (
     Circuit,
     NoiseModel,
     ReadoutCalibration,
+    _check_seed,
     _check_shots,
     ansatz_entangled,
     ansatz_product,
@@ -84,7 +85,9 @@ _RAW = ReadoutCalibration(((0.0, 0.0),) * 2)
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """How objective values are produced: exact, shot-sampled, or noisy+mitigated."""
+    """How objective values are produced: BackendSpec("exact"), BackendSpec.sampled(shots,
+    seed) or BackendSpec("noisy_mitigated", noise=noise). The field defaults are the
+    program's one home of backend defaults; ``sampled`` and the CLI schema read them."""
 
     kind: str
     shots: int = 8192
@@ -113,19 +116,10 @@ class BackendSpec:
         _check_shots("calibration_shots", self.calibration_shots)
 
     @classmethod
-    def exact(cls) -> "BackendSpec":
-        return cls(kind="exact")
-
-    @classmethod
-    def sampled(cls, shots: int = 8192, seed: int = 0) -> "BackendSpec":
-        return cls(kind="sampled", shots=shots, noise=NoiseModel.noiseless(2, seed=seed))
-
-    @classmethod
-    def noisy(cls, noise: NoiseModel, shots: int = 8192, readout_correction: bool = True,
-              purification: bool = True, calibration_shots: int = 100_000) -> "BackendSpec":
-        return cls(kind="noisy_mitigated", shots=shots, noise=noise,
-                   readout_correction=readout_correction, purification=purification,
-                   calibration_shots=calibration_shots)
+    def sampled(cls, shots: int = shots, seed: int = 0) -> "BackendSpec":
+        """Ideal shot sampling: the noiseless noise model on two qubits, seeded; shots
+        defaults to the shots field's default."""
+        return cls(kind="sampled", shots=shots, noise=NoiseModel.uniform(2, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -310,10 +304,13 @@ def energy_objective(circuit: Circuit, sector: SectorHamiltonian, backend: Backe
 
 
 def _reseeded(backend: BackendSpec, seed) -> BackendSpec:
-    """Fresh copy whose noise stream starts from ``seed``; exact passes through."""
-    if backend.noise is None or seed is None:
+    """Fresh copy whose noise stream starts from ``seed``; exact passes through, its
+    seed checked all the same, so every backend rejects the same seeds."""
+    if seed is None:
         return backend
-    return dataclasses.replace(backend, noise=dataclasses.replace(backend.noise, seed=seed))
+    _check_seed(seed)
+    return backend if backend.noise is None else dataclasses.replace(
+        backend, noise=dataclasses.replace(backend.noise, seed=seed))
 
 
 def optimize(sector: SectorHamiltonian, ansatz: str, backend: BackendSpec,

@@ -46,7 +46,7 @@ def _dense_parts(L, m_sq, n_max):
     A = C_0 / 2 and B = sum_q C_q C_{-q} / (24 L), products of the truncated
     full-space matrices, so H = H0 + delta_m A + lambda B.
     """
-    p = ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
+    p = ModelParams(L=L, m_sq=m_sq, delta_m=0.0, lam=0.0, n_max=n_max)
     omega = momentum_grid(p).frequencies
     a, a_dag = ladder_ops(n_max)
     Phi = [(embed(a, k, p) + embed(a_dag, -k % L, p)) / math.sqrt(2.0 * omega[k])

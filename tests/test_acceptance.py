@@ -55,7 +55,7 @@ def test_criterion_01_free_spectrum_oracle():
     # free theory at L=2, m^2=1: eigenvalues are n0*1 + n1*sqrt(5), gap 1;
     # tolerance 1e-10, wall time under 1 s
     start = time.perf_counter()
-    params = ModelParams.from_counterterm(L=2, m_sq=1.0, delta_m=0.0, lam=0.0, n_max=4)
+    params = ModelParams(L=2, m_sq=1.0, delta_m=0.0, lam=0.0, n_max=4)
     spectrum = exact_spectrum(build_H(params))
     freqs = momentum_grid(params).frequencies
     expected = np.sort([n0 * freqs[0] + n1 * freqs[1]
@@ -88,7 +88,7 @@ def test_criterion_02_interaction_equals_quadrature_form():
     rng = np.random.default_rng(2)
     worst = 0.0
     for trial in range(20):
-        params = ModelParams.from_counterterm(
+        params = ModelParams(
             L=2,
             m_sq=float(rng.uniform(0.1, 4.0)),
             delta_m=float(rng.uniform(-3.0, 1.0)),
@@ -112,8 +112,8 @@ def test_criterion_03_counterterm_cancels_linear_response():
         for m_sq in (0.1, 1.5):
             gaps = []
             for lam in (h, -h):
-                base = ModelParams.from_counterterm(L=2, m_sq=m_sq, delta_m=0.0,
-                                                    lam=lam, n_max=n_max)
+                base = ModelParams(L=2, m_sq=m_sq, delta_m=0.0,
+                                   lam=lam, n_max=n_max)
                 gaps.append(mass_gap(base.with_delta(counterterm_first_order(base))))
             slope = (gaps[0] - gaps[1]) / (2.0 * h)
             worst = max(worst, abs(slope))
@@ -150,7 +150,7 @@ def test_criterion_05_parity_blocking_completeness():
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):
-        params = ModelParams.from_counterterm(
+        params = ModelParams(
             L=2,
             m_sq=float(rng.uniform(0.1, 4.0)),
             delta_m=float(rng.uniform(-3.0, 1.0)),
@@ -206,7 +206,7 @@ def test_criterion_06_pauli_encoding():
 def test_criterion_07_exact_vqe_completeness():
     # entangled ansatz reaches both sector minima to 1e-6 on the whole grid;
     # the product ansatz ground-state penalty stays within [0.05%, 5%]
-    backend = BackendSpec.exact()
+    backend = BackendSpec("exact")
     worst_miss = 0.0
     excesses = []
     for lam in DEFAULT_GRID:
@@ -324,7 +324,7 @@ def test_criterion_10_noisy_benchmark():
     # standard deviation; mitigation beats raw at every sector point; < 5 min
     start = time.perf_counter()
     noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02)
-    backend = BackendSpec.noisy(noise, shots=8192)
+    backend = BackendSpec("noisy_mitigated", noise=noise, shots=8192)
     within = 0
     mitigation_wins = []
     lines = []

@@ -229,9 +229,9 @@ def test_apply_circuit_rejects_bad_initial_states(initial):
 @pytest.mark.parametrize("call,name", [
     (lambda state: apply_circuit(ansatz_product(0.1, 0.2), state), "state"),
     (lambda state: expectation_exact(state, PauliSum(((1.0, "ZI"),), 2)), "state"),
-    (lambda state: measure_pauli(state, ("ZZ",), 16, NoiseModel.noiseless(2)), "state"),
+    (lambda state: measure_pauli(state, ("ZZ",), 16, NoiseModel.uniform(2)), "state"),
     (lambda state: measure_pauli_density(np.reshape(np.tile(state, 4), (4, 4)), ("ZZ",), 16,
-                                         NoiseModel.noiseless(2)), "density matrix"),
+                                         NoiseModel.uniform(2)), "density matrix"),
 ], ids=["apply_circuit", "expectation_exact", "measure_pauli", "measure_pauli_density"])
 def test_state_boundaries_reject_entries_that_are_not_numbers(call, name, state, dtype):
     # these used to end in numpy's own TypeError from np.abs, np.isfinite or matmul
@@ -338,27 +338,27 @@ def test_expectation_exact_rejects_non_finite_states(bad, stacked):
 # ---------------------------------------------------------------- sampling
 
 def test_measure_pauli_vacuum_is_deterministic():
-    tallies = measure_pauli(zero_state(1), ("Z",), 100, NoiseModel.noiseless(1))
+    tallies = measure_pauli(zero_state(1), ("Z",), 100, NoiseModel.uniform(1))
     assert tallies.tolist() == [[100, 0]]
     assert counts_expectation(tallies, ("Z",)).tolist() == [1.0]
 
 
 def test_measure_pauli_plus_state_in_x_basis():
     plus = apply_circuit(Circuit(1, (("ry", 0, math.pi / 2.0),)), zero_state(1))
-    assert measure_pauli(plus, ("X",), 500, NoiseModel.noiseless(1)).tolist() == [[500, 0]]
+    assert measure_pauli(plus, ("X",), 500, NoiseModel.uniform(1)).tolist() == [[500, 0]]
 
 
 def test_measure_pauli_identity_positions_are_marginalized():
     # qubit 1 in |+> is read in the Z basis and splits its shots, but the
     # word ZI weighs only qubit 0, so the raw value is exactly <ZI> = 1
     state = apply_circuit(Circuit(2, (("ry", 1, math.pi / 2.0),)), zero_state(2))
-    tallies = measure_pauli(state, ("ZI",), 64, NoiseModel.noiseless(2, seed=1))
+    tallies = measure_pauli(state, ("ZI",), 64, NoiseModel.uniform(2, seed=1))
     assert tallies[0, 2:].sum() == 0 and tallies[0, 1] > 0
     assert counts_expectation(tallies, ("ZI",)).tolist() == [1.0]
 
 
 def test_measure_pauli_all_identity():
-    tallies = measure_pauli(zero_state(2), ("II",), 32, NoiseModel.noiseless(2))
+    tallies = measure_pauli(zero_state(2), ("II",), 32, NoiseModel.uniform(2))
     assert tallies.tolist() == [[32, 0, 0, 0]]
     assert counts_expectation(tallies, ("II",)).tolist() == [1.0]
 
@@ -366,7 +366,7 @@ def test_measure_pauli_all_identity():
 def test_measure_pauli_batch_rows_follow_word_order():
     state = apply_circuit(Circuit(2, (("ry", 1, math.pi),)), zero_state(2))  # |01>
     words = ("ZI", "IZ", "ZZ", "II")
-    tallies = measure_pauli(state, words, 50, NoiseModel.noiseless(2))
+    tallies = measure_pauli(state, words, 50, NoiseModel.uniform(2))
     assert counts_expectation(tallies, words).tolist() == [1.0, -1.0, -1.0, 1.0]
 
 
@@ -384,7 +384,7 @@ def test_measure_pauli_statistics_match_exact():
     state = apply_circuit(ansatz_entangled(0.9, -0.4, 1.7), zero_state(2))
     for word in ("XY", "ZX", "YY"):
         exact = expectation_exact(state, PauliSum(((1.0, word),), 2))
-        tallies = measure_pauli(state, (word,), 1_000_000, NoiseModel.noiseless(2, seed=int(rng.integers(1 << 30))))
+        tallies = measure_pauli(state, (word,), 1_000_000, NoiseModel.uniform(2, seed=int(rng.integers(1 << 30))))
         se = math.sqrt(max(1.0 - exact ** 2, 1e-12) / 1_000_000)
         assert abs(counts_expectation(tallies, (word,))[0] - exact) < 4.0 * se
 
@@ -434,12 +434,12 @@ def test_measure_pauli_per_qubit_confusion(word, measure):
 
 def test_measure_pauli_rejects_word_length_mismatch():
     with pytest.raises(ValueError):
-        measure_pauli(zero_state(2), ("Z",), 10, NoiseModel.noiseless(2))
+        measure_pauli(zero_state(2), ("Z",), 10, NoiseModel.uniform(2))
 
 
 @pytest.mark.parametrize("words,noise,match", [
-    (("ZQ",), NoiseModel.noiseless(2), "not a Pauli word"),
-    (("ZZ",), NoiseModel.noiseless(1), "noise model covers 1 qubits"),
+    (("ZQ",), NoiseModel.uniform(2), "not a Pauli word"),
+    (("ZZ",), NoiseModel.uniform(1), "noise model covers 1 qubits"),
 ], ids=["label", "noise-width"])
 def test_measure_pauli_rejects_bad_requests(words, noise, match):
     with pytest.raises(ValueError, match=match):
@@ -448,8 +448,8 @@ def test_measure_pauli_rejects_bad_requests(words, noise, match):
 
 @pytest.mark.parametrize("shots", [2.5, True, 2**70], ids=["float", "bool", "2**70"])
 @pytest.mark.parametrize("measure", [
-    lambda shots: measure_pauli(zero_state(2), ("ZZ",), shots, NoiseModel.noiseless(2)),
-    lambda shots: measure_pauli_density(np.eye(4) / 4.0, ("ZZ",), shots, NoiseModel.noiseless(2)),
+    lambda shots: measure_pauli(zero_state(2), ("ZZ",), shots, NoiseModel.uniform(2)),
+    lambda shots: measure_pauli_density(np.eye(4) / 4.0, ("ZZ",), shots, NoiseModel.uniform(2)),
     lambda shots: ReadoutCalibration.from_noise_model(NoiseModel.uniform(2, readout=0.03), shots),
 ], ids=["measure_pauli", "measure_pauli_density", "calibrate_readout"])
 def test_measurements_reject_shot_counts_that_are_not_integers_in_range(measure, shots):
@@ -459,7 +459,7 @@ def test_measurements_reject_shot_counts_that_are_not_integers_in_range(measure,
 
 
 def test_measurements_take_numpy_integer_shot_counts():
-    tallies = measure_pauli(zero_state(2), ("ZZ",), np.int64(16), NoiseModel.noiseless(2))
+    tallies = measure_pauli(zero_state(2), ("ZZ",), np.int64(16), NoiseModel.uniform(2))
     assert tallies.tolist() == [[16, 0, 0, 0]]
 
 
@@ -608,7 +608,7 @@ def test_stacked_draw_equals_draws_in_batch_order(measure):
     if measure == "pure":
         states, run = apply_circuit(batch, zero_state(2)), measure_pauli
     else:
-        states, run = simulate_density(batch, NoiseModel.noiseless(2)), measure_pauli_density
+        states, run = simulate_density(batch, NoiseModel.uniform(2)), measure_pauli_density
     words = ("XY", "ZZ", "IX")
     stacked, single = (NoiseModel(ReadoutCalibration(((0.13, 0.02), (0.05, 0.09))), seed=8)
                        for _ in range(2))
@@ -663,12 +663,12 @@ def test_measure_pauli_rejects_non_power_of_two_state(length):
     state = np.zeros(length, dtype=complex)
     state[0] = 1.0
     with pytest.raises(ValueError, match=f"state dimension {length} is not a power of two"):
-        measure_pauli(state, ("ZZ",), 10, NoiseModel.noiseless(2))
+        measure_pauli(state, ("ZZ",), 10, NoiseModel.uniform(2))
 
 
 def test_measure_pauli_density_rejects_non_square_matrix():
     with pytest.raises(ValueError, match=r"shape \(4, 3\) is not square"):
-        measure_pauli_density(np.eye(4, 3), ("ZZ",), 10, NoiseModel.noiseless(2))
+        measure_pauli_density(np.eye(4, 3), ("ZZ",), 10, NoiseModel.uniform(2))
 
 
 @pytest.mark.parametrize("readout", [0.0, 0.05], ids=["noiseless", "readout"])
@@ -698,14 +698,14 @@ def test_sampler_names_the_bad_batch_row(measure):
     else:
         states, run = states[:, :, None] * states[:, None, :].conj(), measure_pauli_density
     with pytest.raises(ValueError, match="Born rows of batch row 2 are non-finite"):
-        run(states, ("ZZ",), 100, NoiseModel.noiseless(2))
+        run(states, ("ZZ",), 100, NoiseModel.uniform(2))
 
 
 # ---------------------------------------------------------------- density matrices
 
 def test_simulate_density_pure_when_noiseless():
     circuit = ansatz_entangled(0.8, 0.3, 1.1)
-    rho = simulate_density(circuit, NoiseModel.noiseless(2))
+    rho = simulate_density(circuit, NoiseModel.uniform(2))
     state = apply_circuit(circuit, zero_state(2))
     assert np.max(np.abs(rho - np.outer(state, state.conj()))) < 1e-12
 
@@ -816,7 +816,7 @@ def test_born_table_rows_match_the_rotated_diagonals(n_qubits, batch, word_count
 def test_simulate_density_rejects_other_qubit_counts(n_qubits):
     circuit = Circuit(n_qubits, (("ry", 0, 0.4),))
     with pytest.raises(ValueError, match=f"got {n_qubits} qubits"):
-        simulate_density(circuit, NoiseModel.noiseless(n_qubits))
+        simulate_density(circuit, NoiseModel.uniform(n_qubits))
 
 
 def test_measure_pauli_density_matches_trace_formula():
@@ -825,7 +825,7 @@ def test_measure_pauli_density_matches_trace_formula():
     rho = simulate_density(circuit, noise)
     word = "ZZ"
     exact = float(np.real(np.trace(rho @ pauli_word_matrix(word))))
-    tallies = measure_pauli_density(rho, (word,), 400_000, NoiseModel.noiseless(2, seed=5))
+    tallies = measure_pauli_density(rho, (word,), 400_000, NoiseModel.uniform(2, seed=5))
     se = math.sqrt(max(1.0 - exact ** 2, 1e-12) / 400_000)
     assert abs(counts_expectation(tallies, (word,))[0] - exact) < 4.0 * se
 
@@ -833,7 +833,7 @@ def test_measure_pauli_density_matches_trace_formula():
 # ---------------------------------------------------------------- readout calibration
 
 def test_calibrate_readout_noiseless():
-    assert ReadoutCalibration.from_noise_model(NoiseModel.noiseless(1), 1000).rates == ((0.0, 0.0),)
+    assert ReadoutCalibration.from_noise_model(NoiseModel.uniform(1), 1000).rates == ((0.0, 0.0),)
 
 
 def test_calibrate_readout_recovers_rates():

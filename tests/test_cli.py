@@ -4,7 +4,6 @@ import functools
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from phi4vqe import cli, fock_space, qubit_encoding, vqe
-from phi4vqe.cli import CONFIG_SCHEMAS, check_config, main
+from phi4vqe.cli import check_config, main
 
 
 def run(tmp_path, command, cfg, extra=None, name="config.json"):
@@ -724,33 +723,3 @@ def test_main_builds_its_parser_on_the_first_call_only(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [0, 1, 1]
-
-
-# ---------------------------------------------------------------- README drift
-
-def readme_examples():
-    """(command, config) for every ```json block of the README's Command line section."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    examples = []
-    for part in section.split("\n### ")[1:]:
-        command = part.split("\n", 1)[0].strip()
-        examples += [(command, json.loads(block))
-                     for block in re.findall(r"```json\n(.*?)```", part, re.S)]
-    return examples
-
-
-def test_readme_library_example_runs(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    section = (root / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
-    assert done.returncode == 0, done.stderr
-
-
-def test_readme_config_examples_pass_the_schema():
-    examples = readme_examples()
-    assert {command for command, _ in examples} == set(CONFIG_SCHEMAS)
-    for command, cfg in examples:
-        assert check_config(command, cfg)[1] == [], command

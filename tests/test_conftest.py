@@ -11,7 +11,7 @@ from phi4vqe.lattice_model import ModelParams
 
 
 def bench(n_max):
-    return ModelParams.from_counterterm(L=2, m_sq=1.0, delta_m=0.0, lam=0.0, n_max=n_max)
+    return ModelParams(L=2, m_sq=1.0, delta_m=0.0, lam=0.0, n_max=n_max)
 
 
 # ---------------------------------------------------------------- ladder operators

@@ -27,8 +27,8 @@ SQ5 = math.sqrt(5.0)
 
 
 def bench(lam=0.0, delta_m=0.0, n_max=4, m_sq=1.0, L=2):
-    return ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=delta_m,
-                                        lam=lam, n_max=n_max)
+    return ModelParams(L=L, m_sq=m_sq, delta_m=delta_m,
+                       lam=lam, n_max=n_max)
 
 
 # ---------------------------------------------------------------- free Hamiltonian
@@ -46,7 +46,7 @@ def test_free_H_vacuum_at_zero():
 
 
 def test_free_H_single_site_ladder():
-    p = ModelParams.from_counterterm(L=1, m_sq=4.0, delta_m=0.0, lam=0.0, n_max=3)
+    p = ModelParams(L=1, m_sq=4.0, delta_m=0.0, lam=0.0, n_max=3)
     assert np.allclose(np.diag(build_H(p)), [0.0, 2.0, 4.0], atol=1e-14)
 
 
@@ -314,18 +314,18 @@ def test_build_H_rejects_unknown_sector():
 def test_sector_blocks_reject_a_part_that_couples_sectors():
     B = np.zeros((4, 4))
     B[0, 1] = B[1, 0] = 1e-9  # (n0, n1) = (0, 0) and (0, 1) differ in Z2 and P
-    with pytest.raises(ValueError, match="B couples two"):
-        sector_blocks(B, 2, 2, "B")
+    with pytest.raises(ValueError, match="H couples two"):
+        sector_blocks(B, 2, 2)
 
 
 def test_sector_blocks_name_the_matrix_that_couples_sectors():
     M = np.eye(4)
     M[0, 1] = M[1, 0] = fock_space.SECTOR_TOL  # at the tolerance: accepted
-    assert len(sector_blocks(M, 2, 2, "M")) == 4
+    assert len(sector_blocks(M, 2, 2)) == 4
     M[0, 1] = M[1, 0] = 1e-9
-    message = r"^M couples two \(Z2, P\) sectors \(max \|entry\| = 1.000e-09\)$"
+    message = r"^H couples two \(Z2, P\) sectors \(max \|entry\| = 1.000e-09\)$"
     with pytest.raises(ValueError, match=message):
-        sector_blocks(M, 2, 2, "M")
+        sector_blocks(M, 2, 2)
 
 
 # a non-finite diagonal entry sits inside a sector block, where the leak check never looks
@@ -333,8 +333,8 @@ def test_sector_blocks_name_the_matrix_that_couples_sectors():
                                np.diag([1.0] * 15 + [np.inf])],
                          ids=["nan_everywhere", "nan_on_diagonal", "inf_on_diagonal"])
 def test_sector_blocks_reject_non_finite_entries(M):
-    with pytest.raises(ValueError, match="^M has NaN or inf entries$"):
-        sector_blocks(M, 2, 4, "M")
+    with pytest.raises(ValueError, match="^H has NaN or inf entries$"):
+        sector_blocks(M, 2, 4)
 
 
 SECTOR_BASES = ([(1, n) for n in range(2, 11)] + [(2, n) for n in range(2, 11)]
@@ -362,8 +362,7 @@ def oracle_blocks(dense_parts, L, m_sq, n_max):
     sector_blocks checks that nothing couples two sectors, and every H0 block
     is checked to have no off-diagonal entry, so h0 holds all of it.
     """
-    sliced = [sector_blocks(part, L, n_max, name)
-              for name, part in zip(("H0", "A", "B"), dense_parts(L, m_sq, n_max))]
+    sliced = [sector_blocks(part, L, n_max) for part in dense_parts(L, m_sq, n_max)]
     out = {}
     for label in sliced[0]:
         H0, A, B = (blocks[label] for blocks in sliced)

@@ -15,8 +15,8 @@ from phi4vqe.lattice_model import (
 def params(L=2, m_sq=1.0, m0_sq=None, delta_m=None, lam=0.0, n_max=4):
     if m0_sq is not None:
         return ModelParams.from_bare(L=L, m_sq=m_sq, m0_sq=m0_sq, lam=lam, n_max=n_max)
-    return ModelParams.from_counterterm(L=L, m_sq=m_sq, delta_m=delta_m or 0.0,
-                                        lam=lam, n_max=n_max)
+    return ModelParams(L=L, m_sq=m_sq, delta_m=delta_m or 0.0,
+                       lam=lam, n_max=n_max)
 
 
 # ---------------------------------------------------------------- momentum grid
@@ -178,8 +178,8 @@ def test_model_params_from_bare_consistency():
     assert p.m0_sq == pytest.approx(p.m_sq + p.delta_m, abs=1e-15)
 
 
-def test_model_params_from_counterterm_consistency():
-    p = ModelParams.from_counterterm(L=2, m_sq=1.0, delta_m=-2.5, lam=10.0, n_max=4)
+def test_model_params_counterterm_consistency():
+    p = ModelParams(L=2, m_sq=1.0, delta_m=-2.5, lam=10.0, n_max=4)
     assert p.m0_sq == -1.5
 
 
@@ -217,7 +217,7 @@ def test_model_params_rejects_non_finite_reference_mass(m_sq):
     with pytest.raises(ValueError, match="^reference mass m_sq must be finite"):
         ModelParams.from_bare(L=2, m_sq=m_sq, m0_sq=1.0, lam=1.0, n_max=4)
     with pytest.raises(ValueError, match="^reference mass m_sq must be finite"):
-        ModelParams.from_counterterm(L=2, m_sq=m_sq, delta_m=0.0, lam=1.0, n_max=4)
+        ModelParams(L=2, m_sq=m_sq, delta_m=0.0, lam=1.0, n_max=4)
 
 
 def test_model_params_rejects_bad_sizes():

@@ -3,7 +3,9 @@ fails only on ``import *``, and the package re-exports only public names."""
 
 import ast
 import importlib
+import io
 import pkgutil
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,23 @@ def test_each_shared_boundary_message_is_written_in_one_module():
     assert homes == {**{stem: [] for stem in RETIRED_STEMS},
                      SHARED_STEMS[0]: ["lattice_model.py"], SHARED_STEMS[1]: ["lattice_model.py"],
                      SHARED_STEMS[2]: ["qubit_encoding.py"]}
+
+
+
+def test_each_default_is_written_once_in_one_module():
+    # a default written twice can be changed in one copy and silently disagree with the other:
+    # the backend's shot counts, and the purification constants PURIFY_TOL = 1e-4 and
+    # PURIFY_MAX_ITER
+    numbers = {8192: [], 100_000: [], 1e-4: []}
+    definitions = {"PURIFY_TOL": [], "PURIFY_MAX_ITER": []}
+    for path in sorted(Path(phi4vqe.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NUMBER and ast.literal_eval(token.string) in numbers:
+                numbers[ast.literal_eval(token.string)].append(path.name)
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    definitions.get(getattr(target, "id", None), []).append(path.name)
+    assert numbers == {8192: ["vqe.py"], 100_000: ["vqe.py"], 1e-4: ["mitigation.py"]}
+    assert definitions == {"PURIFY_TOL": ["mitigation.py"], "PURIFY_MAX_ITER": ["mitigation.py"]}

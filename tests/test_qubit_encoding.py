@@ -235,6 +235,15 @@ def test_pauli_sum_coefficient_lookup():
     assert sum_.coefficient("X") == 0.0
 
 
+@pytest.mark.parametrize("word", ["garbage", "ZZZ", "Z", "", "zi", 3, None])
+def test_pauli_sum_coefficient_rejects_what_is_not_a_word_on_its_qubits(word):
+    # "garbage" and "ZZZ" on 2 qubits used to read 0.0, like a valid word the sum lacks
+    sum_ = encode_matrix(np.diag([0.0, 1.0, 2.0, 3.0]))
+    assert sum_.coefficient("XX") == 0.0
+    with pytest.raises(ValueError, match=rf"^word {re.escape(repr(word))} is not a Pauli word on 2 qubits$"):
+        sum_.coefficient(word)
+
+
 # ---------------------------------------------------------------- sector blocking
 
 def benchmark(lam):
@@ -264,7 +273,7 @@ SECTOR_BASES = ([(1, n) for n in range(2, 11)] + [(2, n) for n in range(2, 11)]
 @example(basis=(3, 5), delta_m=-100.0, lam=100.0)
 def test_parity_blocks_are_the_sector_builds_and_hold_the_spectrum(basis, delta_m, lam):
     L, n_max = basis
-    p = ModelParams.from_counterterm(L=L, m_sq=1.0, delta_m=delta_m, lam=lam, n_max=n_max)
+    p = ModelParams(L=L, m_sq=1.0, delta_m=delta_m, lam=lam, n_max=n_max)
     H = build_H(p)
     blocks = parity_blocks(H, p)
     assert [b.label for b in blocks] == list(sector_indices(L, n_max))
@@ -313,7 +322,7 @@ def test_parity_blocks_match_per_mode_slicing(L, n_max):
     # reference: at L <= 2 each per-mode parity tuple (even or odd occupations
     # per mode, in product = ascending basis order) is exactly one (Z2, P)
     # sector: Z2 = number of odd modes mod 2, P = parity of mode 1
-    p = ModelParams.from_counterterm(L=L, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=n_max)
+    p = ModelParams(L=L, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=n_max)
     H = build_H(p)
     blocks = by_label(parity_blocks(H, p))
     assert len(blocks) == 2**L
@@ -328,7 +337,7 @@ def test_parity_blocks_match_per_mode_slicing(L, n_max):
 @pytest.mark.parametrize("L, n_max", [(3, 4), (4, 3), (2, 5)])
 def test_parity_blocks_accept_any_site_count_and_truncation(L, n_max):
     # (Z2, P) is a symmetry of H at every L and n_max, where per-mode parity is not
-    p = ModelParams.from_counterterm(L=L, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=n_max)
+    p = ModelParams(L=L, m_sq=1.0, delta_m=-2.5, lam=6.0, n_max=n_max)
     blocks = parity_blocks(build_H(p), p)
     assert sum(b.block.shape[0] for b in blocks) == n_max**L
     assert {(0, 0), (1, 0)} <= set(by_label(blocks))

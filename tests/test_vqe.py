@@ -51,7 +51,7 @@ def ansatz_circuit(theta):
 
 def test_backend_spec_validation():
     with pytest.raises(ValueError):
-        BackendSpec(kind="exact", noise=NoiseModel.noiseless(2))
+        BackendSpec(kind="exact", noise=NoiseModel.uniform(2))
     with pytest.raises(ValueError):
         BackendSpec(kind="sampled", noise=NoiseModel.uniform(2, readout=0.1))
     with pytest.raises(ValueError):
@@ -75,13 +75,13 @@ def test_backend_spec_rejects_noise_that_is_not_a_noise_model(kind, noise):
 def test_backend_spec_rejects_shot_counts_that_are_not_integers_in_range(field, value):
     noise = NoiseModel.uniform(2, readout=0.03)
     with pytest.raises(ValueError, match=f"^{field} must be an integer in \\[1, 2\\*\\*63 - 1\\]"):
-        BackendSpec.noisy(noise, **{field: value})
+        BackendSpec("noisy_mitigated", noise=noise, **{field: value})
 
 
 @pytest.mark.parametrize("make", [
-    lambda: BackendSpec.noisy(NoiseModel.uniform(3, readout=0.03, p_dep=0.02)),
-    lambda: BackendSpec(kind="sampled", noise=NoiseModel.noiseless(3)),
-    lambda: BackendSpec(kind="sampled", noise=NoiseModel.noiseless(1)),
+    lambda: BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(3, readout=0.03, p_dep=0.02)),
+    lambda: BackendSpec(kind="sampled", noise=NoiseModel.uniform(3)),
+    lambda: BackendSpec(kind="sampled", noise=NoiseModel.uniform(1)),
 ], ids=["noisy-3", "sampled-3", "sampled-1"])
 def test_backend_spec_rejects_a_noise_model_off_two_qubits(make):
     with pytest.raises(ValueError, match=r"^noise model covers \d qubits; the ansatz circuits act on 2$"):
@@ -93,19 +93,19 @@ def test_backend_spec_rejects_a_noise_model_off_two_qubits(make):
 def test_backend_spec_rejects_mitigation_switches_that_are_not_bools(field, value):
     # purification="no" used to turn purification on
     with pytest.raises(ValueError, match=f"^{field} must be true or false, got "):
-        BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03), **{field: value})
+        BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2, readout=0.03), **{field: value})
 
 
 def test_backend_spec_takes_numpy_integer_shot_counts():
-    backend = BackendSpec.noisy(NoiseModel.noiseless(2), shots=np.int64(64),
-                                calibration_shots=np.uint32(2**31))
+    backend = BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2), shots=np.int64(64),
+                          calibration_shots=np.uint32(2**31))
     assert (backend.shots, backend.calibration_shots) == (64, 2**31)
 
 
 def test_backend_spec_constructors():
-    assert BackendSpec.exact().kind == "exact"
+    assert BackendSpec("exact").kind == "exact"
     assert BackendSpec.sampled(shots=1024, seed=3).shots == 1024
-    noisy = BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
+    noisy = BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
     assert noisy.kind == "noisy_mitigated"
     assert noisy.readout_correction and noisy.purification
 
@@ -114,20 +114,20 @@ def test_backend_spec_constructors():
 
 def test_energy_objective_at_origin_reads_reference_state():
     ground, _ = sectors(benchmark(6.0))
-    value = energy_objective(ansatz_entangled(0.0, 0.0, 0.0), ground, BackendSpec.exact())
+    value = energy_objective(ansatz_entangled(0.0, 0.0, 0.0), ground, BackendSpec("exact"))
     assert value == pytest.approx(float(np.real(ground.block[0, 0])), abs=1e-12)
 
 
 def test_energy_objective_free_vacuum():
     ground, _ = sectors(benchmark(0.0).with_delta(0.0))
     assert energy_objective(ansatz_product(0.0, 0.0), ground,
-                            BackendSpec.exact()) == pytest.approx(0.0, abs=1e-12)
+                            BackendSpec("exact")) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_objective_sampled_tracks_exact():
     ground, _ = sectors(benchmark(10.0))
     circuit = ansatz_entangled(0.3, -0.5, 0.8)
-    exact = energy_objective(circuit, ground, BackendSpec.exact())
+    exact = energy_objective(circuit, ground, BackendSpec("exact"))
     shots = 8192
     sampled = energy_objective(circuit, ground, BackendSpec.sampled(shots=shots, seed=2))
     scale = sum(abs(c) for c, w in ground.pauli.terms if set(w) != {"I"})
@@ -136,10 +136,12 @@ def test_energy_objective_sampled_tracks_exact():
 
 @pytest.mark.parametrize("backend,theta", [
     (BackendSpec.sampled(seed=4), (0.3, -0.5, 0.8)),
-    (BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4)), (0.3, -0.5, 0.8)),
-    (BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4)), (0.3, -0.5)),
-    (BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4),
-                       purification=False), (0.3, -0.5, 0.8)),
+    (BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4)),
+     (0.3, -0.5, 0.8)),
+    (BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4)),
+     (0.3, -0.5)),
+    (BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=4),
+                 purification=False), (0.3, -0.5, 0.8)),
 ], ids=["sampled", "noisy-purified", "noisy-product", "noisy-unpurified"])
 def test_energy_objective_makes_one_draw_per_evaluation(record_draws, backend, theta):
     ground, _ = sectors(benchmark(6.0))
@@ -155,12 +157,13 @@ def test_energy_objective_makes_one_draw_per_evaluation(record_draws, backend, t
 def batch_backend(kind, shots, seed):
     noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=seed)
     return {
-        "exact": BackendSpec.exact,
+        "exact": lambda: BackendSpec("exact"),
         "sampled": lambda: BackendSpec.sampled(shots=shots, seed=seed),
-        "noisy": lambda: BackendSpec.noisy(noise, shots=shots),
-        "noisy-unpurified": lambda: BackendSpec.noisy(noise, shots=shots, purification=False),
-        "noisy-uncorrected": lambda: BackendSpec.noisy(noise, shots=shots,
-                                                       readout_correction=False),
+        "noisy": lambda: BackendSpec("noisy_mitigated", noise=noise, shots=shots),
+        "noisy-unpurified": lambda: BackendSpec("noisy_mitigated", noise=noise, shots=shots,
+                                                purification=False),
+        "noisy-uncorrected": lambda: BackendSpec("noisy_mitigated", noise=noise, shots=shots,
+                                                 readout_correction=False),
     }[kind]()
 
 
@@ -201,12 +204,12 @@ def test_batched_energies_equal_one_vdot_and_one_dot_per_row_bit_for_bit(n_param
     H, states = ground.pauli, apply_circuit(circuit, zero_state(2))
     images = (H.to_matrix() @ states[..., None])[..., 0]
     vdots = [float(np.vdot(state, image).real) for state, image in zip(states, images)]
-    exact = energy_objective(circuit, ground, BackendSpec.exact())
+    exact = energy_objective(circuit, ground, BackendSpec("exact"))
     assert [e.hex() for e in exact.tolist()] == [e.hex() for e in vdots]
 
     words = tuple(w for _, w in H.terms if set(w) != {"I"})
     coeffs = np.array([c.real for c, w in H.terms if set(w) != {"I"}])
-    tallies = measure_pauli(states, words, shots, NoiseModel.noiseless(2, seed=seed))
+    tallies = measure_pauli(states, words, shots, NoiseModel.uniform(2, seed=seed))
     dots = [H.coefficient("II").real + float(coeffs @ row)
             for row in counts_expectation(tallies, words)]
     sampled = energy_objective(circuit, ground, BackendSpec.sampled(shots=shots, seed=seed))
@@ -235,13 +238,13 @@ def test_energy_objective_builds_purification_reports_only_for_a_log(monkeypatch
 def test_energy_objective_rejects_anything_but_a_circuit(circuit):
     ground, _ = sectors(benchmark(6.0))
     with pytest.raises(ValueError, match=r"^energy_objective takes a Circuit, got "):
-        energy_objective(circuit, ground, BackendSpec.exact())
+        energy_objective(circuit, ground, BackendSpec("exact"))
 
 
 def test_energy_objective_rejects_a_circuit_off_two_qubits():
     ground, _ = sectors(benchmark(6.0))
     with pytest.raises(ValueError, match=r"^energy_objective takes a 2-qubit circuit, got one on 3 qubits$"):
-        energy_objective(Circuit(3, (("ry", 0, 0.1),)), ground, BackendSpec.exact())
+        energy_objective(Circuit(3, (("ry", 0, 0.1),)), ground, BackendSpec("exact"))
 
 
 # ---------------------------------------------------------------- exact optimization
@@ -249,7 +252,7 @@ def test_energy_objective_rejects_a_circuit_off_two_qubits():
 def test_optimize_exact_entangled_reaches_block_minimum():
     ground, excited = sectors(benchmark(6.0))
     for sector in (ground, excited):
-        result = optimize(sector, "entangled", BackendSpec.exact())
+        result = optimize(sector, "entangled", BackendSpec("exact"))
         eigmin = float(np.min(np.linalg.eigvalsh(sector.block)))
         assert result.converged
         assert result.energy == pytest.approx(eigmin, abs=1e-6)
@@ -303,7 +306,7 @@ def test_slice_fit_reproduces_exact_energy(lam, ansatz):
     # 1/2 and 1): the fitted series matches the objective at 20 other angles
     build, _, per_angle = vqe.ANSATZE[ansatz]
     rng = np.random.default_rng([10, int(100 * lam)])
-    backend = BackendSpec.exact()
+    backend = BackendSpec("exact")
     for sector in sectors(benchmark(lam)):
         theta = rng.uniform(-math.pi, math.pi, size=len(per_angle))
         for i, n in enumerate(per_angle):
@@ -331,7 +334,7 @@ def test_slice_fit_reproduces_exact_energy(lam, ansatz):
 @pytest.mark.parametrize("lam", [2.0, 6.0, 14.0])
 def test_optimize_exact_entangled_gap_matches_oracle_to_1e10(lam):
     params = benchmark(lam)
-    estimate = mass_gap_vqe(params, BackendSpec.exact())
+    estimate = mass_gap_vqe(params, BackendSpec("exact"))
     assert estimate.ground.converged and estimate.excited.converged
     assert abs(estimate.gap - sector_minima(params)[2]) < 1e-10
 
@@ -358,7 +361,7 @@ def test_lockstep_sweeps_match_the_serial_oracle_bit_for_bit(lam, ansatz):
     # the corners advance together, one batch per slice, yet each does exactly
     # the sweeps it does alone; a settled corner is no longer evaluated
     build, starts, per_angle = vqe.ANSATZE[ansatz]
-    backend = BackendSpec.exact()
+    backend = BackendSpec("exact")
     for sector in sectors(benchmark(lam)):
         rows = []
 
@@ -393,20 +396,20 @@ def test_optimize_exact_variational_bound():
     ground, _ = sectors(benchmark(8.21))
     eigmin = float(np.min(np.linalg.eigvalsh(ground.block)))
     for ansatz in ("product", "entangled"):
-        result = optimize(ground, ansatz, BackendSpec.exact())
+        result = optimize(ground, ansatz, BackendSpec("exact"))
         assert result.energy >= eigmin - 1e-9
 
 
 def test_optimize_ansatz_nesting():
     ground, _ = sectors(benchmark(10.0))
-    product = optimize(ground, "product", BackendSpec.exact())
-    entangled = optimize(ground, "entangled", BackendSpec.exact())
+    product = optimize(ground, "product", BackendSpec("exact"))
+    entangled = optimize(ground, "entangled", BackendSpec("exact"))
     assert entangled.energy <= product.energy + 1e-9
 
 
 def test_optimize_free_theory_vacuum():
     ground, _ = sectors(benchmark(0.0).with_delta(0.0))
-    result = optimize(ground, "product", BackendSpec.exact())
+    result = optimize(ground, "product", BackendSpec("exact"))
     assert result.energy == pytest.approx(0.0, abs=1e-9)
 
 
@@ -429,12 +432,12 @@ def test_ansatz_table_entries_agree_on_their_parameter_count(ansatz):
 def test_optimize_rejects_unknown_ansatz(name):
     ground, _ = sectors(benchmark(6.0))
     with pytest.raises(ValueError, match=rf"^unknown ansatz {re.escape(repr(name))}$"):
-        optimize(ground, name, BackendSpec.exact())
+        optimize(ground, name, BackendSpec("exact"))
 
 
 def test_optimize_history_and_calibration_fields():
     ground, _ = sectors(benchmark(6.0))
-    result = optimize(ground, "entangled", BackendSpec.exact())
+    result = optimize(ground, "entangled", BackendSpec("exact"))
     assert len(result.history) > 0
     assert result.calibration is None
 
@@ -443,7 +446,7 @@ def test_optimize_history_and_calibration_fields():
 
 def test_mass_gap_vqe_exact_matches_oracle():
     params = benchmark(6.0)
-    estimate = mass_gap_vqe(params, BackendSpec.exact())
+    estimate = mass_gap_vqe(params, BackendSpec("exact"))
     e0, e1, gap = sector_minima(params)
     assert estimate.ground.energy == pytest.approx(e0, abs=1e-6)
     assert estimate.excited.energy == pytest.approx(e1, abs=1e-6)
@@ -453,7 +456,7 @@ def test_mass_gap_vqe_exact_matches_oracle():
 
 def test_mass_gap_vqe_free_theory():
     params = benchmark(0.0).with_delta(0.0)
-    estimate = mass_gap_vqe(params, BackendSpec.exact())
+    estimate = mass_gap_vqe(params, BackendSpec("exact"))
     assert estimate.gap == pytest.approx(1.0, abs=1e-6)
 
 
@@ -485,6 +488,20 @@ def test_sector_minima_against_blocks():
 
 # ---------------------------------------------------------------- stochastic backends
 
+@pytest.mark.parametrize("backend", [BackendSpec("exact"), BackendSpec.sampled(shots=64)],
+                         ids=["exact", "sampled"])
+@pytest.mark.parametrize("seed", ["not a seed", -5, 1.5, True, [1, -1]],
+                         ids=["str", "negative", "float", "bool", "negative-entry"])
+def test_every_backend_rejects_a_seed_that_is_not_non_negative_integers(backend, seed):
+    # the exact backend used to take any seed, while the stochastic ones rejected it
+    ground, _ = sectors(benchmark(6.0))
+    stem = r"^seed must be an integer >= 0 or a sequence of such seeds, got "
+    with pytest.raises(ValueError, match=stem + re.escape(repr(seed)) + "$"):
+        optimize(ground, "product", backend, seed=seed)
+    with pytest.raises(ValueError, match=stem + re.escape(repr([seed, 0])) + "$"):
+        mass_gap_vqe(benchmark(6.0), backend, seed=seed)
+
+
 def test_optimize_sampled_is_deterministic_per_seed():
     ground, _ = sectors(benchmark(6.0))
     backend = BackendSpec.sampled(shots=1024)
@@ -498,8 +515,8 @@ def test_optimize_sampled_is_deterministic_per_seed():
 
 @pytest.mark.parametrize("backend", [
     BackendSpec.sampled(shots=1024),
-    BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02), shots=1024,
-                      calibration_shots=10_000),
+    BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2, readout=0.03, p_dep=0.02),
+                shots=1024, calibration_shots=10_000),
 ], ids=["sampled", "noisy"])
 @pytest.mark.parametrize("ansatz", vqe.ANSATZE)
 def test_optimize_stochastic_evaluation_count_is_fixed_by_config(backend, ansatz):
@@ -520,7 +537,7 @@ def test_optimize_sampled_lands_near_minimum():
 def test_optimize_noisy_reports_mitigation_metadata():
     ground, _ = sectors(benchmark(10.0))
     noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02)
-    backend = BackendSpec.noisy(noise, shots=4096, calibration_shots=50_000)
+    backend = BackendSpec("noisy_mitigated", noise=noise, shots=4096, calibration_shots=50_000)
     result = optimize(ground, "entangled", backend, seed=[7])
     assert result.calibration is not None
     assert len(result.calibration) == 2
@@ -531,9 +548,9 @@ def test_optimize_noisy_reports_mitigation_metadata():
 def test_mitigation_comparison_orders_errors():
     params = benchmark(10.0)
     ground, _ = sectors(params)
-    exact = optimize(ground, "entangled", BackendSpec.exact())
+    exact = optimize(ground, "entangled", BackendSpec("exact"))
     noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02)
-    backend = BackendSpec.noisy(noise, shots=8192)
+    backend = BackendSpec("noisy_mitigated", noise=noise, shots=8192)
     comp = mitigation_comparison(ground, ansatz_entangled(*exact.parameters), backend,
                                  seed=[99])
     assert abs(comp.e_mitigated - comp.e_exact) < abs(comp.e_raw - comp.e_exact)
@@ -547,7 +564,7 @@ def test_mitigation_comparison_orders_errors():
 ], ids=["batch-1", "batch-2", "product-batch-2", "float", "np-float", "angles", "rank-3"])
 def test_mitigation_comparison_rejects_a_parameter_batch_before_any_draw(record_draws, circuit):
     ground, _ = sectors(benchmark(6.0))
-    backend = BackendSpec.noisy(NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
+    backend = BackendSpec("noisy_mitigated", noise=NoiseModel.uniform(2, readout=0.03, p_dep=0.02))
     calls = record_draws(backend.noise)
     with pytest.raises(ValueError, match=r"^mitigation comparison takes one circuit, got "
                                          rf"{re.escape(repr(circuit))}$"):
@@ -565,10 +582,11 @@ def test_mitigation_comparison_always_corrects_with_a_sampled_calibration(record
     ground, _ = sectors(benchmark(6.0))
     circuit = ansatz_entangled(0.4, -0.2, 0.7)
     noise = NoiseModel.uniform(2, readout=0.03, p_dep=0.02, seed=5)
-    backend = BackendSpec.noisy(noise, shots=1024, calibration_shots=4096, **switches)
+    backend = BackendSpec("noisy_mitigated", noise=noise, shots=1024, calibration_shots=4096,
+                          **switches)
     calls = record_draws(backend.noise)
     mitigation_comparison(ground, circuit, backend)
     assert calls == ["multinomial"] * 5
-    full = BackendSpec.noisy(noise, shots=1024, calibration_shots=4096)
+    full = BackendSpec("noisy_mitigated", noise=noise, shots=1024, calibration_shots=4096)
     assert (mitigation_comparison(ground, circuit, backend, seed=[8])
             == mitigation_comparison(ground, circuit, full, seed=[8]))
